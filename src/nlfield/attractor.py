@@ -6,21 +6,23 @@ are evolved from progressively earlier start times tau to t, and the
 endpoint set is accepted once it stops moving between consecutive rungs
 of the tau ladder.  Sets are compared in the one-sided Hausdorff sense
 with the weighted norm underneath.
+
+All members of a rung share one time schedule, so they are evolved
+together as one batched (k, n) array.  Set distances, for the Hausdorff
+semidistance and for clustering the endpoints, come from one vectorised
+weighted l^p distance between the rows of two stacks.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from . import _accel
-from .dynamics import ProcessConfig, evolve
+from .dynamics import ProcessConfig, _integrate
 from .errors import EmptySetError, TimeOrderError
 from .weighted_space import WeightedField, quad_weights, weighted_norm
 
@@ -57,15 +59,6 @@ class SemicontinuityCurve:
     envelopes: tuple[float, ...]
     converged: tuple[bool, ...]
     digest: str
-
-
-def _n_workers() -> int:
-    raw = os.environ.get("NLFIELD_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 1
-    return max(1, n)
 
 
 def absorbing_entry_time(t: float, radius_r: float, eps: float) -> float:
@@ -135,6 +128,11 @@ def _stack(members) -> np.ndarray:
     return np.stack([m.values for m in members]), members[0]
 
 
+def _lp_distances(A: np.ndarray, B: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
+    """Weighted l^p distance between every row of A and every row of B."""
+    return np.stack([np.abs(a - B) ** p @ w for a in A]) ** (1.0 / p)
+
+
 def hausdorff_semidist(a, b, p: float = 2.0) -> float:
     """One-sided set distance: sup over a of the nearest member of b.
 
@@ -145,31 +143,19 @@ def hausdorff_semidist(a, b, p: float = 2.0) -> float:
     stack_b, first_b = _stack(b)
     first_a.same_space(first_b)
     w = quad_weights(first_a.weight, first_a.grid)
-    dist = _accel.pairwise_lp(stack_a, stack_b, w, float(p))
+    dist = _lp_distances(stack_a, stack_b, w, float(p))
     return float(np.max(np.min(dist, axis=1)))
 
 
 def _evolve_endpoints(fields, tau, t, cfg) -> list[np.ndarray]:
-    def one(u0):
-        return evolve(u0, tau, t, cfg).values
-
-    workers = _n_workers()
-    if workers == 1:
-        return [one(u0) for u0 in fields]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, fields))
+    return list(_integrate(np.stack([u0.values for u0 in fields]), tau, t, cfg))
 
 
 def _dedup(endpoints: list[np.ndarray], w: np.ndarray, p: float,
            tol: float) -> list[np.ndarray]:
     kept: list[np.ndarray] = []
     for u in endpoints:
-        fresh = True
-        for v in kept:
-            if (_accel.wpow_sum(np.abs(u - v), w, p)) ** (1.0 / p) <= tol:
-                fresh = False
-                break
-        if fresh:
+        if not kept or np.min(_lp_distances(u[None], np.stack(kept), w, p)) > tol:
             kept.append(u)
     return kept
 

@@ -16,10 +16,17 @@ exp(-delta) u + delta phi1 G(t).  The weights sum to 1 - exp(-delta), so
 a constant G is integrated exactly and the scheme is second order in
 delta.  Pure decay (g = 0) is exact to rounding.
 
-evolve_split integrates the same recursion with the state divided into
-v(t) = exp(-(t-tau)) u_tau (pure decay of the initial data) and the
-remainder w with w(tau) = 0, which is the decomposition the compactness
-diagnostics measure.
+One loop applies this step to a raw (..., n) array, so a single field
+and a stack of ensemble members (a pullback ladder rung) take the same
+steps; the phi weights do not depend on the state, and the stack is
+stepped as one batched array.  The time after step i is tau + i dt, and
+the last step lands on t exactly.
+
+evolve_split divides the state into v(t) = exp(-(t-tau)) u_tau (pure
+decay of the initial data) and the remainder w = u - v with w(tau) = 0,
+which is the decomposition the compactness diagnostics measure.  v is
+known in closed form, so the split needs no recursion of its own: u is
+integrated as usual and v, w are read off it.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, GridMismatchError, TimeOrderError
-from .kernel import Kernel
+from .kernel import Kernel, _fft_convolve
 from .weighted_space import Grid1D, WeightedField, WeightFunction
 
 # max |d^2/ds^2 tanh(s)| = max |d/ds tanh(s)^2| = 4 / (3 sqrt(3)), at tanh = 1/sqrt(3)
@@ -220,9 +227,7 @@ class TrajectoryState:
 
 def _nonlinear_term(cfg: ProcessConfig, t: float, u_vals: np.ndarray) -> np.ndarray:
     """G(t) = g(beta (J*u) + beta h(t, u)) on raw samples."""
-    k = cfg.kernel
-    conv = np.fft.irfft(np.fft.rfft(u_vals, k._fft_len) * k._spectrum, k._fft_len)
-    conv = conv[k.half_width : k.half_width + cfg.grid.n_points] * cfg.grid.spacing
+    conv = _fft_convolve(cfg.kernel, u_vals)
     arg = cfg.beta * conv + cfg.beta * cfg.field(t, u_vals)
     return cfg.nonlinearity(arg)
 
@@ -255,16 +260,6 @@ def _step_raw(cfg: ProcessConfig, t: float, u: np.ndarray, delta: float) -> np.n
     return em * u + w1 * g0 + w2 * g1
 
 
-def _step_split_raw(cfg: ProcessConfig, t: float, v: np.ndarray, w: np.ndarray,
-                    delta: float) -> tuple[np.ndarray, np.ndarray]:
-    em, w1, w2 = _phi_weights(delta)
-    g0 = _nonlinear_term(cfg, t, v + w)
-    v_new = em * v
-    pred_w = em * w + (w1 + w2) * g0
-    g1 = _nonlinear_term(cfg, t + delta, v_new + pred_w)
-    return v_new, em * w + w1 * g0 + w2 * g1
-
-
 def step_exponential(state: TrajectoryState, cfg: ProcessConfig,
                      delta: float | None = None) -> TrajectoryState:
     """One exponential-trapezoid step of size delta (default cfg.dt)."""
@@ -273,17 +268,16 @@ def step_exponential(state: TrajectoryState, cfg: ProcessConfig,
         raise ValueError(f"step size must be positive, got {delta}")
     if state.u.grid != cfg.grid:
         raise GridMismatchError("state does not live on the configured grid")
-    if state.v is not None:
-        v, w = _step_split_raw(cfg, state.t, state.v.values, state.w.values, delta)
-        _guard_finite(v + w)
-        return TrajectoryState(
-            t=state.t + delta,
-            u=state.u.with_values(v + w),
-            v=state.u.with_values(v),
-            w=state.u.with_values(w),
-        )
     u = _step_raw(cfg, state.t, state.u.values, delta)
     _guard_finite(u)
+    if state.v is not None:
+        v = math.exp(-delta) * state.v.values
+        return TrajectoryState(
+            t=state.t + delta,
+            u=state.u.with_values(u),
+            v=state.u.with_values(v),
+            w=state.u.with_values(u - v),
+        )
     return TrajectoryState(t=state.t + delta, u=state.u.with_values(u))
 
 
@@ -306,6 +300,22 @@ def _delta_schedule(tau: float, t: float, dt: float) -> list[float]:
     return deltas
 
 
+def _integrate(u: np.ndarray, tau: float, t: float, cfg: ProcessConfig,
+               observer=None) -> np.ndarray:
+    """Step a raw (..., n) array from tau to t; every row shares the schedule."""
+    deltas = _delta_schedule(tau, t, cfg.dt)
+    now = tau
+    if observer is not None:
+        observer(now, u.copy())
+    for i, delta in enumerate(deltas, start=1):
+        u = _step_raw(cfg, now, u, delta)
+        _guard_finite(u)
+        now = t if i == len(deltas) else tau + i * cfg.dt
+        if observer is not None:
+            observer(now, u.copy())
+    return u
+
+
 def evolve(u_tau: WeightedField, tau: float, t: float, cfg: ProcessConfig,
            observer=None) -> WeightedField:
     """Integrate from time tau to t; full dt steps plus one shortened tail.
@@ -315,38 +325,17 @@ def evolve(u_tau: WeightedField, tau: float, t: float, cfg: ProcessConfig,
     """
     if u_tau.grid != cfg.grid:
         raise GridMismatchError("initial field does not live on the configured grid")
-    u = u_tau.values.copy()
-    now = tau
-    if observer is not None:
-        observer(now, u.copy())
-    for delta in _delta_schedule(tau, t, cfg.dt):
-        u = _step_raw(cfg, now, u, delta)
-        now += delta
-        _guard_finite(u)
-        if observer is not None:
-            observer(now, u.copy())
-    return u_tau.with_values(u)
+    return u_tau.with_values(_integrate(u_tau.values.copy(), tau, t, cfg, observer))
 
 
 def evolve_split(u_tau: WeightedField, tau: float, t: float, cfg: ProcessConfig,
                  observer=None) -> TrajectoryState:
     """Integrate with the v/w splitting: v decays exactly, w(tau) = 0."""
-    if u_tau.grid != cfg.grid:
-        raise GridMismatchError("initial field does not live on the configured grid")
-    v = u_tau.values.copy()
-    w = np.zeros_like(v)
-    now = tau
-    if observer is not None:
-        observer(now, v + w)
-    for delta in _delta_schedule(tau, t, cfg.dt):
-        v, w = _step_split_raw(cfg, now, v, w, delta)
-        now += delta
-        _guard_finite(v + w)
-        if observer is not None:
-            observer(now, v + w)
+    u = evolve(u_tau, tau, t, cfg, observer)
+    v = math.exp(-(t - tau)) * u_tau.values
     return TrajectoryState(
-        t=now,
-        u=u_tau.with_values(v + w),
+        t=t,
+        u=u,
         v=u_tau.with_values(v),
-        w=u_tau.with_values(w),
+        w=u_tau.with_values(u.values - v),
     )

@@ -13,8 +13,11 @@ with the integral only on the interior (half_length - 1 from the cut);
 use Grid1D.interior_mask when asserting against continuum identities.
 
 convolve_direct is the quadratic-cost reference sum (the oracle the
-fast path is tested against); convolve_fast is an FFT with zero padding
-at least the kernel width, which removes circular wrap-around.
+fast path is tested against).  Every other convolution in the package,
+convolve_fast, convolve_derivative and the nonlinear term of the
+dynamics, goes through one FFT expression, zero padded past the kernel
+width so there is no circular wrap-around.  It acts along the last axis,
+so a batch of fields stacked as a (k, n) array convolves in one call.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _accel
 from .errors import GridTooCoarseError
 from .weighted_space import Grid1D, WeightedField
 
@@ -99,24 +101,27 @@ def _check_space(kernel: Kernel, u: WeightedField) -> None:
 def convolve_direct(kernel: Kernel, u: WeightedField) -> WeightedField:
     """Reference convolution by direct summation, O(n * support)."""
     _check_space(kernel, u)
-    out = _accel.conv_direct(u.values, kernel.samples, kernel.grid.spacing)
+    out = np.convolve(u.values, kernel.samples, mode="same") * kernel.grid.spacing
     return u.with_values(out)
 
 
-def _fft_convolve(kernel: Kernel, u: WeightedField, spectrum: np.ndarray) -> WeightedField:
+def _fft_convolve(kernel: Kernel, values: np.ndarray, derivative: bool = False) -> np.ndarray:
+    """J * values (or J' * values) along the last axis of a (..., n) array."""
     n = kernel.grid.n_points
     m = kernel.half_width
-    full = np.fft.irfft(np.fft.rfft(u.values, kernel._fft_len) * spectrum, kernel._fft_len)
-    return u.with_values(full[m : m + n] * kernel.grid.spacing)
+    spectrum = kernel._deriv_spectrum if derivative else kernel._spectrum
+    full = np.fft.irfft(np.fft.rfft(values, kernel._fft_len, axis=-1) * spectrum,
+                        kernel._fft_len, axis=-1)
+    return full[..., m : m + n] * kernel.grid.spacing
 
 
 def convolve_fast(kernel: Kernel, u: WeightedField) -> WeightedField:
     """FFT convolution, zero padded past the kernel width (no wrap-around)."""
     _check_space(kernel, u)
-    return _fft_convolve(kernel, u, kernel._spectrum)
+    return u.with_values(_fft_convolve(kernel, u.values))
 
 
 def convolve_derivative(kernel: Kernel, u: WeightedField) -> WeightedField:
     """Spatial derivative of the convolution, computed as J' convolved with u."""
     _check_space(kernel, u)
-    return _fft_convolve(kernel, u, kernel._deriv_spectrum)
+    return u.with_values(_fft_convolve(kernel, u.values, derivative=True))

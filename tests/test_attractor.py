@@ -8,6 +8,8 @@ import pytest
 
 import nlfield as nf
 from conftest import LADDER
+from nlfield.attractor import _dedup, _evolve_endpoints, _lp_distances
+from nlfield.weighted_space import quad_weights
 
 
 def constant_field(cfg, norm_target):
@@ -74,6 +76,38 @@ def test_semidistance_subset_and_asymmetry(grid, cauchy):
     assert nf.hausdorff_semidist(small, large) == 0.0
     assert nf.hausdorff_semidist(large, small) == pytest.approx(
         nf.weighted_norm(bump, 2.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5])
+def test_pairwise_distances_match_reference(p, grid, cauchy):
+    rng = np.random.default_rng(2)
+    A = rng.normal(size=(3, grid.n_points))
+    B = rng.normal(size=(4, grid.n_points))
+    w = quad_weights(cauchy, grid)
+    ref = np.empty((3, 4))
+    for a in range(3):
+        for b in range(4):
+            ref[a, b] = np.dot(w, np.abs(A[a] - B[b]) ** p) ** (1.0 / p)
+    assert np.max(np.abs(_lp_distances(A, B, w, p) - ref)) < 1e-12
+    fields_a = [nf.WeightedField(grid, cauchy, row) for row in A]
+    fields_b = [nf.WeightedField(grid, cauchy, row) for row in B]
+    assert nf.hausdorff_semidist(fields_a, fields_b, p) == pytest.approx(
+        np.max(np.min(ref, axis=1)), rel=1e-12)
+
+
+def test_pairwise_distances_diagonal_zero_and_symmetric(grid, cauchy):
+    A = np.random.default_rng(3).normal(size=(4, grid.n_points))
+    d = _lp_distances(A, A, quad_weights(cauchy, grid), 2.0)
+    assert np.all(np.diag(d) == 0.0)
+    assert np.max(np.abs(d - d.T)) < 1e-12
+
+
+def test_dedup_keeps_first_member_of_each_cluster(grid, cauchy):
+    w = quad_weights(cauchy, grid)
+    ones = np.ones(grid.n_points)
+    endpoints = [0.5 * ones, -0.5 * ones, (0.5 + 1e-4) * ones, -0.5 * ones, 0.2 * ones]
+    kept = _dedup(endpoints, w, 2.0, 1e-3)
+    assert [id(k) for k in kept] == [id(endpoints[i]) for i in (0, 1, 4)]
 
 
 def test_semidistance_validation(grid, fine_grid, cauchy):
@@ -165,15 +199,12 @@ def test_ladder_validation(tanh_cfg):
         nf.approximate_pullback_attractor(0.0, tanh_cfg, 2, tau_ladder=())
 
 
-def test_threaded_evolution_matches_serial(contraction_cfg, monkeypatch):
-    serial = nf.approximate_pullback_attractor(0.0, contraction_cfg, 4,
-                                               tau_ladder=(-2.0, -4.0, -6.0), seed=3)
-    monkeypatch.setenv("NLFIELD_THREADS", "4")
-    threaded = nf.approximate_pullback_attractor(0.0, contraction_cfg, 4,
-                                                 tau_ladder=(-2.0, -4.0, -6.0), seed=3)
-    assert len(serial) == len(threaded)
-    for a, b in zip(serial.members, threaded.members):
-        assert np.array_equal(a.values, b.values)
+def test_batched_endpoints_match_single_evolve(pulsed_cfg):
+    fields = nf.sample_absorbing_ball(pulsed_cfg, 4, seed=3)
+    rows = _evolve_endpoints(fields, -2.0, 0.0, pulsed_cfg)
+    assert len(rows) == len(fields)
+    for row, u0 in zip(rows, fields):
+        assert np.array_equal(row, nf.evolve(u0, -2.0, 0.0, pulsed_cfg).values)
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,20 @@ def test_evolve_partial_final_step(grid, cauchy, kernel, corpus_factory):
     assert np.max(np.abs(out.values - math.exp(-0.17) * u.values)) < 1e-14
 
 
+def test_evolve_time_from_step_index(cauchy):
+    grid = nf.Grid1D(10.0, 512)
+    cfg = nf.ProcessConfig(beta=2.0, p=2.0, grid=grid, weight=cauchy,
+                           kernel=nf.make_bump_kernel(grid),
+                           nonlinearity=nf.Nonlinearity.tanh(),
+                           field=nf.ExternalField("pulsed", 0.2, 1.0), dt=0.05)
+    u = nf.WeightedField(grid, cauchy, np.full(grid.n_points, 0.5))
+    for tau, t in ((-32.0, 0.0), (0.0, 0.17)):
+        times = []
+        nf.evolve(u, tau, t, cfg, observer=lambda s, vals: times.append(s))
+        assert all(s == tau + i * cfg.dt for i, s in enumerate(times[:-1]))
+        assert times[-1] == t
+
+
 def test_evolve_contracts_to_zero_for_small_gain(contraction_cfg, corpus_factory):
     u = corpus_factory(contraction_cfg.grid, contraction_cfg.weight, 1, seed=29)[0]
     u = u.with_values(2.0 * u.values / norm_of(u.values, u))
@@ -279,6 +293,15 @@ def test_split_linear_part_decays_exactly(pulsed_cfg, corpus_factory):
     state = nf.evolve_split(u, 0.0, 2.0, pulsed_cfg)
     assert norm_of(state.v.values, u) == pytest.approx(
         math.exp(-2.0) * norm_of(u.values, u), rel=1e-12)
+
+
+def test_split_v_is_closed_form_decay(pulsed_cfg, corpus_factory):
+    u = corpus_factory(pulsed_cfg.grid, pulsed_cfg.weight, 1, seed=34)[0]
+    tau, t = -1.5, 1.0
+    state = nf.evolve_split(u, tau, t, pulsed_cfg)
+    assert state.t == t
+    assert np.array_equal(state.v.values, math.exp(-(t - tau)) * u.values)
+    assert np.max(np.abs(state.u.values - (state.v.values + state.w.values))) <= 1e-12
 
 
 def test_split_w_starts_at_zero_and_stays_bounded(tanh_cfg, corpus_factory):

@@ -79,6 +79,20 @@ def test_convolve_odd_field_vanishes_at_origin(grid, cauchy, kernel):
     assert abs(out.values[grid.n_points // 2]) < 1e-12
 
 
+def test_direct_matches_reference_sum(cauchy):
+    grid = nf.Grid1D(4.0, 100)
+    kernel = nf.make_bump_kernel(grid)
+    m = kernel.half_width
+    u = np.random.default_rng(0).normal(size=grid.n_points)
+    expected = np.zeros_like(u)
+    for i in range(u.shape[0]):
+        for j in range(u.shape[0]):
+            if abs(i - j) <= m:
+                expected[i] += kernel.samples[m + i - j] * u[j] * grid.spacing
+    got = nf.convolve_direct(kernel, nf.WeightedField(grid, cauchy, u)).values
+    assert np.max(np.abs(got - expected)) < 1e-12
+
+
 def test_fast_matches_direct(grid, cauchy, kernel, corpus_factory):
     worst = 0.0
     for u in corpus_factory(grid, cauchy, 10, seed=11):

@@ -91,6 +91,14 @@ def test_half_line_indicator_norm(wide_grid, cauchy):
     assert nf.weighted_norm(u, 2.0) == pytest.approx(math.sqrt(0.5), abs=2e-3)
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_norm_matches_explicit_sum(p, grid, cauchy):
+    u = nf.WeightedField(grid, cauchy, np.random.default_rng(1).normal(size=grid.n_points))
+    w = quad_weights(cauchy, grid)
+    ref = float(sum(wi * abs(ui) ** p for ui, wi in zip(u.values, w))) ** (1.0 / p)
+    assert nf.weighted_norm(u, p) == pytest.approx(ref, rel=1e-12)
+
+
 def test_norm_rejects_bad_exponent(grid, cauchy):
     u = nf.WeightedField(grid, cauchy, np.ones(grid.n_points))
     for p in (1.0, 0.5, math.inf):
@@ -233,6 +241,16 @@ def test_seminorm_interior_restriction(grid, cauchy):
     assert inner <= nf.w1p_seminorm(u, 2.0)
     with pytest.raises(nf.DomainTooSmallError):
         nf.w1p_seminorm(u, 2.0, radius=60.0)
+
+
+def test_seminorm_matches_explicit_sum(grid, cauchy):
+    u = nf.WeightedField(grid, cauchy, np.random.default_rng(6).normal(size=grid.n_points))
+    d = np.gradient(u.values, grid.spacing, edge_order=1)
+    w = quad_weights(cauchy, grid)
+    inside = np.abs(grid.nodes) <= 10.0
+    ref = float(sum(wi * abs(di) ** 3.0 for di, wi in zip(d[inside], w[inside])))
+    assert nf.w1p_seminorm(u, 3.0, radius=10.0) == pytest.approx(ref ** (1.0 / 3.0),
+                                                                 rel=1e-12)
 
 
 def test_finite_difference_returns_field(grid, cauchy):
