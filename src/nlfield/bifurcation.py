@@ -86,19 +86,13 @@ def count_roots(beta: float, h: float, g: Nonlinearity,
     vals = phi(s)
     sign = np.sign(vals)
 
-    roots: list[float] = []
-    # maximal runs of exact zeros, one root each
-    zero = sign == 0.0
-    i = 0
-    while i < scan_points:
-        if zero[i]:
-            j = i
-            while j + 1 < scan_points and zero[j + 1]:
-                j += 1
-            roots.append(float(0.5 * (s[i] + s[j])))
-            i = j + 1
-        else:
-            i += 1
+    # maximal runs of exact zeros, one root each, at the run's midpoint:
+    # +1/-1 steps of the padded zero mask mark run starts / one-past-ends
+    zero = np.concatenate(([False], sign == 0.0, [False]))
+    edges = np.diff(zero.astype(np.int8))
+    starts = np.flatnonzero(edges == 1)
+    ends = np.flatnonzero(edges == -1) - 1
+    roots = [float(r) for r in 0.5 * (s[starts] + s[ends])]
     # strict sign changes between adjacent nonzero nodes
     change = (sign[:-1] * sign[1:]) < 0.0
     for i in np.flatnonzero(change):

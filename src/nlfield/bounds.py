@@ -14,6 +14,7 @@ tolerance class:
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, replace
 
@@ -26,6 +27,8 @@ from .dynamics import ExternalField, ProcessConfig, TrajectoryState, evolve, \
 from .kernel import convolve_derivative, convolve_fast
 from .weighted_space import WEIGHT_CAUCHY, WeightedField, estimate_K, \
     finite_difference, rho_inf_unit_ball, weighted_norm
+
+log = logging.getLogger(__name__)
 
 TOL_QUADRATURE = 1e-9
 TOL_TRAJECTORY = 1e-3
@@ -106,16 +109,27 @@ def continuity_envelope(cfg: ProcessConfig, h_gap: float, horizon: float) -> flo
     """Exponential bound on trajectory divergence under a field gap.
 
     M1 h_gap exp(M1 ||J||_inf rho1^(-1) horizon) with
-    M1 = 2^((p+1)/p) l_g beta.
+    M1 = 2^((p+1)/p) l_g beta.  A zero gap gives exactly 0 at any
+    horizon; a value past the float range is returned as inf, with a
+    warning that the bound says nothing at that horizon.
     """
     if horizon < 0.0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
     if h_gap < 0.0:
         raise ValueError(f"h gap must be nonnegative, got {h_gap}")
+    if h_gap == 0.0:
+        return 0.0
     m1 = 2.0 ** ((cfg.p + 1.0) / cfg.p) * cfg.nonlinearity.lipschitz * cfg.beta
     rho1 = rho_inf_unit_ball(cfg.weight)
     rate = m1 * cfg.kernel.norm_sup / rho1
-    return m1 * h_gap * math.exp(rate * horizon)
+    try:
+        envelope = m1 * h_gap * math.exp(rate * horizon)
+    except OverflowError:
+        envelope = math.inf
+    if math.isinf(envelope):
+        log.warning("continuity envelope overflows at horizon %g (rate %.4g);"
+                    " the bound is vacuous there", horizon, rate)
+    return envelope
 
 
 def c1_regularity_bound(cfg: ProcessConfig, h_star: float) -> float:

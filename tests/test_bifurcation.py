@@ -70,6 +70,24 @@ def test_count_roots_validation():
         nf.count_roots(-1.0, 0.0, TANH)
 
 
+def test_exact_zero_runs_give_one_root_at_midpoint():
+    # beta = 1, h = 0: phi(s) = g(s) - s is exactly zero on the planted
+    # runs of scan nodes and about -1 / +1 left / right of the origin
+    n = 41
+    s = np.linspace(-1.0, 1.0, n)
+    runs = [(0, 2), (10, 10), (19, 21), (30, 33), (38, 40)]  # inclusive
+    planted = np.concatenate([s[a : b + 1] for a, b in runs])
+
+    def g(x):
+        x = np.asarray(x, dtype=float)
+        offset = np.where(np.isin(x, planted), 0.0, np.where(x < 0.0, -1.0, 1.0))
+        return x + offset
+
+    report = nf.count_roots(1.0, 0.0, g, interval=(-1.0, 1.0), scan_points=n)
+    assert report.roots == tuple(float(0.5 * (s[a] + s[b])) for a, b in runs)
+    assert report.tangencies == ()
+
+
 @pytest.mark.parametrize("beta", [1.5, 2.0, 4.0])
 def test_root_count_phase_diagram(beta):
     h_star = closed_form_h_star(beta)

@@ -1,6 +1,7 @@
 """Explicit-constant calculators and the inequality battery."""
 
 import dataclasses
+import logging
 import math
 
 import pytest
@@ -46,6 +47,22 @@ def test_continuity_envelope_values(pulsed_cfg):
         nf.continuity_envelope(pulsed_cfg, 1.0, -1.0)
     with pytest.raises(ValueError):
         nf.continuity_envelope(pulsed_cfg, -0.1, 1.0)
+
+
+def test_continuity_envelope_zero_gap_at_any_horizon(pulsed_cfg):
+    # exp(29.45 * 32) is past the float range; a zero gap must not reach it
+    assert nf.continuity_envelope(pulsed_cfg, 0.0, 32.0) == 0.0
+    assert nf.continuity_envelope(pulsed_cfg, 0.0, 1e6) == 0.0
+
+
+def test_continuity_envelope_overflow_is_inf_with_warning(pulsed_cfg, caplog):
+    with caplog.at_level(logging.WARNING, logger="nlfield.bounds"):
+        assert nf.continuity_envelope(pulsed_cfg, 0.02, 32.0) == math.inf
+    assert "vacuous" in caplog.text
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="nlfield.bounds"):
+        assert math.isfinite(nf.continuity_envelope(pulsed_cfg, 0.02, 20.0))
+    assert caplog.text == ""
 
 
 def test_continuity_envelope_monotone(pulsed_cfg):

@@ -7,6 +7,11 @@ import pytest
 from scipy.integrate import quad
 
 import nlfield as nf
+from nlfield.kernel import _fft_convolve, _next_5smooth
+
+# grid sizes for the transform-length tests: n + 2m is already 5-smooth at
+# n = 1178 (1178 + 22 = 1200) and has a prime factor above 5 at the others
+PADDED_NS = (1178, 1500, 3000, 4096, 6000, 8192)
 
 
 def bump_center_oracle():
@@ -160,3 +165,58 @@ def test_convolution_rejects_foreign_grid(kernel, fine_grid, cauchy):
         nf.convolve_direct(kernel, u)
     with pytest.raises(nf.GridMismatchError):
         nf.convolve_derivative(kernel, u)
+
+
+# ---------------------------------------------------------------------------
+# padded FFT length
+# ---------------------------------------------------------------------------
+
+def _largest_prime_factor(k):
+    largest, p = 1, 2
+    while p * p <= k:
+        while k % p == 0:
+            largest, k = p, k // p
+        p += 1
+    return max(largest, k)
+
+
+def test_next_5smooth_matches_scipy():
+    from scipy.fft import next_fast_len
+    ns = range(1, 5001)
+    assert [_next_5smooth(n) for n in ns] == [next_fast_len(n, real=True) for n in ns]
+
+
+@pytest.mark.parametrize("n", PADDED_NS)
+def test_fft_length_is_5smooth_and_wrap_free(n):
+    kernel = nf.make_bump_kernel(nf.Grid1D(50.0, n))
+    assert kernel._fft_len >= n + 2 * kernel.half_width
+    assert _largest_prime_factor(kernel._fft_len) <= 5
+    assert kernel._spectrum.shape == (kernel._fft_len // 2 + 1,)
+
+
+@pytest.mark.parametrize("n", PADDED_NS)
+def test_padded_convolutions_match_direct_sums(n, cauchy):
+    grid = nf.Grid1D(50.0, n)
+    kernel = nf.make_bump_kernel(grid)
+    x = grid.nodes
+    rng = np.random.default_rng(n)
+    u = nf.WeightedField(grid, cauchy, np.cos(0.7 * x) + 0.3 * np.sin(1.3 * x)
+                         + 0.1 * rng.normal(size=n))
+    # every node, not only the interior: a wrap-around from too short a
+    # transform would land on the nodes next to the cut
+    fast = nf.convolve_fast(kernel, u).values
+    direct = nf.convolve_direct(kernel, u).values
+    assert np.max(np.abs(fast - direct)) < 1e-12
+    deriv = nf.convolve_derivative(kernel, u).values
+    deriv_direct = np.convolve(u.values, kernel.deriv_samples, mode="same") * grid.spacing
+    assert np.max(np.abs(deriv - deriv_direct)) < 1e-12
+
+
+@pytest.mark.parametrize("n", PADDED_NS)
+def test_batched_rows_equal_single_row_calls(n):
+    kernel = nf.make_bump_kernel(nf.Grid1D(50.0, n))
+    rows = np.random.default_rng(n).normal(size=(3, n))
+    for derivative in (False, True):
+        batched = _fft_convolve(kernel, rows, derivative=derivative)
+        for row, out in zip(rows, batched):
+            assert np.array_equal(out, _fft_convolve(kernel, row, derivative=derivative))
