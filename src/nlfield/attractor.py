@@ -8,9 +8,9 @@ of the tau ladder.  Sets are compared in the one-sided Hausdorff sense
 with the weighted norm underneath.
 
 All members of a rung share one time schedule, so they are evolved
-together as one batched (k, n) array.  Set distances, for the Hausdorff
-semidistance and for clustering the endpoints, come from one vectorised
-weighted l^p distance between the rows of two stacks.
+together as one batched (k, n) array.  Set distances (Hausdorff, the
+endpoint clusters, the two-sided gap between rungs) come from one
+weighted l^p distance matrix between the rows of two stacks.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .dynamics import ProcessConfig, _integrate
 from .errors import EmptySetError, TimeOrderError
-from .weighted_space import WeightedField, quad_weights, weighted_norm
+from .weighted_space import WeightedField, _lp_norm, quad_weights
 
 log = logging.getLogger(__name__)
 
@@ -71,8 +71,8 @@ def absorbing_entry_time(t: float, radius_r: float, eps: float) -> float:
     return t + math.log(eps / radius_r)
 
 
-def sample_absorbing_ball(cfg: ProcessConfig, n_members: int, seed: int,
-                          radius: float = None) -> list[WeightedField]:
+def sample_absorbing_ball(cfg: ProcessConfig, n_members: int,
+                          seed: int) -> list[WeightedField]:
     """Seeded initial conditions filling the absorbing ball.
 
     Half the members are constant fields on a symmetric value ladder
@@ -83,12 +83,11 @@ def sample_absorbing_ball(cfg: ProcessConfig, n_members: int, seed: int,
     directions without nucleating interface pairs, whose coarsening
     times grow exponentially with their separation and would defeat any
     ladder of reachable depth.  Every member is rescaled into the ball
-    when its weighted norm exceeds the radius.
+    of radius a + BALL_SLACK when its weighted norm exceeds that radius.
     """
     if n_members < 1:
         raise ValueError("need at least one member")
-    if radius is None:
-        radius = cfg.nonlinearity.sup_abs + BALL_SLACK
+    radius = cfg.nonlinearity.sup_abs + BALL_SLACK
     x = cfg.grid.nodes
     rng = np.random.default_rng(seed)
 
@@ -112,7 +111,7 @@ def sample_absorbing_ball(cfg: ProcessConfig, n_members: int, seed: int,
         if peak > 0.8 * bias:
             fluct *= 0.8 * bias / peak
         u = sgn * (bias + fluct)
-        norm = weighted_norm(WeightedField(cfg.grid, cfg.weight, u), cfg.p)
+        norm = _lp_norm(u, quad_weights(cfg.weight, cfg.grid), cfg.p)
         if norm > radius:
             u = u * (radius / norm)
         fields.append(WeightedField(cfg.grid, cfg.weight, u))
@@ -130,7 +129,7 @@ def _stack(members) -> np.ndarray:
 
 def _lp_distances(A: np.ndarray, B: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
     """Weighted l^p distance between every row of A and every row of B."""
-    return np.stack([np.abs(a - B) ** p @ w for a in A]) ** (1.0 / p)
+    return np.stack([_lp_norm(a - B, w, p) for a in A])
 
 
 def hausdorff_semidist(a, b, p: float = 2.0) -> float:
@@ -163,15 +162,14 @@ def _dedup(endpoints: list[np.ndarray], w: np.ndarray, p: float,
 def approximate_pullback_attractor(t: float, cfg: ProcessConfig,
                                    n_samples: int,
                                    tau_ladder: Sequence[float],
-                                   seed: int = 0,
-                                   dedup_tol: float = DEDUP_TOL) -> AttractorSample:
+                                   seed: int = 0) -> AttractorSample:
     """Pullback endpoint set at time t, stabilized over a tau ladder.
 
     The same seeded initial family is restarted from each rung; rungs
     must be strictly decreasing and earlier than t.  When consecutive
-    endpoint sets agree within the cluster tolerance the deeper one is
-    returned as converged; an exhausted ladder returns the deepest rung
-    flagged not converged.
+    endpoint sets agree within DEDUP_TOL, in both directions, the deeper
+    one is returned as converged; an exhausted ladder returns the deepest
+    rung flagged not converged.
     """
     taus = [float(x) for x in tau_ladder]
     if not taus:
@@ -190,15 +188,13 @@ def approximate_pullback_attractor(t: float, cfg: ProcessConfig,
     converged = False
     used: list[float] = []
     for tau in taus:
-        endpoints = _dedup(_evolve_endpoints(fields, tau, t, cfg), w, p, dedup_tol)
+        endpoints = _dedup(_evolve_endpoints(fields, tau, t, cfg), w, p, DEDUP_TOL)
         used.append(tau)
         if prev is not None:
-            cur_f = [WeightedField(cfg.grid, cfg.weight, u) for u in endpoints]
-            prev_f = [WeightedField(cfg.grid, cfg.weight, u) for u in prev]
-            gap = max(hausdorff_semidist(cur_f, prev_f, p),
-                      hausdorff_semidist(prev_f, cur_f, p))
+            dist = _lp_distances(np.stack(endpoints), np.stack(prev), w, p)
+            gap = float(max(np.max(np.min(dist, axis=1)), np.max(np.min(dist, axis=0))))
             gaps.append(gap)
-            if gap < dedup_tol:
+            if gap < DEDUP_TOL:
                 prev = endpoints
                 converged = True
                 break
@@ -217,8 +213,7 @@ def upper_semicontinuity_sweep(t: float, cfg0: ProcessConfig,
                                eps_list: Sequence[float],
                                n_samples: int,
                                tau_ladder: Sequence[float],
-                               seed: int = 0,
-                               dedup_tol: float = DEDUP_TOL) -> SemicontinuityCurve:
+                               seed: int = 0) -> SemicontinuityCurve:
     """Attractor displacement under the shrinking-field family.
 
     Each eps scales the external field to (1 - eps) of its amplitude,
@@ -229,8 +224,7 @@ def upper_semicontinuity_sweep(t: float, cfg0: ProcessConfig,
     """
     from .bounds import continuity_envelope
 
-    base = approximate_pullback_attractor(t, cfg0, n_samples, tau_ladder,
-                                          seed=seed, dedup_tol=dedup_tol)
+    base = approximate_pullback_attractor(t, cfg0, n_samples, tau_ladder, seed=seed)
     horizon = t - min(base.taus)
     dists: list[float] = []
     envs: list[float] = []
@@ -241,11 +235,10 @@ def upper_semicontinuity_sweep(t: float, cfg0: ProcessConfig,
         else:
             cfg_eps = replace(cfg0, field=cfg0.field.scaled(1.0 - eps))
             sample = approximate_pullback_attractor(t, cfg_eps, n_samples,
-                                                    tau_ladder, seed=seed,
-                                                    dedup_tol=dedup_tol)
+                                                    tau_ladder, seed=seed)
         dists.append(hausdorff_semidist(sample, base, cfg0.p))
         envs.append(continuity_envelope(cfg0, eps * cfg0.field.sup, horizon)
-                    + dedup_tol)
+                    + DEDUP_TOL)
         flags.append(sample.converged and base.converged)
     return SemicontinuityCurve(t=t, epsilons=tuple(float(e) for e in eps_list),
                                distances=tuple(dists), envelopes=tuple(envs),

@@ -122,13 +122,13 @@ def count_roots(beta: float, h: float, g: Nonlinearity,
                       residuals=residuals, tangencies=tuple(tangencies))
 
 
-def compute_h_star(beta: float, g: Nonlinearity, tol: float = 1e-8,
-                   h_max: float = 2.0) -> float:
+def compute_h_star(beta: float, g: Nonlinearity) -> float:
     """Threshold forcing: supremum of h with three transversal roots.
 
-    Located by bisection on the root count over [0, h_max].  For beta <= 1
-    the equation is never bistable; that regime returns 0 with a warning
-    rather than an error so parameter sweeps can cross it.
+    Located by bisection on the root count over [0, 2], to a bracket of
+    width 1e-8.  For beta <= 1 the equation is never bistable; that regime
+    returns 0 with a warning rather than an error so parameter sweeps can
+    cross it.
     """
     if not (beta > 0.0):
         raise ValueError(f"beta must be positive, got {beta}")
@@ -137,14 +137,14 @@ def compute_h_star(beta: float, g: Nonlinearity, tol: float = 1e-8,
                     beta)
         return 0.0
 
-    lo, hi = 0.0, h_max
+    lo, hi = 0.0, 2.0
     if count_roots(beta, lo, g).count < 3:
         raise NotBistableError(
             f"no three-root regime at h=0 for beta={beta}; family is not bistable")
     if count_roots(beta, hi, g).count >= 3:
         raise NotBistableError(
-            f"still three roots at h={h_max} for beta={beta}; no transition in range")
-    while hi - lo > tol:
+            f"still three roots at h={hi} for beta={beta}; no transition in range")
+    while hi - lo > 1e-8:
         mid = 0.5 * (lo + hi)
         if count_roots(beta, mid, g).count >= 3:
             lo = mid

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -33,7 +34,8 @@ from . import __version__
 from .attractor import approximate_pullback_attractor, upper_semicontinuity_sweep
 from .bifurcation import compute_h_star, count_roots
 from .bounds import CHECK_NAMES, battery
-from .dynamics import ExternalField, Nonlinearity, ProcessConfig, evolve
+from .dynamics import ExternalField, Nonlinearity, ProcessConfig, evolve, \
+    _delta_schedule
 from .errors import ConfigError, GridTooCoarseError, NlfieldError
 from .kernel import make_bump_kernel
 from .weighted_space import Grid1D, WeightedField, WeightFunction, \
@@ -112,6 +114,16 @@ def _apply_defaults(node: dict, schema_node: dict, path: str):
             log.info("default applied: %s = %r", here, sub["default"])
 
 
+def _check_finite(node, path: str = "") -> None:
+    # the schema's "number" admits YAML .nan and .inf; no key takes them
+    if isinstance(node, float) and not math.isfinite(node):
+        raise ConfigError("must be a finite number", path)
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, sub in items:
+            _check_finite(sub, f"{path}.{key}" if path else str(key))
+
+
 def _check_ladder(ladder, t, path):
     if any(tau >= t for tau in ladder):
         raise ConfigError(f"every ladder rung must precede t = {t}", path)
@@ -139,6 +151,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if errors:
         e = errors[0]
         raise ConfigError(e.message, ".".join(str(q) for q in e.absolute_path))
+    _check_finite(data)
 
     _apply_defaults(data, _schema(), "")
 
@@ -258,27 +271,26 @@ def _cmd_simulate(exp: ExperimentConfig) -> int:
     u0 = _initial_field(exp)
     mask = cfg.grid.interior_mask()
     rows = []
+    # snapshots: equally spaced over the observer calls (tau and each step)
+    calls = len(_delta_schedule(blk.tau, blk.t, cfg.dt)) + 1
+    picks = set(np.linspace(0, calls - 1, min(blk.snapshots, calls)).round().astype(int))
     fields = []
 
     def watch(s, vals):
         f = WeightedField(cfg.grid, cfg.weight, vals)
+        if len(rows) in picks:
+            fields.append((s, vals))
         rows.append((s, weighted_norm(f, cfg.p), float(np.max(np.abs(vals))),
                      float(np.max(np.abs(finite_difference(f).values[mask])))))
-        if blk.snapshots > 0:
-            fields.append((s, vals))
 
     evolve(u0, blk.tau, blk.t, cfg, observer=watch)
     _write_csv(os.path.join(exp.out_dir, "trajectory.csv"),
                ["t", "norm", "sup", "interior_max_slope"], rows)
 
-    if blk.snapshots > 0:
-        picks = np.unique(np.linspace(0, len(fields) - 1,
-                                      min(blk.snapshots, len(fields))).round().astype(int))
-        x = cfg.grid.nodes
-        for i, idx in enumerate(picks):
-            s, vals = fields[idx]
-            _write_csv(os.path.join(exp.out_dir, f"snapshot_{i:03d}.csv"),
-                       ["t", "x", "u"], ((s, xv, uv) for xv, uv in zip(x, vals)))
+    x = cfg.grid.nodes
+    for i, (s, vals) in enumerate(fields):
+        _write_csv(os.path.join(exp.out_dir, f"snapshot_{i:03d}.csv"),
+                   ["t", "x", "u"], ((s, xv, uv) for xv, uv in zip(x, vals)))
     return 0
 
 

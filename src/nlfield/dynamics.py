@@ -26,7 +26,7 @@ evolve_split divides the state into v(t) = exp(-(t-tau)) u_tau (pure
 decay of the initial data) and the remainder w = u - v with w(tau) = 0,
 which is the decomposition the compactness diagnostics measure.  v is
 known in closed form, so the split needs no recursion of its own: u is
-integrated as usual and v, w are read off it.
+integrated as usual and v, w are read off it, also along a run.
 """
 
 from __future__ import annotations
@@ -97,11 +97,11 @@ class Nonlinearity:
             return 1.0 / (c * c)
         return np.zeros_like(np.asarray(s, dtype=float))
 
-    def check_axioms(self, rng: np.random.Generator, n_samples: int = 512,
-                     span: float = 6.0) -> None:
+    def check_axioms(self, rng: np.random.Generator) -> None:
         """Sampled verification of the certified constants; raises on failure."""
         if abs(float(self(0.0))) > 0.0:
             raise ValueError(f"{self.name}: g(0) must vanish")
+        n_samples, span = 512, 6.0
         s = rng.uniform(-span, span, n_samples)
         if np.max(np.abs(self(s))) > self.sup_abs + 1e-12:
             raise ValueError(f"{self.name}: |g| exceeds sup_abs")
@@ -202,7 +202,7 @@ class ProcessConfig:
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryState:
-    """Snapshot at time t, optionally carrying the v/w splitting."""
+    """Snapshot at time t; only evolve_split sets the v/w splitting."""
 
     t: float
     u: WeightedField
@@ -262,22 +262,20 @@ def _step_raw(cfg: ProcessConfig, t: float, u: np.ndarray, delta: float) -> np.n
 
 def step_exponential(state: TrajectoryState, cfg: ProcessConfig,
                      delta: float | None = None) -> TrajectoryState:
-    """One exponential-trapezoid step of size delta (default cfg.dt)."""
+    """One exponential-trapezoid step of size delta (default cfg.dt).
+
+    A split state is rejected: evolve_split gives v and w in closed form.
+    """
     delta = cfg.dt if delta is None else float(delta)
     if not (delta > 0.0):
         raise ValueError(f"step size must be positive, got {delta}")
+    if state.v is not None:
+        raise ValueError("step_exponential does not step a split state;"
+                         " use evolve_split")
     if state.u.grid != cfg.grid:
         raise GridMismatchError("state does not live on the configured grid")
     u = _step_raw(cfg, state.t, state.u.values, delta)
     _guard_finite(u)
-    if state.v is not None:
-        v = math.exp(-delta) * state.v.values
-        return TrajectoryState(
-            t=state.t + delta,
-            u=state.u.with_values(u),
-            v=state.u.with_values(v),
-            w=state.u.with_values(u - v),
-        )
     return TrajectoryState(t=state.t + delta, u=state.u.with_values(u))
 
 

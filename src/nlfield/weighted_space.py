@@ -144,11 +144,14 @@ def _check_p(p: float) -> float:
     return p
 
 
+def _lp_norm(values: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
+    """Weighted l^p norm along the last axis of a raw (..., n) array."""
+    return (np.abs(values) ** p @ w) ** (1.0 / p)
+
+
 def weighted_norm(u: WeightedField, p: float = 2.0) -> float:
     """Truncated-domain weighted p-norm of the field."""
-    p = _check_p(p)
-    s = float(np.dot(quad_weights(u.weight, u.grid), np.abs(u.values) ** p))
-    return s ** (1.0 / p)
+    return float(_lp_norm(u.values, quad_weights(u.weight, u.grid), _check_p(p)))
 
 
 def truncated_mass(weight: WeightFunction, grid: Grid1D) -> float:
@@ -229,9 +232,9 @@ def estimate_K(weight: WeightFunction, grid: Grid1D) -> float:
     return _estimate_K_from_samples(weight.log_density(grid.nodes), window)
 
 
-def rho_inf_unit_ball(weight: WeightFunction, n_samples: int = 20001) -> float:
-    """min of the weight over [-1, 1], sampled with both endpoints included."""
-    y = np.linspace(-1.0, 1.0, n_samples)
+def rho_inf_unit_ball(weight: WeightFunction) -> float:
+    """min of the weight over [-1, 1], at 20001 nodes including both ends."""
+    y = np.linspace(-1.0, 1.0, 20001)
     return float(np.min(weight(y)))
 
 
@@ -269,4 +272,4 @@ def w1p_seminorm(u: WeightedField, p: float = 2.0, radius: float | None = None) 
         mask = np.abs(u.grid.nodes) <= radius
         d = d[mask]
         w = w[mask]
-    return float(np.dot(w, np.abs(d) ** p)) ** (1.0 / p)
+    return float(_lp_norm(d, w, p))

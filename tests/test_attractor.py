@@ -207,6 +207,25 @@ def test_batched_endpoints_match_single_evolve(pulsed_cfg):
         assert np.array_equal(row, nf.evolve(u0, -2.0, 0.0, pulsed_cfg).values)
 
 
+def test_rung_gaps_are_two_sided_semidistances(cauchy):
+    # each rung's endpoint set is what a one-rung ladder returns for it
+    grid = nf.Grid1D(20.0, 512)
+    cfg = nf.ProcessConfig(beta=2.0, p=2.5, grid=grid, weight=cauchy,
+                           kernel=nf.make_bump_kernel(grid),
+                           nonlinearity=nf.Nonlinearity.tanh(),
+                           field=nf.ExternalField("pulsed", 0.1, 1.0), dt=0.05)
+    ladder = (-1.0, -2.0, -4.0)
+    sample = nf.approximate_pullback_attractor(0.0, cfg, 6, ladder, seed=4)
+    assert len(sample.rung_gaps) == len(sample.taus) - 1 >= 1
+    rungs = [nf.approximate_pullback_attractor(0.0, cfg, 6, (tau,), seed=4)
+             for tau in sample.taus]
+    for gap, prev, cur in zip(sample.rung_gaps, rungs, rungs[1:]):
+        both = max(nf.hausdorff_semidist(cur, prev, cfg.p),
+                   nf.hausdorff_semidist(prev, cur, cfg.p))
+        assert gap > 0.0
+        assert gap == pytest.approx(both, rel=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # semicontinuity sweep
 # ---------------------------------------------------------------------------

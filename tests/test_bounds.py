@@ -1,13 +1,16 @@
 """Explicit-constant calculators and the inequality battery."""
 
 import dataclasses
+import json
 import logging
 import math
+from importlib import resources
 
+import numpy as np
 import pytest
 
 import nlfield as nf
-from nlfield.bounds import CHECK_NAMES
+from nlfield.bounds import CHECK_NAMES, _scaled_to_norm
 
 
 # ---------------------------------------------------------------------------
@@ -146,3 +149,37 @@ def test_battery_passes_on_gaussian_weight(grid, gaussian, kernel):
     for r in reports:
         assert r.passed, f"{r.name}: measured {r.measured} vs {r.theoretical}"
         assert r.theoretical > 1e3  # gaussian admissibility constant is huge
+
+
+def test_check_table_matches_schema_enum():
+    ref = resources.files("nlfield").joinpath("schema/config_schema.json")
+    schema = json.loads(ref.read_text(encoding="utf-8"))
+    enum = schema["properties"]["verify"]["properties"]["checks"]["items"]["enum"]
+    assert tuple(enum) == CHECK_NAMES
+
+
+def test_w_bound_matches_split_stepping_loop(cauchy):
+    # reference: step u and the decaying part v = exp(-delta) v one step
+    # at a time, and take the sup of w = u - v after every step
+    grid = nf.Grid1D(50.0, 1024)
+    cfg = nf.ProcessConfig(beta=2.0, p=2.0, grid=grid, weight=cauchy,
+                           kernel=nf.make_bump_kernel(grid),
+                           nonlinearity=nf.Nonlinearity.tanh(),
+                           field=nf.ExternalField("pulsed", 0.2, 1.0), dt=0.05)
+    seed = 3
+    u0 = _scaled_to_norm(cfg, np.random.default_rng(seed), 1.1)
+    state, v, worst = nf.TrajectoryState(0.0, u0), u0.values, 0.0
+    for _ in range(160):  # the check's horizon 8 in steps of 0.05
+        state = nf.step_exponential(state, cfg)
+        v = math.exp(-cfg.dt) * v
+        worst = max(worst, float(np.max(np.abs(state.u.values - v))))
+    report = nf.verify("w_bound", cfg, samples=1, seed=seed)
+    assert worst > 0.1
+    assert report.measured == pytest.approx(worst, rel=0, abs=1e-12)
+
+
+def test_prop_lipschitz_trips_on_non_finite_field(tanh_cfg, monkeypatch):
+    # planted defect: a field that returns NaN must not vanish into max()
+    monkeypatch.setattr(nf.ExternalField, "__call__", lambda self, t, s: math.nan)
+    with pytest.raises(nf.BlowUpError):
+        nf.verify("prop_lipschitz", tanh_cfg, samples=4, seed=0)

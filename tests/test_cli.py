@@ -7,6 +7,7 @@ the physics on them is checked in the module test files.
 
 import logging
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +138,28 @@ def test_coarse_grid_rejected_via_config():
     assert err.value.key_path == "n_points"
 
 
+NON_FINITE = [
+    ("beta: 2.0\nsimulate:\n  t: .inf\n", "simulate.t"),
+    ("beta: 2.0\nattractor:\n  t: .inf\n", "attractor.t"),
+    ("beta: 2.0\nattractor:\n  tau_ladder: [.nan]\n", "attractor.tau_ladder.0"),
+    ("beta: .nan\n", "beta"),
+    ("beta: .inf\n", "beta"),
+    ("beta: 2.0\nfield:\n  omega: .nan\n", "field.omega"),
+    ("beta: 2.0\nsweep:\n  epsilons: [.nan]\n", "sweep.epsilons.0"),
+    ("beta: 0.5\nfield:\n  family: pulsed\n  amplitude: .inf\n", "field.amplitude"),
+]
+
+
+@pytest.mark.parametrize("doc,key_path", NON_FINITE)
+def test_non_finite_numbers_rejected_with_key_path(doc, key_path, tmp_path, capsys):
+    with pytest.raises(ConfigError, match="finite") as err:
+        parse_config(doc)
+    assert err.value.key_path == key_path
+    path = write_config(tmp_path, doc)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert f"error: {key_path}: must be a finite number" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # command runs
 # ---------------------------------------------------------------------------
@@ -222,6 +245,24 @@ def test_simulate_writes_snapshots(tmp_path):
     assert float(srows[0][2]) == 0.5
 
 
+def test_simulate_keeps_only_snapshot_fields(tmp_path):
+    # 1201 observed fields of 8 kB each; only the 4 picked ones are kept
+    out = tmp_path / "run"
+    doc = (SMALL.format(beta=2.0, out=out)
+           + "simulate:\n  tau: 0.0\n  t: 60.0\n  snapshots: 4\n")
+    path = write_config(tmp_path, doc)
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--config", path]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert len(list(out.glob("snapshot_*.csv"))) == 4
+    _, rows = read_rows(out / "snapshot_003.csv")
+    assert float(rows[0][0]) == 60.0
+
+
 def test_simulate_random_initial_hits_target_norm(tmp_path):
     out = tmp_path / "run"
     doc = (SMALL.format(beta=2.0, out=out)
@@ -285,6 +326,18 @@ def test_verify_subset_passes(tmp_path):
         assert r[4] == "true"
         assert float(r[3]) == pytest.approx(float(r[1]) - float(r[2]), rel=1e-12)
         assert r[5] == "0"
+
+
+def test_verify_failed_check_writes_false(tmp_path):
+    # the derivative-kernel bound at p = 3 is a known false claim
+    out = tmp_path / "run"
+    doc = (SMALL.format(beta=2.0, out=out)
+           + "p: 3.0\nverify:\n  checks: [lemma1a_deriv]\n  samples: 200\n")
+    path = write_config(tmp_path, doc)
+    assert main(["verify", "--config", path]) == 1
+    _, rows = read_rows(out / "verify.csv")
+    assert rows[0][4] == "false"
+    assert float(rows[0][2]) > float(rows[0][1])
 
 
 def test_verify_seed_override_lands_in_csv(tmp_path):

@@ -305,13 +305,20 @@ def test_split_v_is_closed_form_decay(pulsed_cfg, corpus_factory):
 
 
 def test_split_w_starts_at_zero_and_stays_bounded(tanh_cfg, corpus_factory):
+    # w(s) = u(s) - exp(-s) u0 along 160 steps, read off the observed u
     cfg = tanh_cfg
     u = corpus_factory(cfg.grid, cfg.weight, 1, seed=33)[0]
     u = u.with_values(1.1 * u.values / norm_of(u.values, u))
+    w_sup = []
+    nf.evolve(u, 0.0, 160 * cfg.dt, cfg, observer=lambda s, vals: w_sup.append(
+        float(np.max(np.abs(vals - math.exp(-s) * u.values)))))
+    assert len(w_sup) == 1 + 160
+    assert w_sup[0] == 0.0
+    assert max(w_sup) <= cfg.nonlinearity.sup_abs + 1e-9
+
+
+def test_step_rejects_split_state(tanh_cfg, corpus_factory):
+    u = corpus_factory(tanh_cfg.grid, tanh_cfg.weight, 1, seed=35)[0]
     state = nf.TrajectoryState(0.0, u, u, u.with_values(np.zeros_like(u.values)))
-    a = cfg.nonlinearity.sup_abs
-    worst = 0.0
-    for _ in range(160):
-        state = nf.step_exponential(state, cfg)
-        worst = max(worst, float(np.max(np.abs(state.w.values))))
-    assert worst <= a + 1e-9
+    with pytest.raises(ValueError, match="evolve_split"):
+        nf.step_exponential(state, tanh_cfg)

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 import nlfield as nf
-from nlfield.weighted_space import quad_weights, truncated_mass
+from nlfield.weighted_space import _lp_norm, quad_weights, truncated_mass
 
 GOLDEN_K = (3.0 + math.sqrt(5.0)) / 2.0  # sup ratio of the cauchy weight over unit shifts
 
@@ -97,6 +97,17 @@ def test_norm_matches_explicit_sum(p, grid, cauchy):
     w = quad_weights(cauchy, grid)
     ref = float(sum(wi * abs(ui) ** p for ui, wi in zip(u.values, w))) ** (1.0 / p)
     assert nf.weighted_norm(u, p) == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_lp_norm_of_stack_matches_each_row(p, grid, cauchy):
+    stack = np.random.default_rng(7).normal(size=(5, grid.n_points))
+    got = _lp_norm(stack, quad_weights(cauchy, grid), p)
+    assert got.shape == (5,)
+    # a stacked product may sum in another order than a single row's dot
+    for row, value in zip(stack, got):
+        assert value == pytest.approx(
+            nf.weighted_norm(nf.WeightedField(grid, cauchy, row), p), rel=1e-14)
 
 
 def test_norm_rejects_bad_exponent(grid, cauchy):
