@@ -374,6 +374,18 @@ _COMMANDS = {
 }
 
 
+def _seed(text: str) -> int:
+    # the schema's minimum of 0 never sees the command line override
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="nlfield",
@@ -390,7 +402,7 @@ def main(argv=None) -> int:
     for name in _COMMANDS:
         p = sub.add_parser(name, help=helps[name])
         p.add_argument("--config", required=True, help="YAML experiment file")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_seed, default=None,
                        help="override the config seed")
         p.add_argument("--out", default=None,
                        help="override the output directory")
@@ -416,7 +428,12 @@ def main(argv=None) -> int:
         exp = replace(exp, seed=args.seed)
     if args.out is not None:
         exp = replace(exp, out_dir=args.out)
-    os.makedirs(exp.out_dir, exist_ok=True)
+    try:
+        os.makedirs(exp.out_dir, exist_ok=True)
+    except OSError as e:
+        print(f"error: output: cannot create {exp.out_dir!r}: {e.strerror}",
+              file=sys.stderr)
+        return 2
 
     try:
         return _COMMANDS[args.command](exp)

@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 import nlfield as nf
-from nlfield.bounds import CHECK_NAMES, _scaled_to_norm
+import nlfield.bounds
+from nlfield.bounds import CHECK_NAMES, _field_corpus, _scaled_to_norm
+from nlfield.dynamics import _nonlinear_term
+from nlfield.kernel import _fft_convolve
+from nlfield.weighted_space import _lp_norm, quad_weights
+
+CORPUS_CHECKS = ["lemma1a", "lemma1a_deriv", "lemma1b", "prop_lipschitz"]
 
 
 # ---------------------------------------------------------------------------
@@ -183,3 +189,112 @@ def test_prop_lipschitz_trips_on_non_finite_field(tanh_cfg, monkeypatch):
     monkeypatch.setattr(nf.ExternalField, "__call__", lambda self, t, s: math.nan)
     with pytest.raises(nf.BlowUpError):
         nf.verify("prop_lipschitz", tanh_cfg, samples=4, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# the shared corpus of the four corpus checks
+# ---------------------------------------------------------------------------
+
+def redrawn_corpus_worst(cfg, samples, seed):
+    """Reference: each corpus check re-seeds and redraws its own rows."""
+    w = quad_weights(cfg.weight, cfg.grid)
+    mask = cfg.grid.interior_mask()
+    measures = {
+        "lemma1a": lambda u: _lp_norm(_fft_convolve(cfg.kernel, u), w, cfg.p),
+        "lemma1a_deriv": lambda u: _lp_norm(
+            _fft_convolve(cfg.kernel, u, derivative=True), w, cfg.p),
+        "lemma1b": lambda u: float(np.max(np.abs(_fft_convolve(cfg.kernel, u)[mask]))),
+    }
+    worst = {}
+    for name, measure in measures.items():
+        corpus = _field_corpus(cfg, samples, np.random.default_rng(seed))
+        worst[name] = max(measure(u) / _lp_norm(u, w, cfg.p) for u in corpus)
+    rng = np.random.default_rng(seed)
+    corpus = _field_corpus(cfg, 2 * samples, rng)
+    ratios = []
+    for u, v in zip(corpus[::2], corpus[1::2]):
+        t = rng.uniform(0.0, 10.0)
+        diff = (-u + _nonlinear_term(cfg, t, u)) - (-v + _nonlinear_term(cfg, t, v))
+        ratios.append(_lp_norm(diff, w, cfg.p) / _lp_norm(u - v, w, cfg.p))
+    worst["prop_lipschitz"] = max(ratios)
+    return worst
+
+
+@pytest.mark.parametrize("p,beta,weight,amplitude", [
+    (2.0, 2.0, "cauchy", 0.0),
+    (3.0, 3.0, "cauchy", 0.2),
+    (2.5, 2.0, "gaussian", 0.1),
+])
+def test_shared_corpus_matches_per_check_redraw(grid, kernel, p, beta, weight,
+                                                amplitude):
+    field = nf.ExternalField("pulsed", amplitude, 1.0) if amplitude \
+        else nf.ExternalField()
+    cfg = nf.ProcessConfig(beta=beta, p=p, grid=grid,
+                           weight=nf.WeightFunction(weight), kernel=kernel,
+                           nonlinearity=nf.Nonlinearity.tanh(), field=field,
+                           dt=0.05)
+    expected = redrawn_corpus_worst(cfg, 30, 7)
+    reports = nf.battery(cfg, CORPUS_CHECKS, samples=30, seed=7)
+    assert {r.name: r.measured for r in reports} == expected
+
+
+@pytest.mark.parametrize("name", CORPUS_CHECKS)
+def test_verify_is_a_battery_of_one(name, tanh_cfg, battery_reports):
+    by_name = {r.name: r for r in battery_reports}
+    assert nf.verify(name, tanh_cfg, 500, 0) == by_name[name]
+
+
+@pytest.fixture
+def corpus_draws(monkeypatch):
+    """Row counts of every corpus draw made through nlfield.bounds."""
+    counts = []
+
+    def counting(cfg, count, rng):
+        counts.append(count)
+        return _field_corpus(cfg, count, rng)
+
+    monkeypatch.setattr(nlfield.bounds, "_field_corpus", counting)
+    return counts
+
+
+def test_corpus_checks_draw_once_per_battery(tanh_cfg, corpus_draws):
+    nf.battery(tanh_cfg, CORPUS_CHECKS, samples=12, seed=0)
+    assert corpus_draws == [24]
+
+
+def test_battery_rejects_unknown_name_before_any_draw(tanh_cfg, corpus_draws):
+    with pytest.raises(ValueError, match="nope"):
+        nf.battery(tanh_cfg, ["lemma1a", "nope"], samples=12, seed=0)
+    assert corpus_draws == []
+
+
+def test_battery_reports_in_the_order_given(tanh_cfg):
+    names = ["prop_lipschitz", "absorbing", "lemma1b", "lemma1a"]
+    reports = nf.battery(tanh_cfg, names, samples=12, seed=0)
+    assert [r.name for r in reports] == names
+
+
+# ---------------------------------------------------------------------------
+# planted defects: each must trip the shared pass
+# ---------------------------------------------------------------------------
+
+def test_convolution_without_dx_trips_the_lemma_checks(tanh_cfg, monkeypatch):
+    def no_dx(kernel, values, derivative=False):
+        return _fft_convolve(kernel, values, derivative) / kernel.grid.spacing
+
+    monkeypatch.setattr(nlfield.bounds, "_fft_convolve", no_dx)
+    reports = nf.battery(tanh_cfg, CORPUS_CHECKS, samples=100, seed=0)
+    assert [r.name for r in reports if not r.passed] == \
+        ["lemma1a", "lemma1a_deriv", "lemma1b"]
+    for r in reports[:3]:
+        assert r.measured > 10.0 * r.theoretical
+
+
+def test_understated_response_lipschitz_trips_prop_lipschitz(tanh_cfg,
+                                                             monkeypatch):
+    # g = 5 tanh is 5-Lipschitz while the config still states l_g = 1
+    monkeypatch.setattr(nf.Nonlinearity, "__call__",
+                        lambda self, s: 5.0 * np.tanh(s))
+    report = nf.verify("prop_lipschitz", tanh_cfg, samples=100, seed=0)
+    assert not report.passed
+    assert report.measured > report.theoretical

@@ -8,6 +8,7 @@ the physics on them is checked in the module test files.
 import logging
 import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,6 +183,43 @@ def test_invalid_config_is_usage_error(tmp_path, capsys):
     rc = main(["hstar", "--config", path])
     assert rc == 2
     assert "error: beta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_bad_seed_override_exits_2_naming_seed(seed, tmp_path, capsys):
+    path = write_config(tmp_path, SMALL.format(beta=2.0, out=tmp_path / "o"))
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--config", path, "--seed", seed])
+    assert err.value.code == 2
+    assert ("argument --seed: must be a non-negative integer"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("out,reason", [
+    ("afile", "File exists"),
+    ("afile/sub", "Not a directory"),
+], ids=["existing_file", "below_a_file"])
+@pytest.mark.parametrize("via_config", [False, True], ids=["out_flag", "output_key"])
+def test_uncreatable_output_exits_2_naming_output(out, reason, via_config,
+                                                  tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    target = tmp_path / out
+    path = write_config(tmp_path, SMALL.format(
+        beta=2.0, out=target if via_config else tmp_path / "o"))
+    argv = ["hstar", "--config", path]
+    if not via_config:
+        argv += ["--out", str(target)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: output: ")
+    assert reason in err
+
+
+@pytest.mark.parametrize("path", sorted(
+    (Path(__file__).parent.parent / "configs").glob("*.yaml")),
+    ids=lambda p: p.name)
+def test_shipped_configs_are_valid(path):
+    parse_config(path.read_text(encoding="utf-8"))
 
 
 def test_hstar_command_prints_threshold_and_table(tmp_path, capsys):
