@@ -8,9 +8,15 @@ of the tau ladder.  Sets are compared in the one-sided Hausdorff sense
 with the weighted norm underneath.
 
 All members of a rung share one time schedule, so they are evolved
-together as one batched (k, n) array.  Set distances (Hausdorff, the
-endpoint clusters, the two-sided gap between rungs) come from one
-weighted l^p distance matrix between the rows of two stacks.
+together as one batched (k, n) array.  Under a zero field the process is
+autonomous, S(t, tau) = S(t - tau), so a deeper rung continues the
+previous rung's (k, n) array over the span it adds instead of restarting
+the seeded family; it does so only when that gives the restart's steps
+exactly, so the endpoints are the same bytes either way.  A pulsed field,
+or a rung whose span would change the shortened tail step, restarts.
+Set distances (Hausdorff, the endpoint clusters, the two-sided gap
+between rungs) come from one weighted l^p distance matrix between the
+rows of two stacks.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import ProcessConfig, _integrate
+from .dynamics import ProcessConfig, _delta_schedule, _integrate
 from .errors import EmptySetError, TimeOrderError
 from .weighted_space import WeightedField, _lp_norm, quad_weights
 
@@ -146,8 +152,14 @@ def hausdorff_semidist(a, b, p: float = 2.0) -> float:
     return float(np.max(np.min(dist, axis=1)))
 
 
-def _evolve_endpoints(fields, tau, t, cfg) -> list[np.ndarray]:
-    return list(_integrate(np.stack([u0.values for u0 in fields]), tau, t, cfg))
+def _continues(tau: float, prev_tau: float, t: float, cfg: ProcessConfig) -> bool:
+    # stepping the previous rung's endpoints over [tau, prev_tau] repeats the
+    # restart bit for bit when no step reads the time and the restart's steps
+    # are the previous rung's steps followed by those of the added span
+    return (cfg.field.family == "zero"
+            and _delta_schedule(tau, t, cfg.dt)
+            == (_delta_schedule(prev_tau, t, cfg.dt)
+                + _delta_schedule(tau, prev_tau, cfg.dt)))
 
 
 def _dedup(endpoints: list[np.ndarray], w: np.ndarray, p: float,
@@ -165,11 +177,14 @@ def approximate_pullback_attractor(t: float, cfg: ProcessConfig,
                                    seed: int = 0) -> AttractorSample:
     """Pullback endpoint set at time t, stabilized over a tau ladder.
 
-    The same seeded initial family is restarted from each rung; rungs
-    must be strictly decreasing and earlier than t.  When consecutive
-    endpoint sets agree within DEDUP_TOL, in both directions, the deeper
-    one is returned as converged; an exhausted ladder returns the deepest
-    rung flagged not converged.
+    Every rung evolves the same seeded initial family from its tau to t;
+    rungs must be strictly decreasing and earlier than t.  Under a zero
+    field a rung continues the previous rung's endpoints over the span
+    it adds when the steps match a restart's (see the module docstring);
+    otherwise it restarts the family.  The endpoints are the same bytes
+    either way.  When consecutive endpoint sets agree within DEDUP_TOL,
+    in both directions, the deeper one is returned as converged; an
+    exhausted ladder returns the deepest rung flagged not converged.
     """
     taus = [float(x) for x in tau_ladder]
     if not taus:
@@ -179,26 +194,35 @@ def approximate_pullback_attractor(t: float, cfg: ProcessConfig,
     if any(b >= a for a, b in zip(taus, taus[1:])):
         raise ValueError("tau ladder must be strictly decreasing")
 
-    fields = sample_absorbing_ball(cfg, n_samples, seed)
+    family = np.stack([u.values for u in sample_absorbing_ball(cfg, n_samples, seed)])
     w = quad_weights(cfg.weight, cfg.grid)
     p = cfg.p
 
+    carried: np.ndarray = None  # all k endpoints of the last rung run
     prev: list[np.ndarray] = None
     gaps: list[float] = []
     converged = False
     used: list[float] = []
     for tau in taus:
-        endpoints = _dedup(_evolve_endpoints(fields, tau, t, cfg), w, p, DEDUP_TOL)
+        if used and _continues(tau, used[-1], t, cfg):
+            start, stop, how = carried, used[-1], "continued"
+        else:
+            start, stop, how = family, t, "restarted"
+        carried = _integrate(start, tau, stop, cfg)
+        endpoints = _dedup(list(carried), w, p, DEDUP_TOL)
         used.append(tau)
+        gap = None
         if prev is not None:
             dist = _lp_distances(np.stack(endpoints), np.stack(prev), w, p)
             gap = float(max(np.max(np.min(dist, axis=1)), np.max(np.min(dist, axis=0))))
             gaps.append(gap)
-            if gap < DEDUP_TOL:
-                prev = endpoints
-                converged = True
-                break
+        log.info("rung tau=%g: %d steps %s, %d of %d members kept, gap %s",
+                 tau, len(_delta_schedule(tau, stop, cfg.dt)), how,
+                 len(endpoints), len(carried), "n/a" if gap is None else f"{gap:.6g}")
         prev = endpoints
+        if gap is not None and gap < DEDUP_TOL:
+            converged = True
+            break
 
     if not converged:
         log.warning("tau ladder exhausted without stabilization (last gap %s)",

@@ -101,6 +101,8 @@ class ExperimentConfig:
     hstar: HstarBlock
     verify: VerifyBlock
     sweep: SweepBlock
+    # h* as computed by the amplitude guard of a pulsed config, else None
+    h_star: float | None = None
 
 
 def _apply_defaults(node: dict, schema_node: dict, path: str):
@@ -172,6 +174,7 @@ def parse_config(text: str) -> ExperimentConfig:
     except ValueError as e:
         raise ConfigError(str(e), "field")
 
+    h_star = None
     if field.family != "zero" and g.name == "tanh" and data["beta"] > 1.0:
         h_star = compute_h_star(data["beta"], g)
         if field.sup >= h_star:
@@ -217,7 +220,7 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(process=process, seed=data["seed"],
                             out_dir=data["output"], simulate=sim_blk,
                             attractor=att_blk, hstar=hs_blk, verify=ver_blk,
-                            sweep=sw_blk)
+                            sweep=sw_blk, h_star=h_star)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +324,9 @@ def _cmd_attractor(exp: ExperimentConfig) -> int:
 
 def _cmd_hstar(exp: ExperimentConfig) -> int:
     cfg = exp.process
-    h_star = compute_h_star(cfg.beta, cfg.nonlinearity)
+    h_star = exp.h_star
+    if h_star is None:
+        h_star = compute_h_star(cfg.beta, cfg.nonlinearity)
     ladder = exp.hstar.h_ladder
     if ladder is None:
         if h_star > 0.0:

@@ -8,8 +8,20 @@ import pytest
 
 import nlfield as nf
 from conftest import LADDER
-from nlfield.attractor import _dedup, _evolve_endpoints, _lp_distances
+from nlfield import attractor, dynamics
+from nlfield.attractor import _dedup, _lp_distances
+from nlfield.dynamics import _integrate
 from nlfield.weighted_space import quad_weights
+
+
+def small_cfg(beta=2.0, p=2.0, weight=nf.WeightFunction.cauchy(),
+              field=nf.ExternalField()):
+    """Tanh process on a 512-point grid, cheap enough for whole ladders."""
+    grid = nf.Grid1D(20.0, 512)
+    return nf.ProcessConfig(beta=beta, p=p, grid=grid, weight=weight,
+                            kernel=nf.make_bump_kernel(grid),
+                            nonlinearity=nf.Nonlinearity.tanh(), field=field,
+                            dt=0.05)
 
 
 def constant_field(cfg, norm_target):
@@ -201,19 +213,14 @@ def test_ladder_validation(tanh_cfg):
 
 def test_batched_endpoints_match_single_evolve(pulsed_cfg):
     fields = nf.sample_absorbing_ball(pulsed_cfg, 4, seed=3)
-    rows = _evolve_endpoints(fields, -2.0, 0.0, pulsed_cfg)
+    rows = _integrate(np.stack([u0.values for u0 in fields]), -2.0, 0.0, pulsed_cfg)
     assert len(rows) == len(fields)
     for row, u0 in zip(rows, fields):
         assert np.array_equal(row, nf.evolve(u0, -2.0, 0.0, pulsed_cfg).values)
 
 
-def test_rung_gaps_are_two_sided_semidistances(cauchy):
+def assert_rung_gaps_are_two_sided(cfg):
     # each rung's endpoint set is what a one-rung ladder returns for it
-    grid = nf.Grid1D(20.0, 512)
-    cfg = nf.ProcessConfig(beta=2.0, p=2.5, grid=grid, weight=cauchy,
-                           kernel=nf.make_bump_kernel(grid),
-                           nonlinearity=nf.Nonlinearity.tanh(),
-                           field=nf.ExternalField("pulsed", 0.1, 1.0), dt=0.05)
     ladder = (-1.0, -2.0, -4.0)
     sample = nf.approximate_pullback_attractor(0.0, cfg, 6, ladder, seed=4)
     assert len(sample.rung_gaps) == len(sample.taus) - 1 >= 1
@@ -224,6 +231,96 @@ def test_rung_gaps_are_two_sided_semidistances(cauchy):
                    nf.hausdorff_semidist(prev, cur, cfg.p))
         assert gap > 0.0
         assert gap == pytest.approx(both, rel=1e-15)
+
+
+def test_rung_gaps_are_two_sided_semidistances():
+    assert_rung_gaps_are_two_sided(
+        small_cfg(p=2.5, field=nf.ExternalField("pulsed", 0.1, 1.0)))
+
+
+def test_zero_field_rung_gaps_are_two_sided_semidistances():
+    assert_rung_gaps_are_two_sided(small_cfg(p=2.5))
+
+
+def rung_stacks(monkeypatch, cfg, ladder):
+    """Run a ladder; return the taus run and, per rung, the stack of all
+    endpoints and the stack of the kept ones."""
+    seen = []
+
+    def spy(endpoints, w, p, tol):
+        kept = _dedup(endpoints, w, p, tol)
+        seen.append((np.stack(endpoints), np.stack(kept)))
+        return kept
+
+    monkeypatch.setattr(attractor, "_dedup", spy)
+    sample = nf.approximate_pullback_attractor(0.0, cfg, 6, ladder, seed=4)
+    return sample.taus, seen
+
+
+def assert_rungs_match_restarts(monkeypatch, cfg, ladder):
+    taus, rungs = rung_stacks(monkeypatch, cfg, ladder)
+    assert len(rungs) == len(taus)
+    for tau, (endpoints, kept) in zip(taus, rungs):
+        _, [(ref_endpoints, ref_kept)] = rung_stacks(monkeypatch, cfg, (tau,))
+        assert np.array_equal(endpoints, ref_endpoints)
+        assert np.array_equal(kept, ref_kept)
+    return taus
+
+
+@pytest.mark.parametrize("weight", ["cauchy", "gaussian"])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("beta", [2.0, 0.5])
+def test_zero_field_rungs_match_restarts(beta, p, weight, monkeypatch):
+    # the ladder reaches a rung continued from a rung that dropped members
+    cfg = small_cfg(beta=beta, p=p, weight=nf.WeightFunction(weight))
+    taus = assert_rungs_match_restarts(monkeypatch, cfg, (-4.0, -8.0, -16.0, -24.0))
+    assert len(taus) >= 3
+
+
+def test_pulsed_field_rungs_match_restarts(monkeypatch):
+    # continuing the -4 rung over [-8, -4] would differ by about 0.028
+    cfg = small_cfg(field=nf.ExternalField("pulsed", 0.1, 1.0))
+    assert assert_rungs_match_restarts(monkeypatch, cfg, (-4.0, -8.0)) == (-4.0, -8.0)
+
+
+def test_tail_step_rungs_match_restarts(monkeypatch):
+    # both spans end in a shortened step, so the -8.07 rung's steps are not
+    # the -4.03 rung's followed by the added span's; continuing would differ
+    # by about 5e-9
+    ladder = (-4.03, -8.07)
+    assert assert_rungs_match_restarts(monkeypatch, small_cfg(), ladder) == ladder
+
+
+def test_zero_field_ladder_steps_only_the_deepest_span(monkeypatch):
+    step = dynamics._step_raw
+    steps = []
+
+    def counting(cfg, t, u, delta):
+        steps.append(delta)
+        return step(cfg, t, u, delta)
+
+    monkeypatch.setattr(dynamics, "_step_raw", counting)
+    ladder = (-4.0, -8.0, -16.0)
+    sample = nf.approximate_pullback_attractor(0.0, small_cfg(), 6, ladder, seed=4)
+    assert sample.taus == ladder
+    # restarting every rung would take 80 + 160 + 320
+    assert len(steps) == 320
+
+
+def test_each_rung_logs_its_work(caplog):
+    with caplog.at_level(logging.INFO, logger="nlfield.attractor"):
+        cont = nf.approximate_pullback_attractor(0.0, small_cfg(), 6, (-4.0, -8.0), seed=4)
+        pulsed = small_cfg(field=nf.ExternalField("pulsed", 0.1, 1.0))
+        rest = nf.approximate_pullback_attractor(0.0, pulsed, 6, (-4.0, -8.0), seed=4)
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("rung ")]
+    assert lines == [
+        "rung tau=-4: 80 steps restarted, 6 of 6 members kept, gap n/a",
+        f"rung tau=-8: 80 steps continued, {len(cont)} of 6 members kept,"
+        f" gap {cont.rung_gaps[0]:.6g}",
+        "rung tau=-4: 80 steps restarted, 6 of 6 members kept, gap n/a",
+        f"rung tau=-8: 160 steps restarted, {len(rest)} of 6 members kept,"
+        f" gap {rest.rung_gaps[0]:.6g}",
+    ]
 
 
 # ---------------------------------------------------------------------------

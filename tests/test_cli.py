@@ -13,6 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nlfield import cli
+from nlfield.bifurcation import compute_h_star
 from nlfield.bounds import CHECK_NAMES
 from nlfield.cli import main, parse_config
 from nlfield.errors import ConfigError
@@ -245,6 +247,26 @@ def test_hstar_custom_ladder(tmp_path):
     _, rows = read_rows(out / "hstar.csv")
     assert [float(r[0]) for r in rows] == [0.0, 0.5]
     assert [int(r[1]) for r in rows] == [3, 1]
+
+
+def test_hstar_on_pulsed_config_computes_threshold_once(tmp_path, capsys,
+                                                       monkeypatch):
+    # the amplitude guard's h* is the one the command prints
+    calls = []
+
+    def counting(beta, g):
+        calls.append(beta)
+        return compute_h_star(beta, g)
+
+    monkeypatch.setattr(cli, "compute_h_star", counting)
+    out = tmp_path / "run"
+    doc = (SMALL.format(beta=2.0, out=out)
+           + "field:\n  family: pulsed\n  amplitude: 0.2\n")
+    assert main(["hstar", "--config", write_config(tmp_path, doc)]) == 0
+    assert calls == [2.0]
+    assert "h_star = 0.26641998812556267" in capsys.readouterr().out
+    _, rows = read_rows(out / "hstar.csv")
+    assert [int(r[1]) for r in rows] == [3, 3, 3, 1, 1]
 
 
 def test_simulate_single_instant(tmp_path):
