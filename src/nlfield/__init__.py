@@ -14,18 +14,14 @@ __version__ = "0.1.0"
 
 from .errors import (
     NlfieldError, InvalidFieldError, GridMismatchError, GridTooCoarseError,
-    DomainTooSmallError, TimeOrderError, BlowUpError, NotBistableError,
-    EmptySetError, ConfigError,
+    TimeOrderError, BlowUpError, NotBistableError, EmptySetError,
+    ConfigError,
 )
 from .weighted_space import (
-    WeightFunction, Grid1D, WeightedField, weighted_norm, norm_tail_gap,
-    tail_mass, radius_for_tail, estimate_K, rho_inf_unit_ball,
-    holder_constant, finite_difference, w1p_seminorm,
+    WeightFunction, Grid1D, WeightedField, weighted_norm, tail_mass,
+    radius_for_tail, estimate_K, rho_inf_unit_ball, finite_difference,
 )
-from .kernel import (
-    Kernel, make_bump_kernel, convolve_direct, convolve_fast,
-    convolve_derivative,
-)
+from .kernel import Kernel, make_bump_kernel, convolve_direct, convolve_fast
 from .dynamics import (
     Nonlinearity, ExternalField, ProcessConfig, TrajectoryState,
     rhs_f, step_exponential, evolve, evolve_split, K1_TANH,
@@ -44,14 +40,12 @@ from .bounds import (
 __all__ = [
     "__version__",
     "NlfieldError", "InvalidFieldError", "GridMismatchError",
-    "GridTooCoarseError", "DomainTooSmallError", "TimeOrderError",
-    "BlowUpError", "NotBistableError", "EmptySetError", "ConfigError",
+    "GridTooCoarseError", "TimeOrderError", "BlowUpError",
+    "NotBistableError", "EmptySetError", "ConfigError",
     "WeightFunction", "Grid1D", "WeightedField", "weighted_norm",
-    "norm_tail_gap", "tail_mass", "radius_for_tail", "estimate_K",
-    "rho_inf_unit_ball", "holder_constant", "finite_difference",
-    "w1p_seminorm",
+    "tail_mass", "radius_for_tail", "estimate_K", "rho_inf_unit_ball",
+    "finite_difference",
     "Kernel", "make_bump_kernel", "convolve_direct", "convolve_fast",
-    "convolve_derivative",
     "Nonlinearity", "ExternalField", "ProcessConfig", "TrajectoryState",
     "rhs_f", "step_exponential", "evolve", "evolve_split", "K1_TANH",
     "RootReport", "count_roots", "compute_h_star", "tanh_h_star",

@@ -124,7 +124,7 @@ def sample_absorbing_ball(cfg: ProcessConfig, n_members: int,
     return fields
 
 
-def _stack(members) -> np.ndarray:
+def _stack(members) -> tuple[np.ndarray, WeightedField]:
     if isinstance(members, AttractorSample):
         members = members.members
     members = list(members)

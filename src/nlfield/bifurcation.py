@@ -67,14 +67,14 @@ def _bisect(f, lo: float, hi: float, xtol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def count_roots(beta: float, h: float, g: Nonlinearity,
-                interval: tuple[float, float] = SCAN_INTERVAL,
-                scan_points: int = SCAN_POINTS) -> RootReport:
+def count_roots(beta: float, h: float, g: Nonlinearity) -> RootReport:
     """Scan for sign changes of g(beta s + beta h) - s, then bisect each.
 
-    Exact zeros at scan nodes count as roots; near-tangent dips of |phi|
-    below the tangency tolerance that do not produce a sign change are
-    reported separately and never enter the count.
+    The scan covers SCAN_INTERVAL at SCAN_POINTS equally spaced nodes,
+    both read at call time.  Exact zeros at scan nodes count as roots;
+    near-tangent dips of |phi| below the tangency tolerance that do not
+    produce a sign change are reported separately and never enter the
+    count.
     """
     if not (beta > 0.0):
         raise ValueError(f"beta must be positive, got {beta}")
@@ -82,7 +82,7 @@ def count_roots(beta: float, h: float, g: Nonlinearity,
     def phi(s):
         return g(beta * s + beta * h) - s
 
-    s = np.linspace(interval[0], interval[1], scan_points)
+    s = np.linspace(SCAN_INTERVAL[0], SCAN_INTERVAL[1], SCAN_POINTS)
     vals = phi(s)
     sign = np.sign(vals)
 
@@ -106,7 +106,7 @@ def count_roots(beta: float, h: float, g: Nonlinearity,
 
     # second pass: |phi| local minima below tolerance without a sign change
     a = np.abs(vals)
-    interior = np.arange(1, scan_points - 1)
+    interior = np.arange(1, s.size - 1)
     is_min = (a[interior] <= a[interior - 1]) & (a[interior] <= a[interior + 1])
     small = a[interior] < TANGENCY_TOL
     tangencies: list[float] = []

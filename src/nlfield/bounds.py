@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attractor import approximate_pullback_attractor
+from .attractor import absorbing_entry_time, approximate_pullback_attractor
 from .bifurcation import compute_h_star
 from .dynamics import ExternalField, ProcessConfig, evolve, _guard_finite, \
     _nonlinear_term
@@ -195,7 +195,7 @@ def _check_absorbing(cfg, samples, seed):
     a = cfg.nonlinearity.sup_abs
     w = quad_weights(cfg.weight, cfg.grid)
     t_obs, radius, eps = 0.0, 10.0, 0.1
-    tau = t_obs + math.log(eps / radius)
+    tau = absorbing_entry_time(t_obs, radius, eps)
     u0 = _scaled_to_norm(cfg, rng, radius)
 
     excess = []
@@ -220,8 +220,11 @@ def _check_w_bound(cfg, samples, seed):
 
 
 def _check_c1_attractor(cfg, samples, seed):
-    h_star = compute_h_star(cfg.beta, cfg.nonlinearity) \
-        if cfg.beta > 1.0 else 0.0
+    # with a = sup|g| = 0 the bound is 0 whatever h* is, and a response
+    # that vanishes identically has no bistable regime to locate h* in
+    g = cfg.nonlinearity
+    h_star = compute_h_star(cfg.beta, g) \
+        if cfg.beta > 1.0 and g.sup_abs > 0.0 else 0.0
     bound = c1_regularity_bound(cfg, h_star)
     sample = approximate_pullback_attractor(
         0.0, cfg, n_samples=min(samples, 8),

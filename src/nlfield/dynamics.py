@@ -44,7 +44,7 @@ from .weighted_space import Grid1D, WeightedField, WeightFunction
 # max |d^2/ds^2 tanh(s)| = max |d/ds tanh(s)^2| = 4 / (3 sqrt(3)), at tanh = 1/sqrt(3)
 K1_TANH = 4.0 / (3.0 * math.sqrt(3.0))
 
-NONLINEARITY_FAMILIES = ("tanh", "zero", "constant")
+NONLINEARITY_FAMILIES = ("tanh", "zero")
 FIELD_FAMILIES = ("zero", "pulsed")
 
 
@@ -63,7 +63,6 @@ class Nonlinearity:
     lipschitz: float
     curvature_max: float
     deriv_at_zero: float
-    value: float = 0.0  # constant stub only
 
     def __post_init__(self):
         if self.name not in NONLINEARITY_FAMILIES:
@@ -77,19 +76,10 @@ class Nonlinearity:
     def zero(cls) -> "Nonlinearity":
         return cls("zero", sup_abs=0.0, lipschitz=0.0, curvature_max=0.0, deriv_at_zero=0.0)
 
-    @classmethod
-    def constant(cls, value: float) -> "Nonlinearity":
-        """Integrator test stub g == value.  Violates g(0) = 0 on purpose;
-        check_axioms rejects it and the config surface never builds it."""
-        return cls("constant", sup_abs=abs(value), lipschitz=0.0, curvature_max=0.0,
-                   deriv_at_zero=0.0, value=value)
-
     def __call__(self, s):
         if self.name == "tanh":
             return np.tanh(s)
-        if self.name == "zero":
-            return np.zeros_like(np.asarray(s, dtype=float))
-        return np.full_like(np.asarray(s, dtype=float), self.value)
+        return np.zeros_like(np.asarray(s, dtype=float))
 
     def deriv(self, s):
         if self.name == "tanh":
@@ -193,7 +183,10 @@ class ProcessConfig:
             f"beta={self.beta!r}", f"p={self.p!r}", f"dt={self.dt!r}",
             f"L={self.grid.half_length!r}", f"n={self.grid.n_points!r}",
             f"weight={self.weight.kind}", f"g={self.nonlinearity.name}",
-            f"gval={self.nonlinearity.value!r}",
+            # g(0) = 0 for every response family, so this term is a fixed
+            # literal; it stays in the hashed text so that config_digest
+            # values already written to CSVs keep matching
+            "gval=0.0",
             f"h={self.field.family}", f"amp={self.field.amplitude!r}",
             f"omega={self.field.omega!r}",
         ])
@@ -326,10 +319,10 @@ def evolve(u_tau: WeightedField, tau: float, t: float, cfg: ProcessConfig,
     return u_tau.with_values(_integrate(u_tau.values.copy(), tau, t, cfg, observer))
 
 
-def evolve_split(u_tau: WeightedField, tau: float, t: float, cfg: ProcessConfig,
-                 observer=None) -> TrajectoryState:
+def evolve_split(u_tau: WeightedField, tau: float, t: float,
+                 cfg: ProcessConfig) -> TrajectoryState:
     """Integrate with the v/w splitting: v decays exactly, w(tau) = 0."""
-    u = evolve(u_tau, tau, t, cfg, observer)
+    u = evolve(u_tau, tau, t, cfg)
     v = math.exp(-(t - tau)) * u_tau.values
     return TrajectoryState(
         t=t,

@@ -21,10 +21,6 @@ class GridTooCoarseError(NlfieldError):
     """Grid spacing too large to resolve the interaction kernel."""
 
 
-class DomainTooSmallError(NlfieldError):
-    """A requested radius reaches past the truncated domain."""
-
-
 class TimeOrderError(NlfieldError):
     """Evolution requested backwards in time (t < tau)."""
 

@@ -14,15 +14,15 @@ use Grid1D.interior_mask when asserting against continuum identities.
 
 convolve_direct is the quadratic-cost reference sum (the oracle the
 fast path is tested against).  Every other convolution in the package,
-convolve_fast, convolve_derivative and the nonlinear term of the
-dynamics, goes through one FFT expression.  The transform is zero padded
-to the next 5-smooth length (no prime factor above 5) that is at least
-n + 2m, with m the kernel half width: any length >= n + 2m leaves no
-circular wrap-around in the cropped window, and numpy's FFT is several
-times slower at lengths with a large prime factor (n = 8192 gives
-n + 2m = 8354 = 2 * 4177, padded to 8640 = 2^6 3^3 5).  The expression
-acts along the last axis, so a batch of fields stacked as a (k, n) array
-convolves in one call.
+convolve_fast, the nonlinear term of the dynamics and the J' * u of the
+lemma1a_deriv check, goes through one FFT expression.  The transform is
+zero padded to the next 5-smooth length (no prime factor above 5) that
+is at least n + 2m, with m the kernel half width: any length >= n + 2m
+leaves no circular wrap-around in the cropped window, and numpy's FFT
+is several times slower at lengths with a large prime factor (n = 8192
+gives n + 2m = 8354 = 2 * 4177, padded to 8640 = 2^6 3^3 5).  The
+expression acts along the last axis, so a batch of fields stacked as a
+(k, n) array convolves in one call.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ class Kernel:
     norm_l1: float
     norm_sup: float
     deriv_norm_l1: float
-    deriv_norm_sup: float
     _spectrum: np.ndarray = field(repr=False, default=None)
     _deriv_spectrum: np.ndarray = field(repr=False, default=None)
     _fft_len: int = field(repr=False, default=0)
@@ -102,7 +101,6 @@ def make_bump_kernel(grid: Grid1D) -> Kernel:
         norm_l1=float(samples.sum() * dx),
         norm_sup=float(samples.max()),
         deriv_norm_l1=float(np.abs(deriv).sum() * dx),
-        deriv_norm_sup=float(np.abs(deriv).max()),
         _spectrum=spectrum,
         _deriv_spectrum=deriv_spectrum,
         _fft_len=fft_len,
@@ -138,8 +136,3 @@ def convolve_fast(kernel: Kernel, u: WeightedField) -> WeightedField:
     _check_space(kernel, u)
     return u.with_values(_fft_convolve(kernel, u.values))
 
-
-def convolve_derivative(kernel: Kernel, u: WeightedField) -> WeightedField:
-    """Spatial derivative of the convolution, computed as J' convolved with u."""
-    _check_space(kernel, u)
-    return u.with_values(_fft_convolve(kernel, u.values, derivative=True))

@@ -9,8 +9,8 @@ a composite trapezoid quadrature of the integral over the truncated
 domain (the integrand is treated as even-extended at the cut, so the
 plain sum and the trapezoid rule coincide up to the boundary weight).
 Mass beyond the cut is never silently dropped: tail_mass gives the exact
-weight mass outside a radius and norm_tail_gap turns it into an error
-bar for a norm value.
+weight mass outside a radius, and radius_for_tail inverts it to the
+radius whose exterior carries at most a given mass.
 
 Two weight families are shipped, both normalized to unit mass over the
 real line:
@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainTooSmallError, GridMismatchError, InvalidFieldError
+from .errors import GridMismatchError, InvalidFieldError
 
 WEIGHT_CAUCHY = "cauchy"
 WEIGHT_GAUSSIAN = "gaussian"
@@ -154,38 +154,10 @@ def weighted_norm(u: WeightedField, p: float = 2.0) -> float:
     return float(_lp_norm(u.values, quad_weights(u.weight, u.grid), _check_p(p)))
 
 
-def truncated_mass(weight: WeightFunction, grid: Grid1D) -> float:
-    """Quadrature mass of the weight over the grid (slightly below 1)."""
-    return float(np.sum(quad_weights(weight, grid)))
-
-
-def norm_tail_gap(u: WeightedField, p: float = 2.0) -> float:
-    """Upper bound on the norm increase if the field extended past the cut.
-
-    Assumes |u| beyond the cut is no larger than its on-grid maximum, so
-    the p-th power of the full-line norm exceeds the truncated one by at
-    most tail_mass(L) * max|u|^p.  Returned as a gap on the norm itself.
-    """
-    p = _check_p(p)
-    base = weighted_norm(u, p)
-    tail = tail_mass(u.weight, u.grid.half_length * (1.0 - 1e-12))
-    sup = float(np.max(np.abs(u.values))) if u.values.size else 0.0
-    upper = (base**p + tail * sup**p) ** (1.0 / p)
-    return upper - base
-
-
-def tail_mass(weight: WeightFunction, radius: float, grid: Grid1D | None = None) -> float:
-    """Weight mass outside [-radius, radius], in closed form.
-
-    When a grid is supplied the radius must fall inside the truncated
-    domain, otherwise exterior quadrature on that grid would be vacuous.
-    """
+def tail_mass(weight: WeightFunction, radius: float) -> float:
+    """Weight mass outside [-radius, radius], in closed form."""
     if not (radius > 0.0):
         raise ValueError(f"radius must be positive, got {radius}")
-    if grid is not None and radius >= grid.half_length:
-        raise DomainTooSmallError(
-            f"radius {radius} does not fit inside the domain half-length {grid.half_length}"
-        )
     if weight.kind == WEIGHT_CAUCHY:
         return (2.0 / math.pi) * math.atan(1.0 / radius)
     return math.erfc(radius / math.sqrt(2.0))
@@ -238,38 +210,7 @@ def rho_inf_unit_ball(weight: WeightFunction) -> float:
     return float(np.min(weight(y)))
 
 
-def holder_constant(p: float, q: float, weight: WeightFunction, grid: Grid1D) -> float:
-    """Constant C with ||u||_p <= C ||u||_q for p < q (discrete Hoelder)."""
-    p, q = _check_p(p), _check_p(q)
-    if p >= q:
-        raise ValueError(f"need p < q, got p={p}, q={q}")
-    mass = truncated_mass(weight, grid)
-    return mass ** (1.0 / p - 1.0 / q)
-
-
 def finite_difference(u: WeightedField) -> WeightedField:
     """Centered first derivative, one-sided at the two boundary nodes."""
     d = np.gradient(u.values, u.grid.spacing, edge_order=1)
     return u.with_values(d)
-
-
-def w1p_seminorm(u: WeightedField, p: float = 2.0, radius: float | None = None) -> float:
-    """Weighted norm of the finite-difference derivative.
-
-    With a radius, only nodes inside [-radius, radius] contribute, which
-    is the seminorm used by the compactness diagnostics.  Non-smooth
-    fields give values that grow like dx^(1/p - 1); callers should treat
-    a seminorm that explodes under refinement as a non-smoothness flag.
-    """
-    p = _check_p(p)
-    d = np.gradient(u.values, u.grid.spacing, edge_order=1)
-    w = quad_weights(u.weight, u.grid)
-    if radius is not None:
-        if radius >= u.grid.half_length:
-            raise DomainTooSmallError(
-                f"radius {radius} does not fit inside the domain half-length {u.grid.half_length}"
-            )
-        mask = np.abs(u.grid.nodes) <= radius
-        d = d[mask]
-        w = w[mask]
-    return float(_lp_norm(d, w, p))

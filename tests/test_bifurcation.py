@@ -8,6 +8,7 @@ import pytest
 from scipy.optimize import brentq
 
 import nlfield as nf
+from nlfield import bifurcation
 
 TANH = nf.Nonlinearity.tanh()
 
@@ -70,7 +71,7 @@ def test_count_roots_validation():
         nf.count_roots(-1.0, 0.0, TANH)
 
 
-def test_exact_zero_runs_give_one_root_at_midpoint():
+def test_exact_zero_runs_give_one_root_at_midpoint(monkeypatch):
     # beta = 1, h = 0: phi(s) = g(s) - s is exactly zero on the planted
     # runs of scan nodes and about -1 / +1 left / right of the origin
     n = 41
@@ -83,7 +84,9 @@ def test_exact_zero_runs_give_one_root_at_midpoint():
         offset = np.where(np.isin(x, planted), 0.0, np.where(x < 0.0, -1.0, 1.0))
         return x + offset
 
-    report = nf.count_roots(1.0, 0.0, g, interval=(-1.0, 1.0), scan_points=n)
+    monkeypatch.setattr(bifurcation, "SCAN_INTERVAL", (-1.0, 1.0))
+    monkeypatch.setattr(bifurcation, "SCAN_POINTS", n)
+    report = nf.count_roots(1.0, 0.0, g)
     assert report.roots == tuple(float(0.5 * (s[a] + s[b])) for a, b in runs)
     assert report.tangencies == ()
 

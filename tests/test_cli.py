@@ -400,6 +400,20 @@ def test_verify_failed_check_writes_false(tmp_path):
     assert float(rows[0][2]) > float(rows[0][1])
 
 
+def test_c1_attractor_on_zero_model_has_zero_bound(tmp_path):
+    # a = sup|g| = 0 makes the slope bound 0 for any h*, so no threshold
+    # search may run on a response without a bistable regime
+    out = tmp_path / "run"
+    doc = (SMALL.format(beta=2.0, out=out)
+           + "model: zero\nverify:\n  checks: [c1_attractor]\n")
+    path = write_config(tmp_path, doc)
+    assert main(["verify", "--config", path]) == 0
+    _, rows = read_rows(out / "verify.csv")
+    assert [r[0] for r in rows] == ["c1_attractor"]
+    assert float(rows[0][1]) == 0.0 and float(rows[0][2]) == 0.0
+    assert rows[0][4] == "true"
+
+
 def test_verify_seed_override_lands_in_csv(tmp_path):
     out = tmp_path / "run"
     doc = (SMALL.format(beta=2.0, out=out)

@@ -14,6 +14,18 @@ def norm_of(values, like, p=2.0):
     return nf.weighted_norm(like.with_values(values), p)
 
 
+class ConstantResponse(nf.Nonlinearity):
+    """Test-local response g == value; violates g(0) = 0 on purpose."""
+
+    def __init__(self, value):
+        super().__init__("zero", sup_abs=abs(value), lipschitz=0.0,
+                         curvature_max=0.0, deriv_at_zero=0.0)
+        object.__setattr__(self, "value", value)
+
+    def __call__(self, s):
+        return np.full_like(np.asarray(s, dtype=float), self.value)
+
+
 # ---------------------------------------------------------------------------
 # nonlinearity and field families
 # ---------------------------------------------------------------------------
@@ -38,10 +50,10 @@ def test_zero_and_constant_families():
     z = nf.Nonlinearity.zero()
     assert np.all(z(np.linspace(-5, 5, 11)) == 0.0)
     z.check_axioms(np.random.default_rng(1))
-    c = nf.Nonlinearity.constant(0.7)
+    c = ConstantResponse(0.7)
     assert np.all(c(np.linspace(-5, 5, 11)) == 0.7)
-    with pytest.raises(ValueError):
-        c.check_axioms(np.random.default_rng(2))  # violates g(0) = 0 on purpose
+    with pytest.raises(ValueError, match="g\\(0\\) must vanish"):
+        c.check_axioms(np.random.default_rng(2))
     with pytest.raises(ValueError):
         nf.Nonlinearity("bogus", 1.0, 1.0, 1.0, 1.0)
 
@@ -154,7 +166,7 @@ def test_step_pure_decay_exact(grid, cauchy, kernel, corpus_factory):
 def test_step_constant_forcing_closed_form(grid, cauchy, kernel, corpus_factory):
     c = 0.8
     cfg = nf.ProcessConfig(beta=2.0, p=2.0, grid=grid, weight=cauchy, kernel=kernel,
-                           nonlinearity=nf.Nonlinearity.constant(c),
+                           nonlinearity=ConstantResponse(c),
                            field=nf.ExternalField(), dt=0.05)
     u = corpus_factory(grid, cauchy, 1, seed=23)[0]
     out = nf.step_exponential(nf.TrajectoryState(0.0, u), cfg, delta=0.3)
