@@ -4,7 +4,8 @@ A constant field s is stationary exactly when s = g(beta s + beta h)
 for the constant forcing level h.  count_roots scans that scalar
 equation, and compute_h_star locates the forcing threshold where the
 root count drops from three to one, which is the largest forcing the
-bistable regime survives.
+bistable regime survives.  compute_h_star alone decides whether that
+regime exists: where it does not, h* is 0.
 
 For g = tanh the threshold has the closed form
 
@@ -31,7 +32,6 @@ SCAN_INTERVAL = (-1.5, 1.5)
 SCAN_POINTS = 100_000
 ROOT_XTOL = 1e-12
 ROOT_SEPARATION = 1e-8
-TANGENCY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,6 @@ class RootReport:
     beta: float
     h: float
     roots: tuple[float, ...]
-    residuals: tuple[float, ...]
-    tangencies: tuple[float, ...]
 
     @property
     def count(self) -> int:
@@ -71,10 +69,9 @@ def count_roots(beta: float, h: float, g: Nonlinearity) -> RootReport:
     """Scan for sign changes of g(beta s + beta h) - s, then bisect each.
 
     The scan covers SCAN_INTERVAL at SCAN_POINTS equally spaced nodes,
-    both read at call time.  Exact zeros at scan nodes count as roots;
-    near-tangent dips of |phi| below the tangency tolerance that do not
-    produce a sign change are reported separately and never enter the
-    count.
+    both read at call time.  Exact zeros at scan nodes count as roots,
+    one per run of adjacent zero nodes; a tangency that produces no sign
+    change is not a root.
     """
     if not (beta > 0.0):
         raise ValueError(f"beta must be positive, got {beta}")
@@ -83,8 +80,7 @@ def count_roots(beta: float, h: float, g: Nonlinearity) -> RootReport:
         return g(beta * s + beta * h) - s
 
     s = np.linspace(SCAN_INTERVAL[0], SCAN_INTERVAL[1], SCAN_POINTS)
-    vals = phi(s)
-    sign = np.sign(vals)
+    sign = np.sign(phi(s))
 
     # maximal runs of exact zeros, one root each, at the run's midpoint:
     # +1/-1 steps of the padded zero mask mark run starts / one-past-ends
@@ -104,43 +100,26 @@ def count_roots(beta: float, h: float, g: Nonlinearity) -> RootReport:
         if not merged or r - merged[-1] > ROOT_SEPARATION:
             merged.append(r)
 
-    # second pass: |phi| local minima below tolerance without a sign change
-    a = np.abs(vals)
-    interior = np.arange(1, s.size - 1)
-    is_min = (a[interior] <= a[interior - 1]) & (a[interior] <= a[interior + 1])
-    small = a[interior] < TANGENCY_TOL
-    tangencies: list[float] = []
-    for i in interior[is_min & small]:
-        if sign[i] != 0.0 and not (change[i - 1] or change[i]):
-            si = float(s[i])
-            if all(abs(si - r) > ROOT_SEPARATION for r in merged):
-                if not tangencies or si - tangencies[-1] > ROOT_SEPARATION:
-                    tangencies.append(si)
-
-    residuals = tuple(abs(float(phi(r))) for r in merged)
-    return RootReport(beta=beta, h=h, roots=tuple(merged),
-                      residuals=residuals, tangencies=tuple(tangencies))
+    return RootReport(beta=beta, h=h, roots=tuple(merged))
 
 
 def compute_h_star(beta: float, g: Nonlinearity) -> float:
     """Threshold forcing: supremum of h with three transversal roots.
 
     Located by bisection on the root count over [0, 2], to a bracket of
-    width 1e-8.  For beta <= 1 the equation is never bistable; that regime
+    width 1e-8.  Where no bistable regime exists, that is for beta <= 1
+    (decided without a scan) or with fewer than three roots at h = 0, it
     returns 0 with a warning rather than an error so parameter sweeps can
-    cross it.
+    cross it.  Three roots that survive to h = 2 raise NotBistableError.
     """
     if not (beta > 0.0):
         raise ValueError(f"beta must be positive, got {beta}")
-    if beta <= 1.0:
+    if beta <= 1.0 or count_roots(beta, 0.0, g).count < 3:
         log.warning("beta=%g is at or below the bistability threshold; h* undefined, returning 0",
                     beta)
         return 0.0
 
     lo, hi = 0.0, 2.0
-    if count_roots(beta, lo, g).count < 3:
-        raise NotBistableError(
-            f"no three-root regime at h=0 for beta={beta}; family is not bistable")
     if count_roots(beta, hi, g).count >= 3:
         raise NotBistableError(
             f"still three roots at h={hi} for beta={beta}; no transition in range")

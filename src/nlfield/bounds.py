@@ -220,12 +220,7 @@ def _check_w_bound(cfg, samples, seed):
 
 
 def _check_c1_attractor(cfg, samples, seed):
-    # with a = sup|g| = 0 the bound is 0 whatever h* is, and a response
-    # that vanishes identically has no bistable regime to locate h* in
-    g = cfg.nonlinearity
-    h_star = compute_h_star(cfg.beta, g) \
-        if cfg.beta > 1.0 and g.sup_abs > 0.0 else 0.0
-    bound = c1_regularity_bound(cfg, h_star)
+    bound = c1_regularity_bound(cfg, compute_h_star(cfg.beta, cfg.nonlinearity))
     sample = approximate_pullback_attractor(
         0.0, cfg, n_samples=min(samples, 8),
         tau_ladder=[-4.0, -8.0, -16.0, -32.0], seed=seed)
@@ -284,7 +279,7 @@ def battery(cfg: ProcessConfig, names=None, samples: int = 500,
 
     The corpus checks share one seeded draw, made once per call.
     """
-    names = list(names or CHECK_NAMES)
+    names = list(CHECK_NAMES if names is None else names)
     for n in names:
         if n not in CHECK_NAMES:
             raise ValueError(f"unknown check {n!r}; expected one of {CHECK_NAMES}")

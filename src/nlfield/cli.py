@@ -175,9 +175,9 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(str(e), "field")
 
     h_star = None
-    if field.family != "zero" and g.name == "tanh" and data["beta"] > 1.0:
+    if field.family != "zero":
         h_star = compute_h_star(data["beta"], g)
-        if field.sup >= h_star:
+        if 0.0 < h_star <= field.sup:
             raise ConfigError(
                 f"field amplitude {field.sup} is not below the bistability "
                 f"threshold h* = {h_star:.6f} at beta = {data['beta']}",

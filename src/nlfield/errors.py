@@ -30,7 +30,7 @@ class BlowUpError(NlfieldError):
 
 
 class NotBistableError(NlfieldError):
-    """Root-count transition not found: the family has no threshold."""
+    """Root-count transition not found: three roots persist to h = 2."""
 
 
 class EmptySetError(NlfieldError):

@@ -26,7 +26,6 @@ def test_three_roots_below_threshold(s_star):
     report = nf.count_roots(2.0, 0.0, TANH)
     assert report.count == 3
     assert report.roots == pytest.approx((-s_star, 0.0, s_star), abs=1e-10)
-    assert report.tangencies == ()
 
 
 def test_single_root_for_weak_gain():
@@ -45,8 +44,7 @@ def test_root_report_invariants():
     for beta, h in ((2.0, 0.0), (2.0, 0.1), (4.0, 0.3), (1.5, 0.05), (0.7, 0.2)):
         report = nf.count_roots(beta, h, TANH)
         assert report.beta == beta and report.h == h
-        for s, res in zip(report.roots, report.residuals):
-            assert res <= 1e-10
+        for s in report.roots:
             assert abs(math.tanh(beta * s + beta * h) - s) <= 1e-10
         gaps = np.diff(report.roots)
         assert np.all(gaps > 1e-8)
@@ -58,12 +56,12 @@ def test_count_transitions_at_threshold():
     assert nf.count_roots(2.0, h_star + 1e-3, TANH).count == 1
 
 
-def test_tangency_detected_at_exact_threshold():
-    # at the fold the lower pair merges at s = -sqrt(1 - 1/beta)
+def test_tangency_at_exact_threshold_is_not_a_root():
+    # at the fold the lower pair merges at s = -sqrt(1 - 1/beta) without
+    # a sign change, so only the upper root is counted
     report = nf.count_roots(2.0, closed_form_h_star(2.0), TANH)
     assert report.count == 1
-    assert len(report.tangencies) == 1
-    assert report.tangencies[0] == pytest.approx(-math.sqrt(0.5), abs=1e-3)
+    assert report.roots[0] > 0.0
 
 
 def test_count_roots_validation():
@@ -88,7 +86,6 @@ def test_exact_zero_runs_give_one_root_at_midpoint(monkeypatch):
     monkeypatch.setattr(bifurcation, "SCAN_POINTS", n)
     report = nf.count_roots(1.0, 0.0, g)
     assert report.roots == tuple(float(0.5 * (s[a] + s[b])) for a, b in runs)
-    assert report.tangencies == ()
 
 
 @pytest.mark.parametrize("beta", [1.5, 2.0, 4.0])
@@ -136,12 +133,30 @@ def test_h_star_monotone_in_beta():
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
-def test_h_star_degenerate_below_one(caplog):
+def test_h_star_degenerate_below_one(caplog, monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("count_roots called for beta <= 1")
+
+    monkeypatch.setattr(bifurcation, "count_roots", no_scan)
     with caplog.at_level(logging.WARNING, logger="nlfield.bifurcation"):
         assert nf.compute_h_star(0.8, TANH) == 0.0
+        assert nf.compute_h_star(1.0, TANH) == 0.0
     assert any("h* undefined" in r.getMessage() for r in caplog.records)
 
 
-def test_h_star_requires_bistable_family():
-    with pytest.raises(nf.NotBistableError):
-        nf.compute_h_star(2.0, nf.Nonlinearity.zero())
+def test_h_star_of_zero_response_is_zero_with_warning(caplog):
+    with caplog.at_level(logging.WARNING, logger="nlfield.bifurcation"):
+        assert nf.compute_h_star(2.0, nf.Nonlinearity.zero()) == 0.0
+    assert any("h* undefined" in r.getMessage() for r in caplog.records)
+
+
+def test_h_star_without_transition_in_range_raises(monkeypatch):
+    # g = 3 tanh at beta 4 keeps three roots at h = 2 inside [-4, 4]
+    def g(x):
+        return 3.0 * np.tanh(x)
+
+    monkeypatch.setattr(bifurcation, "SCAN_INTERVAL", (-4.0, 4.0))
+    assert nf.count_roots(4.0, 0.0, g).count == 3
+    assert nf.count_roots(4.0, 2.0, g).count == 3
+    with pytest.raises(nf.NotBistableError, match="still three roots at h=2"):
+        nf.compute_h_star(4.0, g)

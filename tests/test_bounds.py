@@ -268,6 +268,12 @@ def test_battery_rejects_unknown_name_before_any_draw(tanh_cfg, corpus_draws):
     assert corpus_draws == []
 
 
+def test_battery_of_no_checks_is_empty(tanh_cfg, corpus_draws):
+    # only names=None selects every check
+    assert nf.battery(tanh_cfg, [], samples=12, seed=0) == []
+    assert corpus_draws == []
+
+
 def test_battery_reports_in_the_order_given(tanh_cfg):
     names = ["prop_lipschitz", "absorbing", "lemma1b", "lemma1a"]
     reports = nf.battery(tanh_cfg, names, samples=12, seed=0)

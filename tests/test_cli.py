@@ -269,6 +269,29 @@ def test_hstar_on_pulsed_config_computes_threshold_once(tmp_path, capsys,
     assert [int(r[1]) for r in rows] == [3, 3, 3, 1, 1]
 
 
+ZERO_MODEL = SMALL + "model: zero\n"
+
+
+def test_hstar_on_zero_model_is_zero(tmp_path, capsys):
+    # a response without a three-root regime has h* = 0, not an error
+    out = tmp_path / "run"
+    path = write_config(tmp_path, ZERO_MODEL.format(beta=2.0, out=out))
+    assert main(["hstar", "--config", path]) == 0
+    assert "h_star = 0\n" in capsys.readouterr().out
+    _, rows = read_rows(out / "hstar.csv")
+    assert [float(r[0]) for r in rows] == [0.0, 0.25, 0.5]
+    assert [int(r[1]) for r in rows] == [1, 1, 1]
+
+
+def test_pulsed_field_on_zero_model_is_not_capped(tmp_path, capsys):
+    out = tmp_path / "run"
+    doc = (ZERO_MODEL.format(beta=2.0, out=out)
+           + "field:\n  family: pulsed\n  amplitude: 0.5\n")
+    assert parse_config(doc).h_star == 0.0
+    assert main(["hstar", "--config", write_config(tmp_path, doc)]) == 0
+    assert "h_star = 0\n" in capsys.readouterr().out
+
+
 def test_simulate_single_instant(tmp_path):
     out = tmp_path / "run"
     doc = SMALL.format(beta=2.0, out=out) + "simulate:\n  tau: 0.0\n  t: 0.0\n"
