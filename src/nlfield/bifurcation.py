@@ -2,10 +2,16 @@
 
 A constant field s is stationary exactly when s = g(beta s + beta h)
 for the constant forcing level h.  count_roots scans that scalar
-equation, and compute_h_star locates the forcing threshold where the
-root count drops from three to one, which is the largest forcing the
-bistable regime survives.  compute_h_star alone decides whether that
-regime exists: where it does not, h* is 0.
+equation.  With x = beta (s + h) the roots are the solutions of
+h = x/beta - g(x), so for an odd response the forcing threshold where
+the root count drops from three to one is the height of the fold,
+
+    h*(beta) = max_{x > 0} g(x) - x/beta,
+
+attained where beta g'(x) = 1.  compute_h_star finds that peak by
+golden-section search on g alone and confirms it with two scans: three
+roots just below h*, one just above.  compute_h_star alone decides
+whether the bistable regime exists: where it does not, h* is 0.
 
 For g = tanh the threshold has the closed form
 
@@ -32,6 +38,9 @@ SCAN_INTERVAL = (-1.5, 1.5)
 SCAN_POINTS = 100_000
 ROOT_XTOL = 1e-12
 ROOT_SEPARATION = 1e-8
+PEAK_XTOL = 1e-10
+CHECK_REL = 1e-3
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -103,33 +112,67 @@ def count_roots(beta: float, h: float, g: Nonlinearity) -> RootReport:
     return RootReport(beta=beta, h=h, roots=tuple(merged))
 
 
+def _fold_peak(beta: float, g: Nonlinearity) -> float:
+    """max over x > 0 of g(x) - x/beta, by golden-section search.
+
+    The bracket starts at [0, 1] and its right end doubles while
+    g(b) - b/beta is still positive, so it holds the peak of a response
+    that rises above the line x/beta and falls back below it.
+    """
+    def f(x):
+        return float(g(x)) - x / beta
+
+    a, b = 0.0, 1.0
+    while f(b) > 0.0:
+        b *= 2.0
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > PEAK_XTOL:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+    return max(fc, fd)
+
+
 def compute_h_star(beta: float, g: Nonlinearity) -> float:
     """Threshold forcing: supremum of h with three transversal roots.
 
-    Located by bisection on the root count over [0, 2], to a bracket of
-    width 1e-8.  Where no bistable regime exists, that is for beta <= 1
-    (decided without a scan) or with fewer than three roots at h = 0, it
-    returns 0 with a warning rather than an error so parameter sweeps can
-    cross it.  Three roots that survive to h = 2 raise NotBistableError.
+    h* is the fold height max_{x > 0} g(x) - x/beta, found by
+    golden-section search, and two count_roots scans confirm it: three
+    roots at h*(1 - CHECK_REL), one at h*(1 + CHECK_REL), else
+    NotBistableError.  Where no bistable regime exists, that is for
+    beta <= 1 (decided without a scan) or when the fold does not rise
+    above 0, it returns 0 with a warning rather than an error so
+    parameter sweeps can cross it.  A fold at h >= 2 raises
+    NotBistableError.
     """
     if not (beta > 0.0):
         raise ValueError(f"beta must be positive, got {beta}")
-    if beta <= 1.0 or count_roots(beta, 0.0, g).count < 3:
+    if beta <= 1.0:
         log.warning("beta=%g is at or below the bistability threshold; h* undefined, returning 0",
                     beta)
         return 0.0
 
-    lo, hi = 0.0, 2.0
-    if count_roots(beta, hi, g).count >= 3:
+    h_star = _fold_peak(beta, g)
+    if h_star <= 0.0:
+        log.warning("the response has no three-root regime at h=0 for beta=%g; "
+                    "h* undefined, returning 0", beta)
+        return 0.0
+    if h_star >= 2.0:
         raise NotBistableError(
-            f"still three roots at h={hi} for beta={beta}; no transition in range")
-    while hi - lo > 1e-8:
-        mid = 0.5 * (lo + hi)
-        if count_roots(beta, mid, g).count >= 3:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            f"still three roots at h=2 for beta={beta}; no transition in range")
+    below = count_roots(beta, h_star * (1.0 - CHECK_REL), g).count
+    above = count_roots(beta, h_star * (1.0 + CHECK_REL), g).count
+    if below != 3 or above != 1:
+        raise NotBistableError(
+            f"fold at h*={h_star:.17g} for beta={beta} is not confirmed by the "
+            f"root count: {below} roots below it, {above} above (expected 3 and 1)")
+    return h_star
 
 
 def tanh_h_star(beta: float) -> float:

@@ -154,8 +154,6 @@ def _corpus_worst(cfg, samples, seed) -> dict[str, float]:
     """
     rng = np.random.default_rng(seed)
     corpus = _field_corpus(cfg, 2 * samples, rng)
-    # cached weights fetched after the draw sit above the freed corpus in
-    # the heap, so glibc keeps its pages for later h* scans (about 2x faster)
     w = quad_weights(cfg.weight, cfg.grid)
     mask = cfg.grid.interior_mask()
     worst = dict.fromkeys(_CORPUS_BOUNDS, 0.0)

@@ -39,7 +39,7 @@ from .dynamics import ExternalField, Nonlinearity, ProcessConfig, evolve, \
 from .errors import ConfigError, GridTooCoarseError, NlfieldError
 from .kernel import make_bump_kernel
 from .weighted_space import Grid1D, WeightedField, WeightFunction, \
-    finite_difference, weighted_norm
+    _central_difference, _lp_norm, quad_weights, weighted_norm
 
 log = logging.getLogger(__name__)
 
@@ -237,12 +237,23 @@ def _fmt(v) -> str:
     return format(float(v), ".17g")
 
 
-def _write_csv(path: str, columns: list[str], rows) -> None:
+def _format_column(col) -> list[str]:
+    if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+        return [format(v, ".17g") for v in col.tolist()]
+    return [_fmt(v) for v in col]
+
+
+def _write_csv(path: str, names: list[str], *columns) -> None:
+    """Write a versioned CSV from equal-length columns, one per name.
+
+    A float array column is formatted in one pass; the cells of any other
+    column go through _fmt one by one.  Both print the same text.
+    """
+    cells = [_format_column(col) for col in columns]
     with open(path, "w", newline="") as f:
         f.write(f"# nlfield {__version__}\n")
-        f.write(",".join(columns) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+        f.write(",".join(names) + "\n")
+        f.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
     log.info("wrote %s", path)
 
 
@@ -272,6 +283,8 @@ def _cmd_simulate(exp: ExperimentConfig) -> int:
     cfg = exp.process
     blk = exp.simulate
     u0 = _initial_field(exp)
+    w = quad_weights(cfg.weight, cfg.grid)
+    dx = cfg.grid.spacing
     mask = cfg.grid.interior_mask()
     rows = []
     # snapshots: equally spaced over the observer calls (tau and each step)
@@ -280,20 +293,20 @@ def _cmd_simulate(exp: ExperimentConfig) -> int:
     fields = []
 
     def watch(s, vals):
-        f = WeightedField(cfg.grid, cfg.weight, vals)
         if len(rows) in picks:
             fields.append((s, vals))
-        rows.append((s, weighted_norm(f, cfg.p), float(np.max(np.abs(vals))),
-                     float(np.max(np.abs(finite_difference(f).values[mask])))))
+        rows.append((s, _lp_norm(vals, w, cfg.p), np.max(np.abs(vals)),
+                     np.max(np.abs(_central_difference(vals, dx)[mask]))))
 
     evolve(u0, blk.tau, blk.t, cfg, observer=watch)
     _write_csv(os.path.join(exp.out_dir, "trajectory.csv"),
-               ["t", "norm", "sup", "interior_max_slope"], rows)
+               ["t", "norm", "sup", "interior_max_slope"],
+               *np.array(rows, dtype=float).T)
 
     x = cfg.grid.nodes
     for i, (s, vals) in enumerate(fields):
         _write_csv(os.path.join(exp.out_dir, f"snapshot_{i:03d}.csv"),
-                   ["t", "x", "u"], ((s, xv, uv) for xv, uv in zip(x, vals)))
+                   ["t", "x", "u"], np.full(len(x), s, dtype=float), x, vals)
     return 0
 
 
@@ -303,10 +316,10 @@ def _cmd_attractor(exp: ExperimentConfig) -> int:
     sample = approximate_pullback_attractor(blk.t, cfg, blk.n_samples,
                                             blk.tau_ladder, seed=exp.seed)
     x = cfg.grid.nodes
+    k = len(sample.members)
     _write_csv(os.path.join(exp.out_dir, "members.csv"),
-               ["member", "x", "value"],
-               ((i, xv, uv) for i, m in enumerate(sample.members)
-                for xv, uv in zip(x, m.values)))
+               ["member", "x", "value"], np.repeat(np.arange(k), len(x)),
+               np.tile(x, k), np.concatenate([m.values for m in sample.members]))
     meta = [("t", sample.t), ("n_members", len(sample)),
             ("converged", sample.converged), ("seed", sample.seed),
             ("config_digest", sample.digest),
@@ -315,7 +328,7 @@ def _cmd_attractor(exp: ExperimentConfig) -> int:
     meta += [(f"member_norm_{i}", weighted_norm(m, cfg.p))
              for i, m in enumerate(sample.members)]
     _write_csv(os.path.join(exp.out_dir, "attractor_meta.csv"),
-               ["key", "value"], meta)
+               ["key", "value"], *zip(*meta))
     if not sample.converged:
         log.warning("attractor run did not stabilize over the ladder")
         return 1
@@ -334,8 +347,9 @@ def _cmd_hstar(exp: ExperimentConfig) -> int:
                       h_star + 1e-3, 1.5 * h_star)
         else:
             ladder = (0.0, 0.25, 0.5)
-    rows = [(h, count_roots(cfg.beta, h, cfg.nonlinearity).count) for h in ladder]
-    _write_csv(os.path.join(exp.out_dir, "hstar.csv"), ["h", "root_count"], rows)
+    counts = [count_roots(cfg.beta, h, cfg.nonlinearity).count for h in ladder]
+    _write_csv(os.path.join(exp.out_dir, "hstar.csv"), ["h", "root_count"],
+               ladder, counts)
     print(f"h_star = {h_star:.17g}")
     return 0
 
@@ -346,8 +360,8 @@ def _cmd_verify(exp: ExperimentConfig) -> int:
     _write_csv(os.path.join(exp.out_dir, "verify.csv"),
                ["name", "theoretical", "measured", "margin", "passed",
                 "seed", "config_digest"],
-               ((r.name, r.theoretical, r.measured, r.margin, r.passed,
-                 r.seed, r.digest) for r in reports))
+               *zip(*((r.name, r.theoretical, r.measured, r.margin, r.passed,
+                       r.seed, r.digest) for r in reports)))
     for r in reports:
         marker = "pass" if r.passed else "FAIL"
         log.info("%-20s %s  measured %.6g vs bound %.6g", r.name, marker,
@@ -362,8 +376,8 @@ def _cmd_sweep(exp: ExperimentConfig) -> int:
                                        seed=exp.seed)
     _write_csv(os.path.join(exp.out_dir, "sweep.csv"),
                ["epsilon", "distance", "envelope", "converged"],
-               zip(curve.epsilons, curve.distances, curve.envelopes,
-                   curve.converged))
+               curve.epsilons, curve.distances, curve.envelopes,
+               curve.converged)
     if not all(curve.converged):
         log.warning("sweep contains non-stabilized attractor runs")
         return 1

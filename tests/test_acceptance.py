@@ -16,7 +16,7 @@ silently loosened:
     mass-corrected bound is asserted instead);
   * claim 6's threshold anchor literal 0.2664327, which disagrees with
     both independent computation routes by about 1.3e-5, far outside its
-    own 1e-6 tolerance, while the routes agree with each other to 5e-10.
+    own 1e-6 tolerance, while the routes agree with each other to 1e-16.
 
 See the assertions in those tests for the exact numbers.
 """
@@ -140,7 +140,7 @@ def test_criterion_06_threshold_anchor():
     # grazes the diagonal where its slope is 1, i.e. at s = -sqrt(1-1/beta)
     s_c = math.sqrt(1.0 - 1.0 / 2.0)
     by_hand = s_c - math.atanh(s_c) / 2.0
-    assert abs(by_bisection - by_closed_form) <= 1e-6
+    assert abs(by_bisection - by_closed_form) <= 1e-12
     assert by_closed_form == pytest.approx(by_hand, abs=1e-9)
 
     anchor = 0.2664327

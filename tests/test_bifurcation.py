@@ -104,8 +104,34 @@ def test_root_count_phase_diagram(beta):
 @pytest.mark.parametrize("beta", [2.0, 4.0])
 def test_h_star_matches_closed_form(beta):
     computed = nf.compute_h_star(beta, TANH)
-    assert abs(computed - closed_form_h_star(beta)) <= 1e-6
-    assert abs(computed - nf.tanh_h_star(beta)) <= 1e-6
+    assert abs(computed - closed_form_h_star(beta)) <= 1e-12
+    assert abs(computed - nf.tanh_h_star(beta)) <= 1e-12
+
+
+@pytest.mark.parametrize("beta", [1.0001, 1.01, 1.05, 1.5, 2.0, 3.0, 4.0, 10.0, 50.0])
+def test_h_star_is_the_fold_height(beta):
+    assert abs(nf.compute_h_star(beta, TANH) - nf.tanh_h_star(beta)) <= 1e-15
+
+
+def test_h_star_costs_two_scans(monkeypatch):
+    calls = []
+
+    def counting(beta, h, g):
+        calls.append(h)
+        return nf.count_roots(beta, h, g)
+
+    monkeypatch.setattr(bifurcation, "count_roots", counting)
+    h_star = nf.compute_h_star(2.0, TANH)
+    assert calls == [h_star * (1.0 - 1e-3), h_star * (1.0 + 1e-3)]
+
+
+def test_misplaced_fold_is_rejected(monkeypatch):
+    # a fold height 1% too high leaves one root just below it
+    true_peak = bifurcation._fold_peak
+    monkeypatch.setattr(bifurcation, "_fold_peak",
+                        lambda beta, g: 1.01 * true_peak(beta, g))
+    with pytest.raises(nf.NotBistableError, match="not confirmed"):
+        nf.compute_h_star(2.0, TANH)
 
 
 def test_h_star_beta_four_anchor():
@@ -123,7 +149,7 @@ def test_closed_form_saddle_node_consistency():
         return beta * (s + h) + arg
 
     h_from_fold = brentq(fold_residual, 0.0, 1.0, xtol=1e-14)
-    assert nf.compute_h_star(beta, TANH) == pytest.approx(h_from_fold, abs=1e-6)
+    assert nf.compute_h_star(beta, TANH) == pytest.approx(h_from_fold, abs=1e-12)
 
 
 def test_h_star_monotone_in_beta():
@@ -148,6 +174,16 @@ def test_h_star_of_zero_response_is_zero_with_warning(caplog):
     with caplog.at_level(logging.WARNING, logger="nlfield.bifurcation"):
         assert nf.compute_h_star(2.0, nf.Nonlinearity.zero()) == 0.0
     assert any("h* undefined" in r.getMessage() for r in caplog.records)
+
+
+def test_h_star_warnings_name_their_reason(caplog):
+    with caplog.at_level(logging.WARNING, logger="nlfield.bifurcation"):
+        nf.compute_h_star(0.8, TANH)
+        nf.compute_h_star(2.0, nf.Nonlinearity.zero())
+    below, flat = (r.getMessage() for r in caplog.records)
+    assert "at or below the bistability threshold" in below
+    assert "no three-root regime at h=0" in flat
+    assert "bistability threshold" not in flat
 
 
 def test_h_star_without_transition_in_range_raises(monkeypatch):

@@ -6,6 +6,7 @@ the physics on them is checked in the module test files.
 """
 
 import logging
+import math
 import textwrap
 import tracemalloc
 from pathlib import Path
@@ -14,10 +15,11 @@ import numpy as np
 import pytest
 
 from nlfield import cli
-from nlfield.bifurcation import compute_h_star
+from nlfield.bifurcation import compute_h_star, tanh_h_star
 from nlfield.bounds import CHECK_NAMES
 from nlfield.cli import main, parse_config
 from nlfield.errors import ConfigError
+from nlfield.weighted_space import WeightedField, weighted_norm
 
 
 def write_config(tmp_path, text, name="exp.yaml"):
@@ -229,13 +231,14 @@ def test_hstar_command_prints_threshold_and_table(tmp_path, capsys):
     path = write_config(tmp_path, SMALL.format(beta=2.0, out=out))
     rc = main(["hstar", "--config", path])
     assert rc == 0
-    assert "h_star = 0.26641998812556267" in capsys.readouterr().out
+    assert "h_star = 0.26641998767677594" in capsys.readouterr().out
 
     header, rows = read_rows(out / "hstar.csv")
     assert header == ["h", "root_count"]
     counts = [int(r[1]) for r in rows]
     assert counts == [3, 3, 3, 1, 1]
-    h_star = 0.26641998812556267
+    h_star = 0.26641998767677594
+    assert abs(h_star - tanh_h_star(2.0)) <= 1e-15
     assert float(rows[1][0]) == pytest.approx(0.5 * h_star, rel=1e-15)
 
 
@@ -264,7 +267,8 @@ def test_hstar_on_pulsed_config_computes_threshold_once(tmp_path, capsys,
            + "field:\n  family: pulsed\n  amplitude: 0.2\n")
     assert main(["hstar", "--config", write_config(tmp_path, doc)]) == 0
     assert calls == [2.0]
-    assert "h_star = 0.26641998812556267" in capsys.readouterr().out
+    assert "h_star = 0.26641998767677594" in capsys.readouterr().out
+    assert abs(0.26641998767677594 - tanh_h_star(2.0)) <= 1e-15
     _, rows = read_rows(out / "hstar.csv")
     assert [int(r[1]) for r in rows] == [3, 3, 3, 1, 1]
 
@@ -326,6 +330,46 @@ def test_simulate_writes_snapshots(tmp_path):
     assert len(srows) == 1024
     assert all(float(r[0]) == 0.0 for r in srows[:5])
     assert float(srows[0][2]) == 0.5
+
+
+def test_simulate_rows_match_their_snapshots(tmp_path):
+    # a snapshot at every observer call, so each trajectory row can be
+    # recomputed from the field it describes, with the public functions
+    out = tmp_path / "run"
+    doc = (SMALL.format(beta=2.0, out=out)
+           + "p: 3.0\nsimulate:\n  tau: 0.0\n  t: 0.5\n  snapshots: 11\n"
+             "  initial:\n    kind: random\n    norm: 0.7\n")
+    assert main(["simulate", "--config", write_config(tmp_path, doc)]) == 0
+    cfg = parse_config(doc).process
+    mask = cfg.grid.interior_mask()
+    _, rows = read_rows(out / "trajectory.csv")
+    assert len(rows) == 11
+    for i, row in enumerate(rows):
+        _, srows = read_rows(out / f"snapshot_{i:03d}.csv")
+        u = np.array([float(r[2]) for r in srows])
+        slope = np.gradient(u, cfg.grid.spacing, edge_order=1)[mask]
+        expected = (float(srows[0][0]),
+                    weighted_norm(WeightedField(cfg.grid, cfg.weight, u), cfg.p),
+                    float(np.max(np.abs(u))), float(np.max(np.abs(slope))))
+        assert tuple(float(v) for v in row) == expected
+        assert slope.any()
+
+
+def test_write_csv_cells_match_per_cell_format(tmp_path):
+    cells = [True, False, 7, np.int64(-3), "key", 0.25, np.float64(2.0 / 3.0),
+             -0.0, 5e-324, math.inf, -math.inf, math.nan]
+    floats = np.array([0.1, np.float64(2.0 / 3.0), -0.0, 5e-324, math.inf,
+                       -math.inf, math.nan, 1e300, -2.5e-308, 123456789.0,
+                       1.0, 0.0])
+    path = tmp_path / "cells.csv"
+    cli._write_csv(str(path), ["cell", "array", "listed"], cells, floats,
+                   list(floats))
+    header, rows = read_rows(path)
+    assert header == ["cell", "array", "listed"]
+    assert rows == [[cli._fmt(a), cli._fmt(b), cli._fmt(b)]
+                    for a, b in zip(cells, floats)]
+    with pytest.raises(ValueError):
+        cli._write_csv(str(path), ["a", "b"], [1.0], np.zeros(2))
 
 
 def test_simulate_keeps_only_snapshot_fields(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 import nlfield as nf
-from nlfield.weighted_space import _lp_norm, quad_weights
+from nlfield.weighted_space import _central_difference, _lp_norm, quad_weights
 
 GOLDEN_K = (3.0 + math.sqrt(5.0)) / 2.0  # sup ratio of the cauchy weight over unit shifts
 
@@ -250,6 +250,14 @@ def test_seminorm_matches_explicit_sum(grid, cauchy):
     w = quad_weights(cauchy, grid)
     ref = float(sum(wi * abs(di) ** 3.0 for di, wi in zip(d, w)))
     assert seminorm(u, 3.0) == pytest.approx(ref ** (1.0 / 3.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [17, 1024, 4096])
+def test_central_difference_is_bit_equal_to_gradient(n):
+    g = nf.Grid1D(50.0, n)
+    u = np.random.default_rng(n).normal(size=n)
+    d = _central_difference(u, g.spacing)
+    assert d.tobytes() == np.gradient(u, g.spacing, edge_order=1).tobytes()
 
 
 def test_finite_difference_returns_field(grid, cauchy):
