@@ -88,20 +88,15 @@ def _field_corpus(cfg: ProcessConfig, count: int,
 # constant calculators
 # ---------------------------------------------------------------------------
 
-def lipschitz_constant_f(cfg: ProcessConfig, K: float) -> tuple[float, float]:
+def lipschitz_constant_f(cfg: ProcessConfig, K: float) -> float:
     """Lipschitz constant of u -> -u + g(beta(J*u) + beta h(t,u)).
 
-    Returns the stated constant 1 + l_g beta K^(1/p) + beta l_h together
-    with the companion chain constant 1 + l_g beta K^(1/p) + l_g beta l_h
-    that the estimate's steps actually produce; the two coincide when
-    l_g = 1.
+    Returns the stated constant 1 + l_g beta K^(1/p) + beta l_h.
     """
     if K < 1.0:
         raise ValueError(f"admissibility constant must be >= 1, got {K}")
-    lg = cfg.nonlinearity.lipschitz
-    lh = cfg.field.lipschitz
-    core = 1.0 + lg * cfg.beta * K ** (1.0 / cfg.p)
-    return core + cfg.beta * lh, core + lg * cfg.beta * lh
+    return (1.0 + cfg.nonlinearity.lipschitz * cfg.beta * K ** (1.0 / cfg.p)
+            + cfg.beta * cfg.field.lipschitz)
 
 
 def continuity_envelope(cfg: ProcessConfig, h_gap: float, horizon: float) -> float:
@@ -253,7 +248,7 @@ _CORPUS_BOUNDS = {
     "lemma1a_deriv": lambda cfg: _weight_admissibility(cfg) ** (1.0 / cfg.p),
     "lemma1b": lambda cfg: cfg.kernel.norm_sup / rho_inf_unit_ball(cfg.weight),
     "prop_lipschitz": lambda cfg: lipschitz_constant_f(
-        cfg, _weight_admissibility(cfg))[0],
+        cfg, _weight_admissibility(cfg)),
 }
 # the checks with their own runs: name -> check(cfg, samples, seed)
 _CHECKS = {

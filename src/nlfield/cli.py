@@ -1,7 +1,8 @@
 """Command line driver.
 
 One YAML document (validated against the shipped JSON schema, unknown
-keys rejected) drives five subcommands:
+keys rejected, schema defaults filled in) drives five subcommands; each
+reads its own block of the document by key:
 
     simulate    integrate one trajectory, record norms and snapshots
     attractor   approximate the pullback attractor at a time t
@@ -33,7 +34,7 @@ import yaml
 from . import __version__
 from .attractor import approximate_pullback_attractor, upper_semicontinuity_sweep
 from .bifurcation import compute_h_star, count_roots
-from .bounds import CHECK_NAMES, battery
+from .bounds import battery
 from .dynamics import ExternalField, Nonlinearity, ProcessConfig, evolve, \
     _delta_schedule
 from .errors import ConfigError, GridTooCoarseError, NlfieldError
@@ -56,51 +57,13 @@ def _schema() -> dict:
 
 
 @dataclass(frozen=True)
-class SimulateBlock:
-    tau: float
-    t: float
-    kind: str
-    value: float
-    norm: float
-    snapshots: int
-
-
-@dataclass(frozen=True)
-class AttractorBlock:
-    t: float
-    tau_ladder: tuple[float, ...]
-    n_samples: int
-
-
-@dataclass(frozen=True)
-class HstarBlock:
-    h_ladder: tuple[float, ...] | None
-
-
-@dataclass(frozen=True)
-class VerifyBlock:
-    checks: tuple[str, ...]
-    samples: int
-
-
-@dataclass(frozen=True)
-class SweepBlock:
-    t: float
-    epsilons: tuple[float, ...]
-    tau_ladder: tuple[float, ...]
-    n_samples: int
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     process: ProcessConfig
     seed: int
     out_dir: str
-    simulate: SimulateBlock
-    attractor: AttractorBlock
-    hstar: HstarBlock
-    verify: VerifyBlock
-    sweep: SweepBlock
+    # the validated document with schema defaults; each subcommand reads
+    # its own block by key
+    blocks: dict
     # h* as computed by the amplitude guard of a pulsed config, else None
     h_star: float | None = None
 
@@ -191,36 +154,14 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(str(e))
 
     sim = data["simulate"]
-    sim_blk = SimulateBlock(tau=sim["tau"], t=sim["t"],
-                            kind=sim["initial"]["kind"],
-                            value=sim["initial"]["value"],
-                            norm=sim["initial"]["norm"],
-                            snapshots=sim["snapshots"])
-    if sim_blk.t < sim_blk.tau:
+    if sim["t"] < sim["tau"]:
         raise ConfigError("end time precedes start time", "simulate.t")
-
-    att = data["attractor"]
-    att_blk = AttractorBlock(t=att["t"], tau_ladder=tuple(att["tau_ladder"]),
-                             n_samples=att["n_samples"])
-    _check_ladder(att_blk.tau_ladder, att_blk.t, "attractor.tau_ladder")
-
-    hs = data["hstar"]
-    hs_blk = HstarBlock(h_ladder=tuple(hs["h_ladder"]) if "h_ladder" in hs else None)
-
-    ver = data["verify"]
-    ver_blk = VerifyBlock(checks=tuple(ver.get("checks", CHECK_NAMES)),
-                          samples=ver["samples"])
-
-    sw = data["sweep"]
-    sw_blk = SweepBlock(t=sw["t"], epsilons=tuple(sw["epsilons"]),
-                        tau_ladder=tuple(sw["tau_ladder"]),
-                        n_samples=sw["n_samples"])
-    _check_ladder(sw_blk.tau_ladder, sw_blk.t, "sweep.tau_ladder")
+    for name in ("attractor", "sweep"):
+        blk = data[name]
+        _check_ladder(blk["tau_ladder"], blk["t"], f"{name}.tau_ladder")
 
     return ExperimentConfig(process=process, seed=data["seed"],
-                            out_dir=data["output"], simulate=sim_blk,
-                            attractor=att_blk, hstar=hs_blk, verify=ver_blk,
-                            sweep=sw_blk, h_star=h_star)
+                            out_dir=data["output"], blocks=data, h_star=h_star)
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +204,9 @@ def _write_csv(path: str, names: list[str], *columns) -> None:
 
 def _initial_field(exp: ExperimentConfig) -> WeightedField:
     cfg = exp.process
-    blk = exp.simulate
-    if blk.kind == "constant":
-        vals = np.full(cfg.grid.n_points, float(blk.value))
+    init = exp.blocks["simulate"]["initial"]
+    if init["kind"] == "constant":
+        vals = np.full(cfg.grid.n_points, float(init["value"]))
         return WeightedField(cfg.grid, cfg.weight, vals)
     rng = np.random.default_rng(exp.seed)
     x = cfg.grid.nodes
@@ -276,20 +217,20 @@ def _initial_field(exp: ExperimentConfig) -> WeightedField:
     u += rng.normal(scale=0.05, size=x.shape)
     f = WeightedField(cfg.grid, cfg.weight, u)
     n = weighted_norm(f, cfg.p)
-    return f.with_values(u * (blk.norm / n))
+    return f.with_values(u * (init["norm"] / n))
 
 
 def _cmd_simulate(exp: ExperimentConfig) -> int:
     cfg = exp.process
-    blk = exp.simulate
+    blk = exp.blocks["simulate"]
     u0 = _initial_field(exp)
     w = quad_weights(cfg.weight, cfg.grid)
     dx = cfg.grid.spacing
     mask = cfg.grid.interior_mask()
     rows = []
     # snapshots: equally spaced over the observer calls (tau and each step)
-    calls = len(_delta_schedule(blk.tau, blk.t, cfg.dt)) + 1
-    picks = set(np.linspace(0, calls - 1, min(blk.snapshots, calls)).round().astype(int))
+    calls = len(_delta_schedule(blk["tau"], blk["t"], cfg.dt)) + 1
+    picks = set(np.linspace(0, calls - 1, min(blk["snapshots"], calls)).round().astype(int))
     fields = []
 
     def watch(s, vals):
@@ -298,7 +239,7 @@ def _cmd_simulate(exp: ExperimentConfig) -> int:
         rows.append((s, _lp_norm(vals, w, cfg.p), np.max(np.abs(vals)),
                      np.max(np.abs(_central_difference(vals, dx)[mask]))))
 
-    evolve(u0, blk.tau, blk.t, cfg, observer=watch)
+    evolve(u0, blk["tau"], blk["t"], cfg, observer=watch)
     _write_csv(os.path.join(exp.out_dir, "trajectory.csv"),
                ["t", "norm", "sup", "interior_max_slope"],
                *np.array(rows, dtype=float).T)
@@ -312,9 +253,9 @@ def _cmd_simulate(exp: ExperimentConfig) -> int:
 
 def _cmd_attractor(exp: ExperimentConfig) -> int:
     cfg = exp.process
-    blk = exp.attractor
-    sample = approximate_pullback_attractor(blk.t, cfg, blk.n_samples,
-                                            blk.tau_ladder, seed=exp.seed)
+    blk = exp.blocks["attractor"]
+    sample = approximate_pullback_attractor(blk["t"], cfg, blk["n_samples"],
+                                            blk["tau_ladder"], seed=exp.seed)
     x = cfg.grid.nodes
     k = len(sample.members)
     _write_csv(os.path.join(exp.out_dir, "members.csv"),
@@ -340,7 +281,7 @@ def _cmd_hstar(exp: ExperimentConfig) -> int:
     h_star = exp.h_star
     if h_star is None:
         h_star = compute_h_star(cfg.beta, cfg.nonlinearity)
-    ladder = exp.hstar.h_ladder
+    ladder = exp.blocks["hstar"].get("h_ladder")
     if ladder is None:
         if h_star > 0.0:
             ladder = (0.0, 0.5 * h_star, max(h_star - 1e-3, 0.0),
@@ -355,8 +296,9 @@ def _cmd_hstar(exp: ExperimentConfig) -> int:
 
 
 def _cmd_verify(exp: ExperimentConfig) -> int:
-    reports = battery(exp.process, names=exp.verify.checks,
-                      samples=exp.verify.samples, seed=exp.seed)
+    blk = exp.blocks["verify"]
+    reports = battery(exp.process, names=blk.get("checks"),
+                      samples=blk["samples"], seed=exp.seed)
     _write_csv(os.path.join(exp.out_dir, "verify.csv"),
                ["name", "theoretical", "measured", "margin", "passed",
                 "seed", "config_digest"],
@@ -370,9 +312,9 @@ def _cmd_verify(exp: ExperimentConfig) -> int:
 
 
 def _cmd_sweep(exp: ExperimentConfig) -> int:
-    blk = exp.sweep
-    curve = upper_semicontinuity_sweep(blk.t, exp.process, blk.epsilons,
-                                       blk.n_samples, blk.tau_ladder,
+    blk = exp.blocks["sweep"]
+    curve = upper_semicontinuity_sweep(blk["t"], exp.process, blk["epsilons"],
+                                       blk["n_samples"], blk["tau_ladder"],
                                        seed=exp.seed)
     _write_csv(os.path.join(exp.out_dir, "sweep.csv"),
                ["epsilon", "distance", "envelope", "converged"],

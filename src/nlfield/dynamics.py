@@ -26,7 +26,8 @@ evolve_split divides the state into v(t) = exp(-(t-tau)) u_tau (pure
 decay of the initial data) and the remainder w = u - v with w(tau) = 0,
 which is the decomposition the compactness diagnostics measure.  v is
 known in closed form, so the split needs no recursion of its own: u is
-integrated as usual and v, w are read off it, also along a run.
+integrated as usual and v, w are read off it, also along a run.  It
+returns t, u, v and w as a named tuple.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -195,23 +197,19 @@ class ProcessConfig:
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryState:
-    """Snapshot at time t; only evolve_split sets the v/w splitting."""
+    """Snapshot of the state u at time t, as step_exponential takes it."""
 
     t: float
     u: WeightedField
-    v: WeightedField | None = None
-    w: WeightedField | None = None
 
-    def __post_init__(self):
-        if (self.v is None) != (self.w is None):
-            raise ValueError("v and w must be supplied together")
-        if self.v is not None:
-            self.u.same_space(self.v)
-            self.u.same_space(self.w)
-            gap = np.max(np.abs(self.u.values - (self.v.values + self.w.values)))
-            scale = max(1.0, float(np.max(np.abs(self.u.values))))
-            if gap > 1e-12 * scale:
-                raise ValueError("splitting violated: u != v + w")
+
+class SplitState(NamedTuple):
+    """evolve_split's result: u at time t and its parts, u = v + w."""
+
+    t: float
+    u: WeightedField
+    v: WeightedField
+    w: WeightedField
 
 
 # ---------------------------------------------------------------------------
@@ -255,16 +253,10 @@ def _step_raw(cfg: ProcessConfig, t: float, u: np.ndarray, delta: float) -> np.n
 
 def step_exponential(state: TrajectoryState, cfg: ProcessConfig,
                      delta: float | None = None) -> TrajectoryState:
-    """One exponential-trapezoid step of size delta (default cfg.dt).
-
-    A split state is rejected: evolve_split gives v and w in closed form.
-    """
+    """One exponential-trapezoid step of size delta (default cfg.dt)."""
     delta = cfg.dt if delta is None else float(delta)
     if not (delta > 0.0):
         raise ValueError(f"step size must be positive, got {delta}")
-    if state.v is not None:
-        raise ValueError("step_exponential does not step a split state;"
-                         " use evolve_split")
     if state.u.grid != cfg.grid:
         raise GridMismatchError("state does not live on the configured grid")
     u = _step_raw(cfg, state.t, state.u.values, delta)
@@ -320,13 +312,12 @@ def evolve(u_tau: WeightedField, tau: float, t: float, cfg: ProcessConfig,
 
 
 def evolve_split(u_tau: WeightedField, tau: float, t: float,
-                 cfg: ProcessConfig) -> TrajectoryState:
-    """Integrate with the v/w splitting: v decays exactly, w(tau) = 0."""
+                 cfg: ProcessConfig) -> SplitState:
+    """Integrate with the v/w splitting: v decays exactly, w(tau) = 0.
+
+    w is formed as u - v, so u = v + w holds by construction.
+    """
     u = evolve(u_tau, tau, t, cfg)
     v = math.exp(-(t - tau)) * u_tau.values
-    return TrajectoryState(
-        t=t,
-        u=u,
-        v=u_tau.with_values(v),
-        w=u_tau.with_values(u.values - v),
-    )
+    return SplitState(t=t, u=u, v=u_tau.with_values(v),
+                      w=u_tau.with_values(u.values - v))

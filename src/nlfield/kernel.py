@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridTooCoarseError
+from .errors import GridMismatchError, GridTooCoarseError
 from .weighted_space import Grid1D, WeightedField
 
 # spacing above this cannot resolve the unit-support bump
@@ -109,8 +109,6 @@ def make_bump_kernel(grid: Grid1D) -> Kernel:
 
 def _check_space(kernel: Kernel, u: WeightedField) -> None:
     if kernel.grid != u.grid:
-        from .errors import GridMismatchError
-
         raise GridMismatchError("kernel and field were sampled on different grids")
 
 

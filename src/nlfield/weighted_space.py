@@ -181,16 +181,6 @@ def radius_for_tail(weight: WeightFunction, mass_bound: float) -> float:
     return hi
 
 
-def _estimate_K_from_samples(log_rho: np.ndarray, window: int) -> float:
-    """exp of max over nodes y of (max log rho near y) - log rho(y)."""
-    if window < 1:
-        raise ValueError("window must cover at least one node")
-    pad = np.full(window, -np.inf)
-    padded = np.concatenate([pad, log_rho, pad])
-    view = np.lib.stride_tricks.sliding_window_view(padded, 2 * window + 1)
-    return float(np.exp(np.max(view.max(axis=1) - log_rho)))
-
-
 def estimate_K(weight: WeightFunction, grid: Grid1D) -> float:
     """Grid estimate of sup_y max_{|x-y|<=1} rho(x)/rho(y).
 
@@ -201,7 +191,13 @@ def estimate_K(weight: WeightFunction, grid: Grid1D) -> float:
     (the gaussian on a wide grid) still give a finite answer.
     """
     window = int(math.floor(1.0 / grid.spacing + 1e-9))
-    return _estimate_K_from_samples(weight.log_density(grid.nodes), window)
+    if window < 1:
+        raise ValueError("window must cover at least one node")
+    log_rho = weight.log_density(grid.nodes)
+    pad = np.full(window, -np.inf)
+    padded = np.concatenate([pad, log_rho, pad])
+    view = np.lib.stride_tricks.sliding_window_view(padded, 2 * window + 1)
+    return float(np.exp(np.max(view.max(axis=1) - log_rho)))
 
 
 def rho_inf_unit_ball(weight: WeightFunction) -> float:

@@ -134,22 +134,22 @@ def test_criterion_05_integrator_order(tanh_cfg, grid, cauchy, corpus_factory):
 
 def test_criterion_06_threshold_anchor():
     g = nf.Nonlinearity.tanh()
-    by_bisection = nf.compute_h_star(2.0, g)
+    by_fold = nf.compute_h_star(2.0, g)
     by_closed_form = nf.tanh_h_star(2.0)
     # independent recomputation of the tangency condition: the response
     # grazes the diagonal where its slope is 1, i.e. at s = -sqrt(1-1/beta)
     s_c = math.sqrt(1.0 - 1.0 / 2.0)
     by_hand = s_c - math.atanh(s_c) / 2.0
-    assert abs(by_bisection - by_closed_form) <= 1e-12
+    assert abs(by_fold - by_closed_form) <= 1e-12
     assert by_closed_form == pytest.approx(by_hand, abs=1e-9)
 
     anchor = 0.2664327
-    off = abs(by_bisection - anchor)
+    off = abs(by_fold - anchor)
     if off > 1e-6:
         print(f"threshold anchor check: FAIL  quoted {anchor} is {off:.3e} "
-              f"from the value {by_bisection:.10f} that both independent "
+              f"from the value {by_fold:.10f} that both independent "
               f"routes agree on (route gap "
-              f"{abs(by_bisection - by_closed_form):.1e})")
+              f"{abs(by_fold - by_closed_form):.1e})")
         pytest.xfail(f"quoted anchor 0.2664327 differs by {off:.2e} from the "
                      "threshold both independent routes produce; the "
                      "computation is confirmed, the literal is not")

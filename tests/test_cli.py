@@ -5,6 +5,7 @@ pytest tmp directories.  Small grids (1024 nodes) keep the runs fast;
 the physics on them is checked in the module test files.
 """
 
+import json
 import logging
 import math
 import textwrap
@@ -54,17 +55,40 @@ def test_minimal_config_gets_schema_defaults(caplog):
     assert cfg.field.family == "zero"
     assert exp.seed == 0
     assert exp.out_dir == "out"
-    assert exp.simulate.tau == 0.0 and exp.simulate.t == 10.0
-    assert exp.simulate.kind == "constant" and exp.simulate.snapshots == 0
-    assert exp.attractor.tau_ladder == (-4.0, -8.0, -16.0, -32.0)
-    assert exp.verify.checks == tuple(CHECK_NAMES)
-    assert exp.verify.samples == 500
-    assert exp.sweep.epsilons == (0.4, 0.2, 0.1, 0.05, 0.0)
+    sim = exp.blocks["simulate"]
+    assert sim["tau"] == 0.0 and sim["t"] == 10.0
+    assert sim["initial"]["kind"] == "constant" and sim["snapshots"] == 0
+    assert exp.blocks["attractor"]["tau_ladder"] == [-4.0, -8.0, -16.0, -32.0]
+    # an absent checks list stays absent: battery reads None as every check
+    # in CHECK_NAMES order (test_verify_without_checks_asks_for_every_check)
+    assert "checks" not in exp.blocks["verify"]
+    assert exp.blocks["verify"]["samples"] == 500
+    assert exp.blocks["sweep"]["epsilons"] == [0.4, 0.2, 0.1, 0.05, 0.0]
+    assert "h_ladder" not in exp.blocks["hstar"]
     # every filled-in default is echoed with its key path
     messages = [r.getMessage() for r in caplog.records]
     assert any("default applied: dt = 0.05" in m for m in messages)
     assert any("default applied: simulate.initial.kind = 'constant'" in m
                for m in messages)
+
+
+def test_every_schema_default_lands_in_the_document():
+    doc = parse_config("beta: 2.0\n").blocks
+    seen = []
+
+    def walk(schema_node, node, path):
+        for key, sub in schema_node.get("properties", {}).items():
+            here = f"{path}.{key}" if path else key
+            if sub.get("type") == "object":
+                walk(sub, node[key], here)
+            elif "default" in sub:
+                assert node[key] == sub["default"], here
+                seen.append(here)
+
+    walk(cli._schema(), doc, "")
+    # the walk reached every default the schema states, nested ones included
+    assert len(seen) == json.dumps(cli._schema()).count('"default":')
+    assert "simulate.initial.norm" in seen and "sweep.n_samples" in seen
 
 
 def test_explicit_values_are_not_defaulted(caplog):
@@ -453,6 +477,22 @@ def test_verify_subset_passes(tmp_path):
         assert r[4] == "true"
         assert float(r[3]) == pytest.approx(float(r[1]) - float(r[2]), rel=1e-12)
         assert r[5] == "0"
+
+
+def test_verify_without_checks_asks_for_every_check(tmp_path, monkeypatch):
+    asked = []
+
+    def recording(cfg, names=None, samples=500, seed=0):
+        asked.append((names, samples, seed))
+        return []
+
+    monkeypatch.setattr(cli, "battery", recording)
+    out = tmp_path / "run"
+    doc = SMALL.format(beta=2.0, out=out) + "verify:\n  samples: 60\n"
+    assert main(["verify", "--config", write_config(tmp_path, doc)]) == 0
+    [(names, samples, seed)] = asked
+    assert (samples, seed) == (60, 0)
+    assert names is None or list(names) == list(CHECK_NAMES)
 
 
 def test_verify_failed_check_writes_false(tmp_path):

@@ -94,18 +94,6 @@ def test_config_digest_sensitivity(tanh_cfg, contraction_cfg):
     assert tanh_cfg.digest() != dataclasses.replace(tanh_cfg, dt=0.025).digest()
 
 
-def test_trajectory_state_split_consistency(grid, cauchy):
-    u = nf.WeightedField(grid, cauchy, np.full(grid.n_points, 1.0))
-    v = nf.WeightedField(grid, cauchy, np.full(grid.n_points, 0.4))
-    w = nf.WeightedField(grid, cauchy, np.full(grid.n_points, 0.6))
-    nf.TrajectoryState(0.0, u, v, w)
-    bad = nf.WeightedField(grid, cauchy, np.full(grid.n_points, 0.7))
-    with pytest.raises(ValueError):
-        nf.TrajectoryState(0.0, u, v, bad)
-    with pytest.raises(ValueError):
-        nf.TrajectoryState(0.0, u, v, None)
-
-
 # ---------------------------------------------------------------------------
 # right-hand side
 # ---------------------------------------------------------------------------
@@ -327,10 +315,3 @@ def test_split_w_starts_at_zero_and_stays_bounded(tanh_cfg, corpus_factory):
     assert len(w_sup) == 1 + 160
     assert w_sup[0] == 0.0
     assert max(w_sup) <= cfg.nonlinearity.sup_abs + 1e-9
-
-
-def test_step_rejects_split_state(tanh_cfg, corpus_factory):
-    u = corpus_factory(tanh_cfg.grid, tanh_cfg.weight, 1, seed=35)[0]
-    state = nf.TrajectoryState(0.0, u, u, u.with_values(np.zeros_like(u.values)))
-    with pytest.raises(ValueError, match="evolve_split"):
-        nf.step_exponential(state, tanh_cfg)
