@@ -306,8 +306,9 @@ def _cmd_verify(exp: ExperimentConfig) -> int:
                        r.seed, r.digest) for r in reports)))
     for r in reports:
         marker = "pass" if r.passed else "FAIL"
-        log.info("%-20s %s  measured %.6g vs bound %.6g", r.name, marker,
-                 r.measured, r.theoretical)
+        ratio = r.measured / r.theoretical if r.theoretical else math.nan
+        log.info("%-20s %s  measured %.6g vs bound %.6g (ratio %.3g)", r.name,
+                 marker, r.measured, r.theoretical, ratio)
     return 0 if all(r.passed for r in reports) else 1
 
 

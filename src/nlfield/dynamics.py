@@ -216,9 +216,14 @@ class SplitState(NamedTuple):
 # right-hand side and stepping
 # ---------------------------------------------------------------------------
 
-def _nonlinear_term(cfg: ProcessConfig, t: float, u_vals: np.ndarray) -> np.ndarray:
-    """G(t) = g(beta (J*u) + beta h(t, u)) on raw samples."""
-    conv = _fft_convolve(cfg.kernel, u_vals)
+def _nonlinear_term(cfg: ProcessConfig, t: float, u_vals: np.ndarray,
+                    conv: np.ndarray | None = None) -> np.ndarray:
+    """G(t) = g(beta (J*u) + beta h(t, u)) on raw samples.
+
+    conv, when given, is J*u already computed by the caller.
+    """
+    if conv is None:
+        conv = _fft_convolve(cfg.kernel, u_vals)
     arg = cfg.beta * conv + cfg.beta * cfg.field(t, u_vals)
     return cfg.nonlinearity(arg)
 

@@ -11,6 +11,7 @@ import pytest
 
 import nlfield as nf
 import nlfield.bounds
+import nlfield.dynamics
 from nlfield.bounds import CHECK_NAMES, _field_corpus, _scaled_to_norm
 from nlfield.dynamics import _nonlinear_term
 from nlfield.kernel import _fft_convolve
@@ -234,6 +235,52 @@ def test_shared_corpus_matches_per_check_redraw(grid, kernel, p, beta, weight,
     expected = redrawn_corpus_worst(cfg, 30, 7)
     reports = nf.battery(cfg, CORPUS_CHECKS, samples=30, seed=7)
     assert {r.name: r.measured for r in reports} == expected
+
+
+def libm_corpus(x, count, rng):
+    """Reference rows: each mode summed through one cosine per node."""
+    rows = []
+    for _ in range(count):
+        u = np.zeros_like(x)
+        for _ in range(5):
+            k = rng.uniform(0.05, 2.5)
+            u += rng.normal(scale=0.3) * np.cos(k * x + rng.uniform(0, 2 * np.pi))
+        u += rng.normal(scale=0.1, size=x.shape)
+        rows.append(u)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("n", [4096, 1009])
+def test_field_corpus_matches_libm_sum_and_draw_order(cauchy, n):
+    # 1009 is prime, so the last block of the cos/sin table is cropped
+    grid = nf.Grid1D(50.0, n)
+    cfg = nf.ProcessConfig(beta=2.0, p=2.0, grid=grid, weight=cauchy,
+                           kernel=nf.make_bump_kernel(grid),
+                           nonlinearity=nf.Nonlinearity.tanh(),
+                           field=nf.ExternalField(), dt=0.05)
+    ref_rng, rng = np.random.default_rng(11), np.random.default_rng(11)
+    expected = libm_corpus(grid.nodes, 40, ref_rng)
+    corpus = _field_corpus(cfg, 40, rng)
+    assert corpus.shape == (40, n)
+    np.testing.assert_allclose(corpus, expected, rtol=0, atol=1e-12)
+    assert rng.uniform() == ref_rng.uniform()
+
+
+def test_corpus_pass_convolves_each_row_once(tanh_cfg, monkeypatch):
+    # J*u and J'*u of the first `samples` rows, and J*u of the rest, which
+    # G reuses: 3 * samples convolutions, none of them inside dynamics
+    calls = {"bounds": 0, "dynamics": 0}
+
+    def counting(module):
+        def convolve(kernel, values, derivative=False):
+            calls[module] += 1
+            return _fft_convolve(kernel, values, derivative)
+        return convolve
+
+    monkeypatch.setattr(nlfield.bounds, "_fft_convolve", counting("bounds"))
+    monkeypatch.setattr(nlfield.dynamics, "_fft_convolve", counting("dynamics"))
+    nf.battery(tanh_cfg, CORPUS_CHECKS, samples=10, seed=0)
+    assert calls == {"bounds": 30, "dynamics": 0}
 
 
 @pytest.mark.parametrize("name", CORPUS_CHECKS)

@@ -462,12 +462,16 @@ def test_attractor_shallow_ladder_reports_failure(tmp_path, caplog):
     assert any("did not stabilize" in r.getMessage() for r in caplog.records)
 
 
-def test_verify_subset_passes(tmp_path):
+def test_verify_subset_passes(tmp_path, caplog):
     out = tmp_path / "run"
     doc = (SMALL.format(beta=2.0, out=out)
            + "verify:\n  checks: [lemma1a, prop_lipschitz]\n  samples: 60\n")
     path = write_config(tmp_path, doc)
-    assert main(["verify", "--config", path]) == 0
+    with caplog.at_level(logging.INFO):
+        assert main(["verify", "--config", path]) == 0
+    messages = [r.getMessage() for r in caplog.records]
+    assert any(m.startswith("corpus pass: 120 rows drawn in ")
+               and ", 180 convolutions, checked in " in m for m in messages)
 
     header, rows = read_rows(out / "verify.csv")
     assert header == ["name", "theoretical", "measured", "margin",
@@ -477,6 +481,9 @@ def test_verify_subset_passes(tmp_path):
         assert r[4] == "true"
         assert float(r[3]) == pytest.approx(float(r[1]) - float(r[2]), rel=1e-12)
         assert r[5] == "0"
+        ratio = float(r[2]) / float(r[1])
+        assert any(m.startswith(r[0]) and m.endswith(f"(ratio {ratio:.3g})")
+                   for m in messages)
 
 
 def test_verify_without_checks_asks_for_every_check(tmp_path, monkeypatch):
