@@ -162,13 +162,12 @@ def _continues(tau: float, prev_tau: float, t: float, cfg: ProcessConfig) -> boo
                 + _delta_schedule(tau, prev_tau, cfg.dt)))
 
 
-def _dedup(endpoints: list[np.ndarray], w: np.ndarray, p: float,
-           tol: float) -> list[np.ndarray]:
-    kept: list[np.ndarray] = []
-    for u in endpoints:
-        if not kept or np.min(_lp_distances(u[None], np.stack(kept), w, p)) > tol:
-            kept.append(u)
-    return kept
+def _dedup(rows: np.ndarray, w: np.ndarray, p: float, tol: float) -> np.ndarray:
+    keep: list[int] = []
+    for i, u in enumerate(rows):
+        if not keep or np.min(_lp_distances(u[None], rows[keep], w, p)) > tol:
+            keep.append(i)
+    return rows[keep]
 
 
 def approximate_pullback_attractor(t: float, cfg: ProcessConfig,
@@ -199,7 +198,7 @@ def approximate_pullback_attractor(t: float, cfg: ProcessConfig,
     p = cfg.p
 
     carried: np.ndarray = None  # all k endpoints of the last rung run
-    prev: list[np.ndarray] = None
+    prev: np.ndarray = None  # the kept endpoints of the last rung
     gaps: list[float] = []
     converged = False
     used: list[float] = []
@@ -209,11 +208,11 @@ def approximate_pullback_attractor(t: float, cfg: ProcessConfig,
         else:
             start, stop, how = family, t, "restarted"
         carried = _integrate(start, tau, stop, cfg)
-        endpoints = _dedup(list(carried), w, p, DEDUP_TOL)
+        endpoints = _dedup(carried, w, p, DEDUP_TOL)
         used.append(tau)
         gap = None
         if prev is not None:
-            dist = _lp_distances(np.stack(endpoints), np.stack(prev), w, p)
+            dist = _lp_distances(endpoints, prev, w, p)
             gap = float(max(np.max(np.min(dist, axis=1)), np.max(np.min(dist, axis=0))))
             gaps.append(gap)
         log.info("rung tau=%g: %d steps %s, %d of %d members kept, gap %s",

@@ -118,7 +118,8 @@ class ExternalField:
     pulsed   h(t, s) = amplitude * (1 + sin(omega t))/2 * tanh(s)^2
 
     The pulsed family has h(t, 0) = 0, sup h = amplitude (approached, not
-    attained) and s-Lipschitz constant amplitude * 4/(3 sqrt(3)).
+    attained; amplitude / 2 at omega 0) and s-Lipschitz constant
+    amplitude * 4/(3 sqrt(3)).
     """
 
     family: str = "zero"

@@ -117,9 +117,10 @@ def test_pairwise_distances_diagonal_zero_and_symmetric(grid, cauchy):
 def test_dedup_keeps_first_member_of_each_cluster(grid, cauchy):
     w = quad_weights(cauchy, grid)
     ones = np.ones(grid.n_points)
-    endpoints = [0.5 * ones, -0.5 * ones, (0.5 + 1e-4) * ones, -0.5 * ones, 0.2 * ones]
+    endpoints = np.stack([0.5 * ones, -0.5 * ones, (0.5 + 1e-4) * ones,
+                          -0.5 * ones, 0.2 * ones])
     kept = _dedup(endpoints, w, 2.0, 1e-3)
-    assert [id(k) for k in kept] == [id(endpoints[i]) for i in (0, 1, 4)]
+    assert np.array_equal(kept, endpoints[[0, 1, 4]])
 
 
 def test_semidistance_validation(grid, fine_grid, cauchy):

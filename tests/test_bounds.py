@@ -190,6 +190,26 @@ def test_prop_lipschitz_trips_on_non_finite_field(tanh_cfg, monkeypatch):
         nf.verify("prop_lipschitz", tanh_cfg, samples=4, seed=0)
 
 
+def test_gronwall_twin_field_gap_is_at_most_h_gap(tanh_cfg, monkeypatch):
+    # a weak pulse at omega 0 is raised by h_gap; the twin keeps omega 0,
+    # where a twin at omega 1 would differ by 0.0226 over [0, 1]
+    base = dataclasses.replace(
+        tanh_cfg, field=nf.ExternalField("pulsed", 0.01, omega=0.0))
+    fields = []
+
+    def recording(u0, tau, t, cfg, **kwargs):
+        fields.append(cfg.field)
+        return nlfield.dynamics.evolve(u0, tau, t, cfg, **kwargs)
+
+    monkeypatch.setattr(nlfield.bounds, "evolve", recording)
+    nf.verify("gronwall_continuity", base, samples=1, seed=0)
+    assert fields[0] == base.field
+    # tanh(20)^2 rounds to 1, so h(t, 20) is the sup over s at time t
+    gap = max(abs(fields[1](t, 20.0) - fields[0](t, 20.0))
+              for t in np.linspace(0.0, 1.0, 201))
+    assert gap <= 0.02 + 1e-15
+
+
 # ---------------------------------------------------------------------------
 # the shared corpus of the four corpus checks
 # ---------------------------------------------------------------------------
@@ -232,9 +252,11 @@ def test_shared_corpus_matches_per_check_redraw(grid, kernel, p, beta, weight,
                            weight=nf.WeightFunction(weight), kernel=kernel,
                            nonlinearity=nf.Nonlinearity.tanh(), field=field,
                            dt=0.05)
-    expected = redrawn_corpus_worst(cfg, 30, 7)
-    reports = nf.battery(cfg, CORPUS_CHECKS, samples=30, seed=7)
-    assert {r.name: r.measured for r in reports} == expected
+    # an odd count leaves the last pair with one lemma row
+    for samples in (30, 31):
+        expected = redrawn_corpus_worst(cfg, samples, 7)
+        reports = nf.battery(cfg, CORPUS_CHECKS, samples=samples, seed=7)
+        assert {r.name: r.measured for r in reports} == expected
 
 
 def libm_corpus(x, count, rng):
@@ -268,19 +290,23 @@ def test_field_corpus_matches_libm_sum_and_draw_order(cauchy, n):
 
 def test_corpus_pass_convolves_each_row_once(tanh_cfg, monkeypatch):
     # J*u and J'*u of the first `samples` rows, and J*u of the rest, which
-    # G reuses: 3 * samples convolutions, none of them inside dynamics
-    calls = {"bounds": 0, "dynamics": 0}
-
+    # G reuses: 3 * samples rows, none of them inside dynamics, in one J
+    # call per pair and one J' call per pair holding lemma rows.  At 11
+    # samples an unclamped pair[:-1] would convolve a 34th row.
     def counting(module):
         def convolve(kernel, values, derivative=False):
+            rows[module] += len(values)
             calls[module] += 1
             return _fft_convolve(kernel, values, derivative)
         return convolve
 
     monkeypatch.setattr(nlfield.bounds, "_fft_convolve", counting("bounds"))
     monkeypatch.setattr(nlfield.dynamics, "_fft_convolve", counting("dynamics"))
-    nf.battery(tanh_cfg, CORPUS_CHECKS, samples=10, seed=0)
-    assert calls == {"bounds": 30, "dynamics": 0}
+    for samples in (10, 11):
+        rows, calls = {"bounds": 0, "dynamics": 0}, {"bounds": 0, "dynamics": 0}
+        nf.battery(tanh_cfg, CORPUS_CHECKS, samples=samples, seed=0)
+        assert rows == {"bounds": 3 * samples, "dynamics": 0}
+        assert calls["bounds"] <= samples + math.ceil(samples / 2)
 
 
 @pytest.mark.parametrize("name", CORPUS_CHECKS)
