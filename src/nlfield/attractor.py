@@ -200,7 +200,6 @@ def approximate_pullback_attractor(t: float, cfg: ProcessConfig,
     carried: np.ndarray = None  # all k endpoints of the last rung run
     prev: np.ndarray = None  # the kept endpoints of the last rung
     gaps: list[float] = []
-    converged = False
     used: list[float] = []
     for tau in taus:
         if used and _continues(tau, used[-1], t, cfg):
@@ -220,9 +219,9 @@ def approximate_pullback_attractor(t: float, cfg: ProcessConfig,
                  len(endpoints), len(carried), "n/a" if gap is None else f"{gap:.6g}")
         prev = endpoints
         if gap is not None and gap < DEDUP_TOL:
-            converged = True
             break
 
+    converged = bool(gaps) and gaps[-1] < DEDUP_TOL
     if not converged:
         log.warning("tau ladder exhausted without stabilization (last gap %s)",
                     gaps[-1] if gaps else "n/a")

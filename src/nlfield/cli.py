@@ -19,6 +19,7 @@ check failed or a run did not stabilize, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -44,16 +45,19 @@ from .weighted_space import Grid1D, WeightedField, WeightFunction, \
 
 log = logging.getLogger(__name__)
 
-_SCHEMA = None
+# the stock "integer" admits a YAML float such as 4096.0, which every
+# integer key's consumer (array sizes, seeds) rejects with a TypeError
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool)))
 
 
+@functools.cache
 def _schema() -> dict:
-    global _SCHEMA
-    if _SCHEMA is None:
-        ref = resources.files("nlfield").joinpath("schema/config_schema.json")
-        with ref.open(encoding="utf-8") as f:
-            _SCHEMA = json.load(f)
-    return _SCHEMA
+    ref = resources.files("nlfield").joinpath("schema/config_schema.json")
+    with ref.open(encoding="utf-8") as f:
+        return json.load(f)
 
 
 @dataclass(frozen=True)
@@ -111,7 +115,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("top level must be a mapping")
 
-    validator = jsonschema.Draft202012Validator(_schema())
+    validator = _Validator(_schema())
     errors = sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path))
     if errors:
         e = errors[0]
@@ -121,10 +125,7 @@ def parse_config(text: str) -> ExperimentConfig:
     _apply_defaults(data, _schema(), "")
 
     weight = WeightFunction(data["weight"])
-    try:
-        grid = Grid1D(data["half_length"], data["n_points"])
-    except ValueError as e:
-        raise ConfigError(str(e), "half_length")
+    grid = Grid1D(data["half_length"], data["n_points"])
     try:
         kernel = make_bump_kernel(grid)
     except GridTooCoarseError as e:
@@ -135,7 +136,7 @@ def parse_config(text: str) -> ExperimentConfig:
     try:
         field = ExternalField(fb["family"], fb["amplitude"], fb["omega"])
     except ValueError as e:
-        raise ConfigError(str(e), "field")
+        raise ConfigError(str(e), "field.amplitude")
 
     h_star = None
     if field.family != "zero":
@@ -146,12 +147,9 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"threshold h* = {h_star:.6f} at beta = {data['beta']}",
                 "field.amplitude")
 
-    try:
-        process = ProcessConfig(beta=data["beta"], p=float(data["p"]),
-                                grid=grid, weight=weight, kernel=kernel,
-                                nonlinearity=g, field=field, dt=data["dt"])
-    except ValueError as e:
-        raise ConfigError(str(e))
+    process = ProcessConfig(beta=data["beta"], p=float(data["p"]), grid=grid,
+                            weight=weight, kernel=kernel, nonlinearity=g,
+                            field=field, dt=data["dt"])
 
     sim = data["simulate"]
     if sim["t"] < sim["tau"]:

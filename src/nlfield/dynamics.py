@@ -114,12 +114,12 @@ class Nonlinearity:
 class ExternalField:
     """Time-dependent forcing h(t, s) applied inside the nonlinearity.
 
-    zero     h = 0
+    zero     h = 0, with the amplitude held at 0
     pulsed   h(t, s) = amplitude * (1 + sin(omega t))/2 * tanh(s)^2
 
     The pulsed family has h(t, 0) = 0, sup h = amplitude (approached, not
     attained; amplitude / 2 at omega 0) and s-Lipschitz constant
-    amplitude * 4/(3 sqrt(3)).
+    amplitude * 4/(3 sqrt(3)); at amplitude 0 these serve the zero family.
     """
 
     family: str = "zero"
@@ -146,14 +146,10 @@ class ExternalField:
 
     @property
     def lipschitz(self) -> float:
-        if self.family == "zero":
-            return 0.0
         return self.amplitude * K1_TANH
 
     def scaled(self, factor: float) -> "ExternalField":
         """Amplitude-scaled copy, used by the semicontinuity sweeps."""
-        if self.family == "zero":
-            return self
         return ExternalField(self.family, self.amplitude * factor, self.omega)
 
 

@@ -50,9 +50,9 @@ class Kernel:
     norm_l1: float
     norm_sup: float
     deriv_norm_l1: float
-    _spectrum: np.ndarray = field(repr=False, default=None)
-    _deriv_spectrum: np.ndarray = field(repr=False, default=None)
-    _fft_len: int = field(repr=False, default=0)
+    _spectrum: np.ndarray = field(repr=False)
+    _deriv_spectrum: np.ndarray = field(repr=False)
+    _fft_len: int = field(repr=False)
 
 
 def _next_5smooth(n: int) -> int:

@@ -19,7 +19,7 @@ from nlfield import cli
 from nlfield.bifurcation import compute_h_star, tanh_h_star
 from nlfield.bounds import CHECK_NAMES
 from nlfield.cli import main, parse_config
-from nlfield.errors import ConfigError
+from nlfield.errors import BlowUpError, ConfigError
 from nlfield.weighted_space import WeightedField, weighted_norm
 
 
@@ -165,6 +165,60 @@ def test_coarse_grid_rejected_via_config():
     with pytest.raises(ConfigError) as err:
         parse_config("beta: 2.0\nn_points: 512\n")
     assert err.value.key_path == "n_points"
+
+
+def test_schema_boundaries_settle_grid_and_process_checks():
+    # the schema states every condition Grid1D and ProcessConfig raise on,
+    # so values at its edges either parse or fail as a ConfigError with
+    # a key path, never as a bare ValueError
+    with pytest.raises(ConfigError) as err:
+        parse_config("beta: 2.0\nhalf_length: 4\nn_points: 80\n")
+    assert err.value.key_path == "n_points"
+    exp = parse_config("beta: 2.0\nhalf_length: 4\nn_points: 81\n")
+    assert exp.process.grid.spacing < 0.1
+    assert parse_config("beta: 2.0\ndt: 0.1\n").process.dt == 0.1
+    assert parse_config("beta: 2.0\np: 1.000001\n").process.p == 1.000001
+    assert parse_config("beta: 1.0e-300\n").process.beta == 1.0e-300
+
+
+def test_zero_field_with_amplitude_exits_2_naming_amplitude(tmp_path, capsys):
+    doc = "beta: 2.0\nfield:\n  family: zero\n  amplitude: 0.3\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert err.value.key_path == "field.amplitude"
+    path = write_config(tmp_path, doc)
+    assert main(["hstar", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert ("error: field.amplitude: zero field must have zero amplitude"
+            in capsys.readouterr().err)
+
+
+def test_empty_document_exits_2_naming_beta(tmp_path, capsys):
+    path = write_config(tmp_path, "")
+    assert main(["hstar", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "error: 'beta' is a required property" in capsys.readouterr().err
+
+
+# YAML reads 4096.0 as a float; each integer key must reject it at parse
+# time instead of crashing in the command that consumes it
+INTEGRAL_FLOATS = [
+    ("simulate", "n_points: 4096.0\n", "n_points", "4096.0"),
+    ("simulate", "seed: 3.0\nsimulate:\n  initial:\n    kind: random\n", "seed", "3.0"),
+    ("simulate", "simulate:\n  snapshots: 2.0\n", "simulate.snapshots", "2.0"),
+    ("attractor", "attractor:\n  n_samples: 3.0\n", "attractor.n_samples", "3.0"),
+    ("sweep", "sweep:\n  n_samples: 3.0\n", "sweep.n_samples", "3.0"),
+    ("verify", "verify:\n  samples: 4.0\n", "verify.samples", "4.0"),
+]
+
+
+@pytest.mark.parametrize("command,doc,key_path,value", INTEGRAL_FLOATS,
+                         ids=[case[2] for case in INTEGRAL_FLOATS])
+def test_integral_float_at_integer_key_exits_2(command, doc, key_path, value,
+                                               tmp_path, capsys):
+    path = write_config(tmp_path, "beta: 2.0\n" + doc)
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {key_path}: {value} is not of type 'integer'" in err
+    assert "Traceback" not in err
 
 
 NON_FINITE = [
@@ -563,6 +617,32 @@ def test_sweep_zero_epsilon_is_exact(tmp_path):
     assert float(rows[1][1]) == 0.0
     for r in rows:
         assert float(r[1]) <= float(r[2])
+
+
+def test_sweep_shallow_ladder_reports_failure(tmp_path, caplog):
+    out = tmp_path / "run"
+    doc = (SMALL.format(beta=2.0, out=out)
+           + "field:\n  family: pulsed\n  amplitude: 0.2\n"
+             "sweep:\n  epsilons: [0.2, 0.0]\n  n_samples: 3\n"
+             "  tau_ladder: [-0.5, -1.0]\n")
+    path = write_config(tmp_path, doc)
+    with caplog.at_level(logging.WARNING, logger="nlfield.cli"):
+        assert main(["sweep", "--config", path]) == 1
+    _, rows = read_rows(out / "sweep.csv")
+    assert [r[3] for r in rows] == ["false", "false"]
+    assert any("sweep contains non-stabilized attractor runs" in r.getMessage()
+               for r in caplog.records)
+
+
+def test_package_error_inside_a_command_exits_2(tmp_path, monkeypatch, capsys):
+    def blow_up(cfg, names=None, samples=500, seed=0):
+        raise BlowUpError("state left the finite range at t = 0.5")
+
+    monkeypatch.setattr(cli, "battery", blow_up)
+    path = write_config(tmp_path, SMALL.format(beta=2.0, out=tmp_path / "o"))
+    assert main(["verify", "--config", path]) == 2
+    assert ("error: state left the finite range at t = 0.5"
+            in capsys.readouterr().err)
 
 
 def test_verify_reruns_are_byte_identical(tmp_path):

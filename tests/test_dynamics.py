@@ -72,6 +72,8 @@ def test_external_field_properties():
     assert half.amplitude == 0.1 and half.family == "pulsed"
     zero = nf.ExternalField()
     assert zero.sup == 0.0 and zero.lipschitz == 0.0
+    # the zero family holds amplitude 0, so scaling leaves it unchanged
+    assert zero.scaled(0.6) == zero
     with pytest.raises(ValueError):
         nf.ExternalField("windy", 0.1)
     with pytest.raises(ValueError):

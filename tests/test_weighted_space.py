@@ -211,6 +211,11 @@ def test_rho_inf_unit_ball(cauchy, gaussian):
     assert nf.rho_inf_unit_ball(cauchy) == pytest.approx(1.0 / (2.0 * math.pi), abs=1e-12)
     oracle = math.exp(-0.5) / math.sqrt(2.0 * math.pi)
     assert nf.rho_inf_unit_ball(gaussian) == pytest.approx(oracle, abs=1e-12)
+    # reference: the minimum over 20001 nodes of [-1, 1], both ends
+    # included; weight(1) matches it to the last bit
+    for w in (cauchy, gaussian):
+        scan = float(np.min(w(np.linspace(-1.0, 1.0, 20001))))
+        assert nf.rho_inf_unit_ball(w) == scan
 
 
 # ---------------------------------------------------------------------------
