@@ -24,7 +24,7 @@ from .weighted_space import (
 from .kernel import Kernel, make_bump_kernel, convolve_direct, convolve_fast
 from .dynamics import (
     Nonlinearity, ExternalField, ProcessConfig, TrajectoryState,
-    rhs_f, step_exponential, evolve, evolve_split, K1_TANH,
+    rhs_f, step_exponential, evolve, K1_TANH,
 )
 from .bifurcation import RootReport, count_roots, compute_h_star, tanh_h_star
 from .attractor import (
@@ -47,7 +47,7 @@ __all__ = [
     "finite_difference",
     "Kernel", "make_bump_kernel", "convolve_direct", "convolve_fast",
     "Nonlinearity", "ExternalField", "ProcessConfig", "TrajectoryState",
-    "rhs_f", "step_exponential", "evolve", "evolve_split", "K1_TANH",
+    "rhs_f", "step_exponential", "evolve", "K1_TANH",
     "RootReport", "count_roots", "compute_h_star", "tanh_h_star",
     "AttractorSample", "SemicontinuityCurve", "absorbing_entry_time",
     "sample_absorbing_ball", "approximate_pullback_attractor",

@@ -25,7 +25,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 
 import jsonschema
@@ -84,8 +84,10 @@ def _apply_defaults(node: dict, schema_node: dict, path: str):
 
 
 def _check_finite(node, path: str = "") -> None:
-    # the schema's "number" admits YAML .nan and .inf; no key takes them
-    if isinstance(node, float) and not math.isfinite(node):
+    # the schema admits YAML .nan, .inf and integers past the float range;
+    # no key takes them
+    if (isinstance(node, (int, float)) and not isinstance(node, bool)
+            and not abs(node) <= sys.float_info.max):
         raise ConfigError("must be a finite number", path)
     if isinstance(node, (dict, list)):
         items = node.items() if isinstance(node, dict) else enumerate(node)
@@ -100,11 +102,12 @@ def _check_ladder(ladder, t, path):
         raise ConfigError("ladder must be strictly decreasing", path)
 
 
-def parse_config(text: str) -> ExperimentConfig:
+def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     """Validate a YAML document and build the experiment description.
 
-    Defaults from the schema are applied and echoed to the run log;
-    violations carry the offending key path.
+    overrides (the command line's seed and output) replace their keys
+    before validation.  Defaults from the schema are applied and echoed
+    to the run log; violations carry the offending key path.
     """
     try:
         data = yaml.safe_load(text)
@@ -114,6 +117,7 @@ def parse_config(text: str) -> ExperimentConfig:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError("top level must be a mapping")
+    data.update(overrides or {})
 
     validator = _Validator(_schema())
     errors = sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path))
@@ -334,18 +338,6 @@ _COMMANDS = {
 }
 
 
-def _seed(text: str) -> int:
-    # the schema's minimum of 0 never sees the command line override
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a non-negative integer, got {text!r}")
-    return seed
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="nlfield",
@@ -362,7 +354,7 @@ def main(argv=None) -> int:
     for name in _COMMANDS:
         p = sub.add_parser(name, help=helps[name])
         p.add_argument("--config", required=True, help="YAML experiment file")
-        p.add_argument("--seed", type=_seed, default=None,
+        p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         p.add_argument("--out", default=None,
                        help="override the output directory")
@@ -378,16 +370,13 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {e}", file=sys.stderr)
         return 2
 
+    overrides = {"seed": args.seed, "output": args.out}
     try:
-        exp = parse_config(text)
+        exp = parse_config(text, {k: v for k, v in overrides.items() if v is not None})
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
-    if args.seed is not None:
-        exp = replace(exp, seed=args.seed)
-    if args.out is not None:
-        exp = replace(exp, out_dir=args.out)
     try:
         os.makedirs(exp.out_dir, exist_ok=True)
     except OSError as e:

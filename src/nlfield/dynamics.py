@@ -21,13 +21,6 @@ and a stack of ensemble members (a pullback ladder rung) take the same
 steps; the phi weights do not depend on the state, and the stack is
 stepped as one batched array.  The time after step i is tau + i dt, and
 the last step lands on t exactly.
-
-evolve_split divides the state into v(t) = exp(-(t-tau)) u_tau (pure
-decay of the initial data) and the remainder w = u - v with w(tau) = 0,
-which is the decomposition the compactness diagnostics measure.  v is
-known in closed form, so the split needs no recursion of its own: u is
-integrated as usual and v, w are read off it, also along a run.  It
-returns t, u, v and w as a named tuple.
 """
 
 from __future__ import annotations
@@ -35,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -200,15 +192,6 @@ class TrajectoryState:
     u: WeightedField
 
 
-class SplitState(NamedTuple):
-    """evolve_split's result: u at time t and its parts, u = v + w."""
-
-    t: float
-    u: WeightedField
-    v: WeightedField
-    w: WeightedField
-
-
 # ---------------------------------------------------------------------------
 # right-hand side and stepping
 # ---------------------------------------------------------------------------
@@ -312,14 +295,3 @@ def evolve(u_tau: WeightedField, tau: float, t: float, cfg: ProcessConfig,
         raise GridMismatchError("initial field does not live on the configured grid")
     return u_tau.with_values(_integrate(u_tau.values.copy(), tau, t, cfg, observer))
 
-
-def evolve_split(u_tau: WeightedField, tau: float, t: float,
-                 cfg: ProcessConfig) -> SplitState:
-    """Integrate with the v/w splitting: v decays exactly, w(tau) = 0.
-
-    w is formed as u - v, so u = v + w holds by construction.
-    """
-    u = evolve(u_tau, tau, t, cfg)
-    v = math.exp(-(t - tau)) * u_tau.values
-    return SplitState(t=t, u=u, v=u_tau.with_values(v),
-                      w=u_tau.with_values(u.values - v))

@@ -187,10 +187,12 @@ def test_criterion_08_splitting_and_tail(pulsed_cfg, grid, cauchy,
                                          corpus_factory):
     u0 = scaled_to_norm(corpus_factory(grid, cauchy, 1, seed=0)[0], 1.1)
 
-    # recombined splitting matches the plain run
-    state = nf.evolve_split(u0, 0.0, 8.0, pulsed_cfg)
-    direct = nf.evolve(u0, 0.0, 8.0, pulsed_cfg)
-    gap = norm2(grid, cauchy, state.u.values - direct.values)
+    # the split read along the run ends on the returned state at t
+    seen = []
+    direct = nf.evolve(u0, 0.0, 8.0, pulsed_cfg,
+                       observer=lambda s, vals: seen.append((s, vals)))
+    assert seen[-1][0] == 8.0
+    gap = norm2(grid, cauchy, seen[-1][1] - direct.values)
     assert gap <= 1e-10
 
     # the forced part w(s) = u(s) - exp(-s) u0 never exceeds the response
@@ -211,10 +213,10 @@ def test_criterion_08_splitting_and_tail(pulsed_cfg, grid, cauchy,
     wide_cfg = dataclasses.replace(pulsed_cfg, grid=wide,
                                    kernel=nf.make_bump_kernel(wide))
     w0 = scaled_to_norm(corpus_factory(wide, cauchy, 1, seed=0)[0], 1.1)
-    ws = nf.evolve_split(w0, 0.0, 6.0, wide_cfg)
+    w = nf.evolve(w0, 0.0, 6.0, wide_cfg).values - math.exp(-6.0) * w0.values
     ext = np.abs(wide.nodes) > R
     qw = quad_weights(cauchy, wide)
-    exterior = math.sqrt(float(np.dot(qw[ext], ws.w.values[ext] ** 2)))
+    exterior = math.sqrt(float(np.dot(qw[ext], w[ext] ** 2)))
     assert exterior <= eta / 4.0
     print(f"splitting tail: R = {R:.1f}, exterior contribution "
           f"{exterior:.3e} vs budget {eta / 4.0}")

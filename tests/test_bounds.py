@@ -375,3 +375,22 @@ def test_understated_response_lipschitz_trips_prop_lipschitz(tanh_cfg,
     report = nf.verify("prop_lipschitz", tanh_cfg, samples=100, seed=0)
     assert not report.passed
     assert report.measured > report.theoretical
+
+
+def test_kernel_heavier_than_its_stated_norms_trips_the_lemma_checks(tanh_cfg):
+    # samples and both spectra x1.5 while norm_l1 and norm_sup still state
+    # the unit-mass kernel; lemma1a alone would pass it (ratio 0.861)
+    k = tanh_cfg.kernel
+    heavy = dataclasses.replace(k, samples=1.5 * k.samples,
+                                _spectrum=1.5 * k._spectrum,
+                                _deriv_spectrum=1.5 * k._deriv_spectrum)
+    cfg = dataclasses.replace(tanh_cfg, kernel=heavy)
+    reports = nf.battery(cfg, CORPUS_CHECKS, samples=200, seed=0)
+    assert [r.name for r in reports if not r.passed] == ["lemma1a_deriv", "lemma1b"]
+
+
+def test_understated_weight_constant_trips_lemma1a_deriv(tanh_cfg, monkeypatch):
+    # K = 1 in place of the Cauchy weight's 3; lemma1a passes it at 0.994
+    monkeypatch.setattr(nlfield.bounds, "_weight_admissibility", lambda cfg: 1.0)
+    reports = nf.battery(tanh_cfg, CORPUS_CHECKS, samples=200, seed=0)
+    assert [r.name for r in reports if not r.passed] == ["lemma1a_deriv"]

@@ -221,6 +221,9 @@ def test_integral_float_at_integer_key_exits_2(command, doc, key_path, value,
     assert "Traceback" not in err
 
 
+# an integer past the float range must stop at parse time, before a
+# command's float() raises OverflowError on it
+BIG = "1" + "0" * 400
 NON_FINITE = [
     ("beta: 2.0\nsimulate:\n  t: .inf\n", "simulate.t"),
     ("beta: 2.0\nattractor:\n  t: .inf\n", "attractor.t"),
@@ -230,6 +233,11 @@ NON_FINITE = [
     ("beta: 2.0\nfield:\n  omega: .nan\n", "field.omega"),
     ("beta: 2.0\nsweep:\n  epsilons: [.nan]\n", "sweep.epsilons.0"),
     ("beta: 0.5\nfield:\n  family: pulsed\n  amplitude: .inf\n", "field.amplitude"),
+    pytest.param(f"beta: {BIG}\n", "beta", id="beta-1e400"),
+    pytest.param(f"beta: 2.0\np: {BIG}\n", "p", id="p-1e400"),
+    pytest.param(f"beta: 2.0\nhalf_length: {BIG}\n", "half_length",
+                 id="half_length-1e400"),
+    pytest.param(f"beta: 2.0\nn_points: {BIG}\n", "n_points", id="n_points-1e400"),
 ]
 
 
@@ -269,12 +277,42 @@ def test_invalid_config_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("seed", ["-1", "x"])
 def test_bad_seed_override_exits_2_naming_seed(seed, tmp_path, capsys):
+    # an integer reaches the schema as the document's seed; a non-integer
+    # stops in argparse
     path = write_config(tmp_path, SMALL.format(beta=2.0, out=tmp_path / "o"))
-    with pytest.raises(SystemExit) as err:
-        main(["verify", "--config", path, "--seed", seed])
-    assert err.value.code == 2
-    assert ("argument --seed: must be a non-negative integer"
-            in capsys.readouterr().err)
+    argv = ["verify", "--config", path, "--seed", seed]
+    if seed == "x":
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "argument --seed: invalid int value: 'x'" in capsys.readouterr().err
+    else:
+        assert main(argv) == 2
+        assert ("error: seed: -1 is less than the minimum of 0"
+                in capsys.readouterr().err)
+
+
+def test_seed_override_is_validated_in_place_of_the_file_seed(tmp_path, capsys):
+    doc = SMALL.format(beta=2.0, out=tmp_path / "o") + "seed: -3\n"
+    path = write_config(tmp_path, doc)
+    assert main(["hstar", "--config", path]) == 2
+    assert "error: seed: -3 is less than the minimum of 0" in capsys.readouterr().err
+    assert main(["hstar", "--config", path, "--seed", "2"]) == 0
+    assert parse_config(doc, {"seed": 2}).seed == 2
+
+
+def test_seed_override_equal_to_the_file_seed_writes_the_same_bytes(tmp_path):
+    # a shallow bistable ladder, so that the members depend on the seed
+    doc = (SMALL.format(beta=2.0, out=tmp_path / "plain") + "seed: 0\n"
+           + "attractor:\n  t: 0.0\n  n_samples: 4\n  tau_ladder: [-0.5, -1.0]\n")
+    path = write_config(tmp_path, doc)
+    main(["attractor", "--config", path])
+    for seed in ("0", "1"):
+        main(["attractor", "--config", path, "--seed", seed,
+              "--out", str(tmp_path / seed)])
+    plain = (tmp_path / "plain" / "members.csv").read_bytes()
+    assert (tmp_path / "0" / "members.csv").read_bytes() == plain
+    assert (tmp_path / "1" / "members.csv").read_bytes() != plain
 
 
 @pytest.mark.parametrize("out,reason", [

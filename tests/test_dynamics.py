@@ -282,30 +282,6 @@ def test_mild_form_residual_second_order(tanh_cfg, corpus_factory):
 # splitting
 # ---------------------------------------------------------------------------
 
-def test_split_matches_plain_evolution(pulsed_cfg, corpus_factory):
-    u = corpus_factory(pulsed_cfg.grid, pulsed_cfg.weight, 1, seed=31)[0]
-    state = nf.evolve_split(u, 0.0, 3.0, pulsed_cfg)
-    plain = nf.evolve(u, 0.0, 3.0, pulsed_cfg)
-    assert np.max(np.abs(state.u.values - plain.values)) < 1e-10
-    assert np.max(np.abs(state.u.values - (state.v.values + state.w.values))) < 1e-12
-
-
-def test_split_linear_part_decays_exactly(pulsed_cfg, corpus_factory):
-    u = corpus_factory(pulsed_cfg.grid, pulsed_cfg.weight, 1, seed=32)[0]
-    state = nf.evolve_split(u, 0.0, 2.0, pulsed_cfg)
-    assert norm_of(state.v.values, u) == pytest.approx(
-        math.exp(-2.0) * norm_of(u.values, u), rel=1e-12)
-
-
-def test_split_v_is_closed_form_decay(pulsed_cfg, corpus_factory):
-    u = corpus_factory(pulsed_cfg.grid, pulsed_cfg.weight, 1, seed=34)[0]
-    tau, t = -1.5, 1.0
-    state = nf.evolve_split(u, tau, t, pulsed_cfg)
-    assert state.t == t
-    assert np.array_equal(state.v.values, math.exp(-(t - tau)) * u.values)
-    assert np.max(np.abs(state.u.values - (state.v.values + state.w.values))) <= 1e-12
-
-
 def test_split_w_starts_at_zero_and_stays_bounded(tanh_cfg, corpus_factory):
     # w(s) = u(s) - exp(-s) u0 along 160 steps, read off the observed u
     cfg = tanh_cfg
