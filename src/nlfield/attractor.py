@@ -12,8 +12,22 @@ together as one batched (k, n) array.  Under a zero field the process is
 autonomous, S(t, tau) = S(t - tau), so a deeper rung continues the
 previous rung's (k, n) array over the span it adds instead of restarting
 the seeded family; it does so only when that gives the restart's steps
-exactly, so the endpoints are the same bytes either way.  A pulsed field,
-or a rung whose span would change the shortened tail step, restarts.
+exactly, so at one step the endpoints are the same bytes either way.
+A pulsed field, or a rung whose span would change the shortened tail
+step, restarts.
+
+The outputs carry no time grid, so a ladder steps at the coarsest
+h = dt 2^j that its Richardson estimate accepts (Hairer, Norsett &
+Wanner, Solving ODEs I, II.4).  The first candidate is the largest with
+h beta (l_g ||J||_1 + l_h) <= 1 that fits in the shallowest rung's span.
+The ladder is run at h and again at 2h over the rungs the h run used;
+h is accepted when both stop at the same rung with the same verdict and
+max(two-sided distance between their deepest kept endpoints,
+|last gap(h) - last gap(2h)|) / 3, the error estimate of a second-order
+scheme, is at most LADDER_TOL.  Otherwise h is halved, and the rejected
+run serves as the 2h run of the next try; at h = dt the ladder runs
+unchecked, as a fixed-step ladder does.
+
 Set distances (Hausdorff, the endpoint clusters, the two-sided gap
 between rungs) come from one weighted l^p distance matrix between the
 rows of two stacks.
@@ -24,7 +38,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,6 +50,8 @@ log = logging.getLogger(__name__)
 
 DEDUP_TOL = 1e-3
 BALL_SLACK = 0.1
+# a decade inside the 1e-3 TRAJECTORY class
+LADDER_TOL = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,6 +66,8 @@ class AttractorSample:
     digest: str
     converged: bool
     rung_gaps: tuple[float, ...]
+    step: float  # the ladder's time step
+    step_error: float  # its Richardson estimate; NaN when the step is dt
 
     def __len__(self) -> int:
         return len(self.members)
@@ -138,17 +156,23 @@ def _lp_distances(A: np.ndarray, B: np.ndarray, w: np.ndarray, p: float) -> np.n
     return np.stack([_lp_norm(a - B, w, p) for a in A])
 
 
-def hausdorff_semidist(a, b, p: float = 2.0) -> float:
+def hausdorff_semidist(a, b, p: float | None = None) -> float:
     """One-sided set distance: sup over a of the nearest member of b.
 
     Accepts AttractorSamples or plain sequences of WeightedFields on a
-    common grid and weight.
+    common grid and weight.  p defaults to the samples' own p, and to
+    2.0 for plain sequences; a p that disagrees with a sample's raises.
     """
+    ps = {s.p for s in (a, b) if isinstance(s, AttractorSample)}
+    if p is not None:
+        ps.add(float(p))
+    if len(ps) > 1:
+        raise ValueError(f"samples and p disagree on the exponent: {sorted(ps)}")
     stack_a, first_a = _stack(a)
     stack_b, first_b = _stack(b)
     first_a.same_space(first_b)
     w = quad_weights(first_a.weight, first_a.grid)
-    dist = _lp_distances(stack_a, stack_b, w, float(p))
+    dist = _lp_distances(stack_a, stack_b, w, ps.pop() if ps else 2.0)
     return float(np.max(np.min(dist, axis=1)))
 
 
@@ -170,6 +194,110 @@ def _dedup(rows: np.ndarray, w: np.ndarray, p: float, tol: float) -> np.ndarray:
     return rows[keep]
 
 
+class _Rung(NamedTuple):
+    tau: float
+    kept: np.ndarray  # the endpoints left after dedup
+    gap: float | None  # two-sided distance to the previous rung's kept set
+
+
+def _two_sided(A: np.ndarray, B: np.ndarray, w: np.ndarray, p: float) -> float:
+    dist = _lp_distances(A, B, w, p)
+    return float(max(np.max(np.min(dist, axis=1)), np.max(np.min(dist, axis=0))))
+
+
+def _ladder_taus(t: float, tau_ladder: Sequence[float]) -> list[float]:
+    taus = [float(x) for x in tau_ladder]
+    if not taus:
+        raise ValueError("tau ladder is empty")
+    if any(tau >= t for tau in taus):
+        raise TimeOrderError("every ladder rung must precede the observation time")
+    if any(b >= a for a, b in zip(taus, taus[1:])):
+        raise ValueError("tau ladder must be strictly decreasing")
+    return taus
+
+
+def _family(cfg: ProcessConfig, n_samples: int, seed: int) -> np.ndarray:
+    return np.stack([u.values for u in sample_absorbing_ball(cfg, n_samples, seed)])
+
+
+def _run_ladder(family: np.ndarray, taus: list[float], t: float,
+                cfg: ProcessConfig, step: float) -> list[_Rung]:
+    """The rungs run at the given step, up to the first whose gap is
+    below DEDUP_TOL."""
+    run = replace(cfg, dt=step)
+    w = quad_weights(cfg.weight, cfg.grid)
+    rungs: list[_Rung] = []
+    carried: np.ndarray = None  # all k endpoints of the last rung run
+    for tau in taus:
+        if rungs and _continues(tau, rungs[-1].tau, t, run):
+            start, stop, how = carried, rungs[-1].tau, "continued"
+        else:
+            start, stop, how = family, t, "restarted"
+        carried = _integrate(start, tau, stop, run)
+        endpoints = _dedup(carried, w, cfg.p, DEDUP_TOL)
+        gap = _two_sided(endpoints, rungs[-1].kept, w, cfg.p) if rungs else None
+        log.info("rung tau=%g: %d steps of %g %s, %d of %d members kept, gap %s",
+                 tau, len(_delta_schedule(tau, stop, step)), step, how,
+                 len(endpoints), len(carried), "n/a" if gap is None else f"{gap:.6g}")
+        rungs.append(_Rung(tau, endpoints, gap))
+        if gap is not None and gap < DEDUP_TOL:
+            break
+    return rungs
+
+
+def _converged(rungs: list[_Rung]) -> bool:
+    gap = rungs[-1].gap
+    return gap is not None and gap < DEDUP_TOL
+
+
+def _richardson(fine: list[_Rung], coarse: list[_Rung], w: np.ndarray,
+                p: float) -> float:
+    # the scheme is second order, so the step-h error is about a third of
+    # the h-to-2h difference; the last gap is what decides convergence
+    a, b = fine[-1], coarse[-1]
+    diff = _two_sided(a.kept, b.kept, w, p)
+    if a.gap is not None and b.gap is not None:
+        diff = max(diff, abs(a.gap - b.gap))
+    return diff / 3.0
+
+
+def _coarse_steps(cfg: ProcessConfig, span: float) -> list[float]:
+    """Steps dt 2^j, largest first, down to 2 dt, for which the explicit
+    predictor's Lipschitz product h beta (l_g ||J||_1 + l_h) is at most 1
+    and h fits in the shallowest rung's span."""
+    lip = cfg.beta * (cfg.nonlinearity.lipschitz * cfg.kernel.norm_l1
+                      + cfg.field.lipschitz)
+    steps: list[float] = []
+    h = 2.0 * cfg.dt
+    while h <= span and h * lip <= 1.0:
+        steps.insert(0, h)
+        h *= 2.0
+    return steps
+
+
+def _sample(t: float, cfg: ProcessConfig, rungs: list[_Rung], seed: int,
+            step: float, step_error: float) -> AttractorSample:
+    gaps = tuple(r.gap for r in rungs[1:])
+    converged = _converged(rungs)
+    if not converged:
+        log.warning("tau ladder exhausted without stabilization (last gap %s)",
+                    gaps[-1] if gaps else "n/a")
+    members = tuple(WeightedField(cfg.grid, cfg.weight, u) for u in rungs[-1].kept)
+    return AttractorSample(t=t, members=members, p=cfg.p,
+                           taus=tuple(r.tau for r in rungs), seed=seed,
+                           digest=cfg.digest(), converged=converged,
+                           rung_gaps=gaps, step=step, step_error=step_error)
+
+
+def _attractor_at_step(t: float, cfg: ProcessConfig, n_samples: int,
+                       tau_ladder: Sequence[float], seed: int,
+                       step: float) -> AttractorSample:
+    """The ladder at one given step, with no estimate of its error."""
+    taus = _ladder_taus(t, tau_ladder)
+    rungs = _run_ladder(_family(cfg, n_samples, seed), taus, t, cfg, step)
+    return _sample(t, cfg, rungs, seed, step, math.nan)
+
+
 def approximate_pullback_attractor(t: float, cfg: ProcessConfig,
                                    n_samples: int,
                                    tau_ladder: Sequence[float],
@@ -180,55 +308,38 @@ def approximate_pullback_attractor(t: float, cfg: ProcessConfig,
     rungs must be strictly decreasing and earlier than t.  Under a zero
     field a rung continues the previous rung's endpoints over the span
     it adds when the steps match a restart's (see the module docstring);
-    otherwise it restarts the family.  The endpoints are the same bytes
-    either way.  When consecutive endpoint sets agree within DEDUP_TOL,
-    in both directions, the deeper one is returned as converged; an
-    exhausted ladder returns the deepest rung flagged not converged.
+    otherwise it restarts the family.  When consecutive endpoint sets
+    agree within DEDUP_TOL, in both directions, the deeper one is
+    returned as converged; an exhausted ladder returns the deepest rung
+    flagged not converged.
+
+    The ladder runs at the coarsest step dt 2^j whose Richardson
+    estimate (see the module docstring) is at most LADDER_TOL, trying
+    steps from the largest the predictor and the shallowest span allow
+    and halving on each rejection; at dt it runs unchecked.
     """
-    taus = [float(x) for x in tau_ladder]
-    if not taus:
-        raise ValueError("tau ladder is empty")
-    if any(tau >= t for tau in taus):
-        raise TimeOrderError("every ladder rung must precede the observation time")
-    if any(b >= a for a, b in zip(taus, taus[1:])):
-        raise ValueError("tau ladder must be strictly decreasing")
-
-    family = np.stack([u.values for u in sample_absorbing_ball(cfg, n_samples, seed)])
+    taus = _ladder_taus(t, tau_ladder)
+    family = _family(cfg, n_samples, seed)
     w = quad_weights(cfg.weight, cfg.grid)
-    p = cfg.p
-
-    carried: np.ndarray = None  # all k endpoints of the last rung run
-    prev: np.ndarray = None  # the kept endpoints of the last rung
-    gaps: list[float] = []
-    used: list[float] = []
-    for tau in taus:
-        if used and _continues(tau, used[-1], t, cfg):
-            start, stop, how = carried, used[-1], "continued"
-        else:
-            start, stop, how = family, t, "restarted"
-        carried = _integrate(start, tau, stop, cfg)
-        endpoints = _dedup(carried, w, p, DEDUP_TOL)
-        used.append(tau)
-        gap = None
-        if prev is not None:
-            dist = _lp_distances(endpoints, prev, w, p)
-            gap = float(max(np.max(np.min(dist, axis=1)), np.max(np.min(dist, axis=0))))
-            gaps.append(gap)
-        log.info("rung tau=%g: %d steps %s, %d of %d members kept, gap %s",
-                 tau, len(_delta_schedule(tau, stop, cfg.dt)), how,
-                 len(endpoints), len(carried), "n/a" if gap is None else f"{gap:.6g}")
-        prev = endpoints
-        if gap is not None and gap < DEDUP_TOL:
-            break
-
-    converged = bool(gaps) and gaps[-1] < DEDUP_TOL
-    if not converged:
-        log.warning("tau ladder exhausted without stabilization (last gap %s)",
-                    gaps[-1] if gaps else "n/a")
-    members = tuple(WeightedField(cfg.grid, cfg.weight, u) for u in prev)
-    return AttractorSample(t=t, members=members, p=p, taus=tuple(used),
-                           seed=seed, digest=cfg.digest(), converged=converged,
-                           rung_gaps=tuple(gaps))
+    coarse = None  # the ladder at twice the step being tried
+    for step in _coarse_steps(cfg, t - taus[0]):
+        fine = _run_ladder(family, taus, t, cfg, step)
+        if coarse is None:
+            coarse = _run_ladder(family, taus[:len(fine)], t, cfg, 2.0 * step)
+        # a ladder over a prefix of the rungs is a prefix of the rungs run
+        coarse = coarse[:len(fine)]
+        estimate = _richardson(fine, coarse, w, cfg.p)
+        accepted = (len(coarse) == len(fine)
+                    and _converged(coarse) == _converged(fine)
+                    and estimate <= LADDER_TOL)
+        log.info("ladder step %g: estimate %.3g, %s", step, estimate,
+                 "accepted" if accepted else "halved")
+        if accepted:
+            return _sample(t, cfg, fine, seed, step, estimate)
+        coarse = fine
+    log.info("ladder step %g: no estimate, accepted", cfg.dt)
+    return _sample(t, cfg, _run_ladder(family, taus, t, cfg, cfg.dt), seed,
+                   cfg.dt, math.nan)
 
 
 def upper_semicontinuity_sweep(t: float, cfg0: ProcessConfig,
@@ -241,6 +352,8 @@ def upper_semicontinuity_sweep(t: float, cfg0: ProcessConfig,
     Each eps scales the external field to (1 - eps) of its amplitude,
     so the sup gap to the unperturbed field is eps times the field's
     sup.  All runs share seeds, making the eps = 0 leg exactly zero.
+    The step is chosen once, on the unperturbed ladder, and every leg
+    runs at it, so the distances compare endpoints of one time grid.
     The reported envelope is the trajectory-level exponential bound at
     the deepest ladder horizon, an upper reference only.
     """
@@ -256,8 +369,8 @@ def upper_semicontinuity_sweep(t: float, cfg0: ProcessConfig,
             sample = base
         else:
             cfg_eps = replace(cfg0, field=cfg0.field.scaled(1.0 - eps))
-            sample = approximate_pullback_attractor(t, cfg_eps, n_samples,
-                                                    tau_ladder, seed=seed)
+            sample = _attractor_at_step(t, cfg_eps, n_samples, tau_ladder,
+                                        seed, base.step)
         dists.append(hausdorff_semidist(sample, base, cfg0.p))
         envs.append(continuity_envelope(cfg0, eps * cfg0.field.sup, horizon)
                     + DEDUP_TOL)

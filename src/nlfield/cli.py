@@ -266,7 +266,8 @@ def _cmd_attractor(exp: ExperimentConfig) -> int:
     meta = [("t", sample.t), ("n_members", len(sample)),
             ("converged", sample.converged), ("seed", sample.seed),
             ("config_digest", sample.digest),
-            ("deepest_tau", min(sample.taus))]
+            ("deepest_tau", min(sample.taus)), ("ladder_step", sample.step),
+            ("ladder_step_error", sample.step_error)]
     meta += [(f"rung_gap_{i}", g) for i, g in enumerate(sample.rung_gaps)]
     meta += [(f"member_norm_{i}", weighted_norm(m, cfg.p))
              for i, m in enumerate(sample.members)]

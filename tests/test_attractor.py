@@ -9,7 +9,7 @@ import pytest
 import nlfield as nf
 from conftest import LADDER
 from nlfield import attractor, dynamics
-from nlfield.attractor import _dedup, _lp_distances
+from nlfield.attractor import _attractor_at_step, _dedup, _lp_distances
 from nlfield.dynamics import _integrate
 from nlfield.weighted_space import quad_weights
 
@@ -123,6 +123,31 @@ def test_dedup_keeps_first_member_of_each_cluster(grid, cauchy):
     assert np.array_equal(kept, endpoints[[0, 1, 4]])
 
 
+def test_semidistance_measures_samples_in_their_own_p(grid, cauchy):
+    ones = np.ones(grid.n_points)
+
+    def sample(level, p):
+        member = nf.WeightedField(grid, cauchy, level * ones)
+        return nf.AttractorSample(t=0.0, members=(member,), p=p, taus=(-1.0,),
+                                  seed=0, digest="", converged=True, rung_gaps=(),
+                                  step=0.05, step_error=math.nan)
+
+    a, b = sample(0.5, 3.0), sample(0.2, 3.0)
+    l3 = nf.weighted_norm(nf.WeightedField(grid, cauchy, 0.3 * ones), 3.0)
+    assert nf.hausdorff_semidist(a, b) == pytest.approx(l3, rel=1e-12)
+    assert nf.hausdorff_semidist(a, b, 3.0) == nf.hausdorff_semidist(a, b)
+    with pytest.raises(ValueError):
+        nf.hausdorff_semidist(a, b, 2.0)
+    with pytest.raises(ValueError):
+        nf.hausdorff_semidist(a, sample(0.2, 2.0))
+    with pytest.raises(ValueError):
+        nf.hausdorff_semidist(list(a.members), b, 2.0)
+    # plain sequences keep the documented p = 2
+    l2 = nf.weighted_norm(nf.WeightedField(grid, cauchy, 0.3 * ones), 2.0)
+    assert nf.hausdorff_semidist(list(a.members), list(b.members)) == pytest.approx(
+        l2, rel=1e-12)
+
+
 def test_semidistance_validation(grid, fine_grid, cauchy):
     zero = nf.WeightedField(grid, cauchy, np.zeros(grid.n_points))
     with pytest.raises(nf.EmptySetError):
@@ -220,13 +245,17 @@ def test_batched_endpoints_match_single_evolve(pulsed_cfg):
         assert np.array_equal(row, nf.evolve(u0, -2.0, 0.0, pulsed_cfg).values)
 
 
+def at_dt(cfg, ladder):
+    """The ladder stepped at cfg.dt, as one fixed-step run."""
+    return _attractor_at_step(0.0, cfg, 6, ladder, 4, cfg.dt)
+
+
 def assert_rung_gaps_are_two_sided(cfg):
     # each rung's endpoint set is what a one-rung ladder returns for it
     ladder = (-1.0, -2.0, -4.0)
-    sample = nf.approximate_pullback_attractor(0.0, cfg, 6, ladder, seed=4)
+    sample = at_dt(cfg, ladder)
     assert len(sample.rung_gaps) == len(sample.taus) - 1 >= 1
-    rungs = [nf.approximate_pullback_attractor(0.0, cfg, 6, (tau,), seed=4)
-             for tau in sample.taus]
+    rungs = [at_dt(cfg, (tau,)) for tau in sample.taus]
     for gap, prev, cur in zip(sample.rung_gaps, rungs, rungs[1:]):
         both = max(nf.hausdorff_semidist(cur, prev, cfg.p),
                    nf.hausdorff_semidist(prev, cur, cfg.p))
@@ -254,7 +283,7 @@ def rung_stacks(monkeypatch, cfg, ladder):
         return kept
 
     monkeypatch.setattr(attractor, "_dedup", spy)
-    sample = nf.approximate_pullback_attractor(0.0, cfg, 6, ladder, seed=4)
+    sample = at_dt(cfg, ladder)
     return sample.taus, seen
 
 
@@ -302,7 +331,7 @@ def test_zero_field_ladder_steps_only_the_deepest_span(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_step_raw", counting)
     ladder = (-4.0, -8.0, -16.0)
-    sample = nf.approximate_pullback_attractor(0.0, small_cfg(), 6, ladder, seed=4)
+    sample = at_dt(small_cfg(), ladder)
     assert sample.taus == ladder
     # restarting every rung would take 80 + 160 + 320
     assert len(steps) == 320
@@ -310,18 +339,91 @@ def test_zero_field_ladder_steps_only_the_deepest_span(monkeypatch):
 
 def test_each_rung_logs_its_work(caplog):
     with caplog.at_level(logging.INFO, logger="nlfield.attractor"):
-        cont = nf.approximate_pullback_attractor(0.0, small_cfg(), 6, (-4.0, -8.0), seed=4)
-        pulsed = small_cfg(field=nf.ExternalField("pulsed", 0.1, 1.0))
-        rest = nf.approximate_pullback_attractor(0.0, pulsed, 6, (-4.0, -8.0), seed=4)
+        cont = at_dt(small_cfg(), (-4.0, -8.0))
+        rest = at_dt(small_cfg(field=nf.ExternalField("pulsed", 0.1, 1.0)), (-4.0, -8.0))
     lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("rung ")]
     assert lines == [
-        "rung tau=-4: 80 steps restarted, 6 of 6 members kept, gap n/a",
-        f"rung tau=-8: 80 steps continued, {len(cont)} of 6 members kept,"
+        "rung tau=-4: 80 steps of 0.05 restarted, 6 of 6 members kept, gap n/a",
+        f"rung tau=-8: 80 steps of 0.05 continued, {len(cont)} of 6 members kept,"
         f" gap {cont.rung_gaps[0]:.6g}",
-        "rung tau=-4: 80 steps restarted, 6 of 6 members kept, gap n/a",
-        f"rung tau=-8: 160 steps restarted, {len(rest)} of 6 members kept,"
+        "rung tau=-4: 80 steps of 0.05 restarted, 6 of 6 members kept, gap n/a",
+        f"rung tau=-8: 160 steps of 0.05 restarted, {len(rest)} of 6 members kept,"
         f" gap {rest.rung_gaps[0]:.6g}",
     ]
+
+
+# ---------------------------------------------------------------------------
+# the ladder step search
+# ---------------------------------------------------------------------------
+
+def two_sided(a, b):
+    return max(nf.hausdorff_semidist(a, b), nf.hausdorff_semidist(b, a))
+
+
+def test_pulsed_ladder_accepts_a_coarse_step_within_tolerance():
+    cfg = small_cfg(p=2.5, field=nf.ExternalField("pulsed", 0.1, 1.0))
+    ladder = (-4.0, -8.0, -16.0)
+    sample = nf.approximate_pullback_attractor(0.0, cfg, 6, ladder, seed=4)
+    ref = at_dt(cfg, ladder)
+    assert sample.step > cfg.dt
+    assert 0.0 < sample.step_error <= attractor.LADDER_TOL
+    assert sample.taus == ref.taus
+    assert sample.converged == ref.converged
+    assert two_sided(sample, ref) <= 2 * attractor.LADDER_TOL
+    assert math.isnan(ref.step_error) and ref.step == cfg.dt
+
+
+def test_zero_tolerance_falls_back_to_the_fixed_dt_ladder(monkeypatch, caplog):
+    cfg = small_cfg(p=2.5, field=nf.ExternalField("pulsed", 0.1, 1.0))
+    ladder = (-4.0, -8.0, -16.0)
+    monkeypatch.setattr(attractor, "LADDER_TOL", 0.0)
+    with caplog.at_level(logging.INFO, logger="nlfield.attractor"):
+        sample = nf.approximate_pullback_attractor(0.0, cfg, 6, ladder, seed=4)
+    ref = at_dt(cfg, ladder)
+    assert sample.step == cfg.dt
+    assert math.isnan(sample.step_error)
+    assert (sample.taus, sample.rung_gaps) == (ref.taus, ref.rung_gaps)
+    assert len(sample) == len(ref)
+    for u, v in zip(sample.members, ref.members):
+        assert np.array_equal(u.values, v.values)
+    tried = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("ladder step ")]
+    assert [line.split(":")[0] for line in tried] == [
+        "ladder step 0.4", "ladder step 0.2", "ladder step 0.1", "ladder step 0.05"]
+    assert all(line.endswith("halved") for line in tried[:-1])
+    assert tried[-1] == "ladder step 0.05: no estimate, accepted"
+
+
+def test_contraction_ladder_rejects_the_two_coarsest_steps(contraction_cfg, caplog):
+    with caplog.at_level(logging.INFO, logger="nlfield.attractor"):
+        sample = nf.approximate_pullback_attractor(0.0, contraction_cfg, 8, LADDER, seed=0)
+    tried = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("ladder step ")]
+    # 1.6 misses the tolerance, and 0.8 stops converged where its 1.6 rerun
+    # does not
+    assert [line.split(":")[0] for line in tried] == [
+        "ladder step 1.6", "ladder step 0.8", "ladder step 0.4"]
+    assert tried[0].endswith("halved") and tried[1].endswith("halved")
+    assert tried[2].endswith("accepted")
+    assert sample.step == 0.4
+    assert sample.converged and sample.taus == LADDER
+
+
+def test_sweep_searches_once_and_runs_every_leg_at_its_step(caplog):
+    cfg = small_cfg(field=nf.ExternalField("pulsed", 0.2, 1.0))
+    with caplog.at_level(logging.INFO, logger="nlfield.attractor"):
+        curve = nf.upper_semicontinuity_sweep(0.0, cfg, [0.2, 0.0], 4,
+                                              (-4.0, -8.0, -16.0), seed=0)
+    lines = [r.getMessage() for r in caplog.records]
+    tried = [i for i, line in enumerate(lines) if line.startswith("ladder step ")]
+    accepted = lines[tried[-1]]
+    assert accepted.endswith("accepted")
+    assert all(lines[i].endswith("halved") for i in tried[:-1])
+    step = accepted.split(":")[0].split()[-1]
+    legs = [line for line in lines[tried[-1] + 1:] if line.startswith("rung ")]
+    assert legs and all(f" steps of {step} " in line for line in legs)
+    assert curve.distances[-1] == 0.0
+    assert curve.distances[0] > 0.0
 
 
 # ---------------------------------------------------------------------------

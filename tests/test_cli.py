@@ -531,6 +531,9 @@ def test_attractor_contraction_run_converges(tmp_path):
     assert meta["n_members"] == "1"
     assert meta["seed"] == "0"
     assert float(meta["deepest_tau"]) <= -8.0
+    # the ladder runs at a step coarser than dt that its estimate accepts
+    assert float(meta["ladder_step"]) > 0.05
+    assert 0.0 < float(meta["ladder_step_error"]) <= 1e-4
     # weak gain collapses everything near zero
     assert float(meta["member_norm_0"]) < 1e-3
 
