@@ -9,8 +9,10 @@ The four corpus checks (lemma1a, lemma1a_deriv, lemma1b, prop_lipschitz)
 read one seeded draw made once per battery, and verify(name) is a battery
 of one.  The draw is one (rows, n) array whose mode sums come from a
 cos/sin block table by angle addition, within about 1e-13 of summing one
-libm cosine per node, and it is walked as (2, n) pairs, one J call each.
-Every report records its tolerance class:
+libm cosine per node.  It is walked in blocks of _BLOCK rows, each
+transformed forward once for both J*u and J'*u; norms are taken and G is
+evaluated row by row and pair by pair, as on a single field.  Every
+report records its tolerance class:
 
     algebraic identities    1e-12 relative
     quadrature-backed       1e-9  absolute
@@ -23,6 +25,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -30,7 +33,7 @@ from .attractor import absorbing_entry_time, approximate_pullback_attractor
 from .bifurcation import compute_h_star
 from .dynamics import ExternalField, ProcessConfig, evolve, _guard_finite, \
     _nonlinear_term
-from .kernel import _fft_convolve
+from .kernel import _fft_convolve_both
 from .weighted_space import WEIGHT_CAUCHY, WeightedField, _lp_norm, estimate_K, \
     finite_difference, quad_weights, rho_inf_unit_ball
 
@@ -38,6 +41,10 @@ log = logging.getLogger(__name__)
 
 TOL_QUADRATURE = 1e-9
 TOL_TRAJECTORY = 1e-3
+
+# corpus rows per forward FFT and per batched mode table: the batch knee
+# of the FFT on a (rows, n) array; even, so (2, n) pairs stay whole
+_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -79,11 +86,16 @@ def _field_corpus(cfg: ProcessConfig, count: int,
 
     Row i is sum_m amp_m cos(k_m x + phase_m) + noise.  Each mode draws k,
     then amp, then phase, and the row's grid noise follows its five modes.
-    The mode sum comes from angle addition over blocks of b = ceil(sqrt n)
-    nodes: with heads theta_a = k x[a b] + phase and offsets psi_j = k dx j,
+    The scalars are drawn through rng.random and rng.standard_normal with
+    the affine maps of rng.uniform and rng.normal, so each equals what
+    those would draw, at less call overhead.  The mode sum comes from
+    angle addition over blocks of b = ceil(sqrt n) nodes: with heads
+    theta_a = k x[a b] + phase and offsets psi_j = k dx j,
     cos(theta_a + psi_j) = cos theta_a cos psi_j - sin theta_a sin psi_j,
     so a row is one (blocks, 10) @ (10, b) product cropped to n, built from
-    2 (blocks + b) sines and cosines per mode instead of n cosines.
+    2 (blocks + b) sines and cosines per mode instead of n cosines.  Once
+    every row is drawn, the products of _BLOCK rows at a time are one
+    batched matmul, added in place onto the rows' noise.
     """
     x = cfg.grid.nodes
     n = x.size
@@ -91,18 +103,22 @@ def _field_corpus(cfg: ProcessConfig, count: int,
     heads = x[::b]
     steps = cfg.grid.spacing * np.arange(b)
     out = np.empty((count, n))
-    modes = np.empty((3, 5))
-    for row in out:
+    modes = np.empty((count, 3, 5))
+    for row, (k, amp, phase) in zip(out, modes):
         for m in range(5):
-            modes[0, m] = rng.uniform(0.05, 2.5)
-            modes[1, m] = rng.normal(scale=0.3)
-            modes[2, m] = rng.uniform(0, 2 * np.pi)
-        k, amp, phase = modes
-        theta = np.multiply.outer(heads, k) + phase
-        psi = np.multiply.outer(k, steps)
-        table = np.hstack([amp * np.cos(theta), -amp * np.sin(theta)])
-        row[:] = (table @ np.vstack([np.cos(psi), np.sin(psi)])).ravel()[:n]
-        row += rng.normal(scale=0.1, size=n)
+            k[m] = 0.05 + (2.5 - 0.05) * rng.random()
+            amp[m] = 0.3 * rng.standard_normal()
+            phase[m] = 2 * np.pi * rng.random()
+        rng.standard_normal(out=row)
+        row *= 0.1
+    for first in range(0, count, _BLOCK):
+        k, amp, phase = modes[first:first + _BLOCK, :, None, :].swapaxes(0, 1)
+        theta = heads[:, None] * k + phase
+        psi = np.swapaxes(k, 1, 2) * steps
+        table = np.concatenate([amp * np.cos(theta), -amp * np.sin(theta)], axis=2)
+        basis = np.concatenate([np.cos(psi), np.sin(psi)], axis=1)
+        rows = out[first:first + _BLOCK]
+        rows += (table @ basis).reshape(len(rows), -1)[:, :n]
     return out
 
 
@@ -165,13 +181,14 @@ def c1_regularity_bound(cfg: ProcessConfig, h_star: float) -> float:
 def _corpus_worst(cfg, samples, seed) -> dict[str, float]:
     """Worst measured ratio of each corpus check, from one seeded draw.
 
-    The 2 * samples rows are walked as `samples` (2, n) pairs, and each
-    pair is convolved with J in one call.  The convolution checks read the
-    first `samples` rows: J*u serves lemma1a and lemma1b, and one J' call
-    per pair holding such rows gives their J'*u for lemma1a_deriv.
-    prop_lipschitz hands the pair's J*u to G and draws one time per pair
-    after the corpus.  A corpus pass convolves 3 * samples rows; every
-    norm still reads one row.
+    The 2 * samples rows are walked in blocks of _BLOCK rows, and each
+    block is transformed forward once: that one spectrum gives J*u for
+    every row of the block and J'*u for the block's lemma rows, the first
+    `samples` rows of the corpus.  J*u serves lemma1a and lemma1b, J'*u
+    lemma1a_deriv.  prop_lipschitz takes the rows in (2, n) pairs, hands
+    each pair's J*u to G and draws one time per pair after the corpus.  A
+    corpus pass transforms 2 * samples rows forward and 3 * samples back;
+    every norm still reads one row.
     """
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
@@ -180,12 +197,14 @@ def _corpus_worst(cfg, samples, seed) -> dict[str, float]:
     w = quad_weights(cfg.weight, cfg.grid)
     mask = cfg.grid.interior_mask()
     worst = dict.fromkeys(_CORPUS_BOUNDS, 0.0)
-    convolved = 0
-    for i, pair in enumerate(corpus.reshape(samples, 2, -1)):
-        conv = _fft_convolve(cfg.kernel, pair)
-        lemma = pair[:max(samples - 2 * i, 0)]  # clamped: pair[:-1] is one row
-        deriv = _fft_convolve(cfg.kernel, lemma, True) if len(lemma) else lemma
-        convolved += len(pair) + len(lemma)
+    blocks = inverse_rows = 0
+    for first in range(0, len(corpus), _BLOCK):
+        block = corpus[first:first + _BLOCK]
+        # clamped: past the lemma rows, block[:-k] would still keep rows
+        lemma = block[:max(samples - first, 0)]
+        conv, deriv = _fft_convolve_both(cfg.kernel, block, len(lemma))
+        blocks += 1
+        inverse_rows += len(block) + len(lemma)
         for u, conv_u, deriv_u in zip(lemma, conv, deriv):
             nu = _lp_norm(u, w, cfg.p)
             if nu != 0.0:
@@ -193,18 +212,22 @@ def _corpus_worst(cfg, samples, seed) -> dict[str, float]:
                                     ("lemma1a_deriv", _lp_norm(deriv_u, w, cfg.p)),
                                     ("lemma1b", float(np.max(np.abs(conv_u[mask]))))):
                     worst[name] = max(worst[name], value / nu)
-        gap = _lp_norm(pair[0] - pair[1], w, cfg.p)
-        if gap == 0.0:
-            continue
-        # f = -u + G(t, u); without the guard a NaN ratio would vanish in max
-        f = -pair + _nonlinear_term(cfg, rng.uniform(0.0, 10.0), pair, conv)
-        diff = f[0] - f[1]
-        _guard_finite(diff)
-        worst["prop_lipschitz"] = max(worst["prop_lipschitz"],
-                                      _lp_norm(diff, w, cfg.p) / gap)
-    log.info("corpus pass: %d rows drawn in %.3f s, %d convolutions,"
-             " checked in %.3f s", len(corpus), drawn - start, convolved,
-             time.perf_counter() - drawn)
+        # _BLOCK is even, so no pair straddles two blocks
+        for i in range(0, len(block), 2):
+            pair = block[i:i + 2]
+            gap = _lp_norm(pair[0] - pair[1], w, cfg.p)
+            if gap == 0.0:
+                continue
+            # f = -u + G(t, u); without the guard a NaN ratio would vanish in max
+            f = -pair + _nonlinear_term(cfg, rng.uniform(0.0, 10.0), pair,
+                                        conv[i:i + 2])
+            diff = f[0] - f[1]
+            _guard_finite(diff)
+            worst["prop_lipschitz"] = max(worst["prop_lipschitz"],
+                                          _lp_norm(diff, w, cfg.p) / gap)
+    log.info("corpus pass: %d rows drawn in %.3f s, %d blocks, %d forward rows,"
+             " %d inverse rows, checked in %.3f s", len(corpus), drawn - start,
+             blocks, len(corpus), inverse_rows, time.perf_counter() - drawn)
     return worst
 
 
@@ -243,8 +266,10 @@ def _check_w_bound(cfg, samples, seed):
     return _report("w_bound", a, max(sups), TOL_QUADRATURE, cfg, samples, seed)
 
 
-def _check_c1_attractor(cfg, samples, seed):
-    bound = c1_regularity_bound(cfg, compute_h_star(cfg.beta, cfg.nonlinearity))
+def _check_c1_attractor(cfg, samples, seed, h_star=None):
+    if h_star is None:
+        h_star = compute_h_star(cfg.beta, cfg.nonlinearity)
+    bound = c1_regularity_bound(cfg, h_star)
     sample = approximate_pullback_attractor(
         0.0, cfg, n_samples=min(samples, 8),
         tau_ladder=[-4.0, -8.0, -16.0, -32.0], seed=seed)
@@ -298,10 +323,12 @@ def verify(name: str, cfg: ProcessConfig, samples: int = 500,
 
 
 def battery(cfg: ProcessConfig, names=None, samples: int = 500,
-            seed: int = 0) -> list[BoundReport]:
+            seed: int = 0, h_star: float | None = None) -> list[BoundReport]:
     """Run a selection of checks (default: all) in the order given.
 
-    The corpus checks share one seeded draw, made once per call.
+    The corpus checks share one seeded draw, made once per call.  h_star,
+    when given, is the threshold h* of cfg's beta and response, already
+    computed by the caller; c1_attractor computes it only when it is None.
     """
     names = list(CHECK_NAMES if names is None else names)
     for n in names:
@@ -309,6 +336,8 @@ def battery(cfg: ProcessConfig, names=None, samples: int = 500,
             raise ValueError(f"unknown check {n!r}; expected one of {CHECK_NAMES}")
     worst = _corpus_worst(cfg, samples, seed) \
         if any(n in _CORPUS_BOUNDS for n in names) else {}
+    checks = dict(_CHECKS, c1_attractor=partial(_check_c1_attractor,
+                                                h_star=h_star))
     return [_report(n, _CORPUS_BOUNDS[n](cfg), worst[n], TOL_QUADRATURE,
                     cfg, samples, seed) if n in worst
-            else _CHECKS[n](cfg, samples, seed) for n in names]
+            else checks[n](cfg, samples, seed) for n in names]

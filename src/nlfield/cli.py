@@ -301,7 +301,7 @@ def _cmd_hstar(exp: ExperimentConfig) -> int:
 def _cmd_verify(exp: ExperimentConfig) -> int:
     blk = exp.blocks["verify"]
     reports = battery(exp.process, names=blk.get("checks"),
-                      samples=blk["samples"], seed=exp.seed)
+                      samples=blk["samples"], seed=exp.seed, h_star=exp.h_star)
     _write_csv(os.path.join(exp.out_dir, "verify.csv"),
                ["name", "theoretical", "measured", "margin", "passed",
                 "seed", "config_digest"],

@@ -14,8 +14,13 @@ use Grid1D.interior_mask when asserting against continuum identities.
 
 convolve_direct is the quadratic-cost reference sum (the oracle the
 fast path is tested against).  Every other convolution in the package,
-convolve_fast, the nonlinear term of the dynamics and the J' * u of the
-lemma1a_deriv check, goes through one FFT expression.  The transform is
+convolve_fast, the nonlinear term of the dynamics and the J * u and
+J' * u of the corpus checks, goes through one FFT expression: a forward
+transform of the rows (_forward), products with the cached spectra, and
+an inverse transform cropped to the grid (_inverse).  _fft_convolve
+gives one product; _fft_convolve_both gives J * u for every row and
+J' * u for a leading slice of them from a single forward transform, so
+a row that needs both is transformed forward once.  The transform is
 zero padded to the next 5-smooth length (no prime factor above 5) that
 is at least n + 2m, with m the kernel half width: any length >= n + 2m
 leaves no circular wrap-around in the cropped window, and numpy's FFT
@@ -119,14 +124,34 @@ def convolve_direct(kernel: Kernel, u: WeightedField) -> WeightedField:
     return u.with_values(out)
 
 
-def _fft_convolve(kernel: Kernel, values: np.ndarray, derivative: bool = False) -> np.ndarray:
-    """J * values (or J' * values) along the last axis of a (..., n) array."""
+def _forward(kernel: Kernel, values: np.ndarray) -> np.ndarray:
+    """Zero-padded forward transform of each row of a (..., n) array."""
+    return np.fft.rfft(values, kernel._fft_len, axis=-1)
+
+
+def _inverse(kernel: Kernel, product: np.ndarray) -> np.ndarray:
+    """Inverse transform of spectrum products, cropped to the grid, times dx."""
     n = kernel.grid.n_points
     m = kernel.half_width
-    spectrum = kernel._deriv_spectrum if derivative else kernel._spectrum
-    full = np.fft.irfft(np.fft.rfft(values, kernel._fft_len, axis=-1) * spectrum,
-                        kernel._fft_len, axis=-1)
+    full = np.fft.irfft(product, kernel._fft_len, axis=-1)
     return full[..., m : m + n] * kernel.grid.spacing
+
+
+def _fft_convolve(kernel: Kernel, values: np.ndarray, derivative: bool = False) -> np.ndarray:
+    """J * values (or J' * values) along the last axis of a (..., n) array."""
+    spectrum = kernel._deriv_spectrum if derivative else kernel._spectrum
+    return _inverse(kernel, _forward(kernel, values) * spectrum)
+
+
+def _fft_convolve_both(kernel: Kernel, values: np.ndarray,
+                       deriv_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """J * values for every row of a (rows, n) array, and J' * values for
+    its first deriv_rows rows, from one forward transform of the rows."""
+    forward = _forward(kernel, values)
+    conv = _inverse(kernel, forward * kernel._spectrum)
+    if not deriv_rows:
+        return conv, conv[:0]
+    return conv, _inverse(kernel, forward[:deriv_rows] * kernel._deriv_spectrum)
 
 
 def convolve_fast(kernel: Kernel, u: WeightedField) -> WeightedField:

@@ -12,7 +12,8 @@ import pytest
 import nlfield as nf
 import nlfield.bounds
 import nlfield.dynamics
-from nlfield.bounds import CHECK_NAMES, _field_corpus, _scaled_to_norm
+import nlfield.kernel
+from nlfield.bounds import _BLOCK, CHECK_NAMES, _field_corpus, _scaled_to_norm
 from nlfield.dynamics import _nonlinear_term
 from nlfield.kernel import _fft_convolve
 from nlfield.weighted_space import _lp_norm, quad_weights
@@ -252,8 +253,10 @@ def test_shared_corpus_matches_per_check_redraw(grid, kernel, p, beta, weight,
                            weight=nf.WeightFunction(weight), kernel=kernel,
                            nonlinearity=nf.Nonlinearity.tanh(), field=field,
                            dt=0.05)
-    # an odd count leaves the last pair with one lemma row
-    for samples in (30, 31):
+    # an odd count leaves the last pair with one lemma row; the others put
+    # the lemma/prop boundary mid-block, on a block edge, and in a corpus
+    # of one pair
+    for samples in (1, _BLOCK // 2, _BLOCK, 30, 31, 2 * _BLOCK + 5):
         expected = redrawn_corpus_worst(cfg, samples, 7)
         reports = nf.battery(cfg, CORPUS_CHECKS, samples=samples, seed=7)
         assert {r.name: r.measured for r in reports} == expected
@@ -272,41 +275,72 @@ def libm_corpus(x, count, rng):
     return np.array(rows)
 
 
+def row_table_corpus(x, dx, count, rng):
+    """Reference rows: each row's angle-addition table built on its own."""
+    n = x.size
+    b = math.isqrt(n - 1) + 1
+    heads = x[::b]
+    steps = dx * np.arange(b)
+    rows = np.empty((count, n))
+    for row in rows:
+        k, amp, phase = np.array([[rng.uniform(0.05, 2.5), rng.normal(scale=0.3),
+                                   rng.uniform(0, 2 * np.pi)] for _ in range(5)]).T
+        theta = np.multiply.outer(heads, k) + phase
+        psi = np.multiply.outer(k, steps)
+        table = np.hstack([amp * np.cos(theta), -amp * np.sin(theta)])
+        row[:] = (table @ np.vstack([np.cos(psi), np.sin(psi)])).ravel()[:n]
+        row += rng.normal(scale=0.1, size=n)
+    return rows
+
+
 @pytest.mark.parametrize("n", [4096, 1009])
 def test_field_corpus_matches_libm_sum_and_draw_order(cauchy, n):
-    # 1009 is prime, so the last block of the cos/sin table is cropped
+    # 1009 is prime, so the last block of the cos/sin table is cropped; 40
+    # rows end in a part block of the batched table, which must give the
+    # bits of the row-by-row table
     grid = nf.Grid1D(50.0, n)
     cfg = nf.ProcessConfig(beta=2.0, p=2.0, grid=grid, weight=cauchy,
                            kernel=nf.make_bump_kernel(grid),
                            nonlinearity=nf.Nonlinearity.tanh(),
                            field=nf.ExternalField(), dt=0.05)
-    ref_rng, rng = np.random.default_rng(11), np.random.default_rng(11)
+    ref_rng, row_rng, rng = (np.random.default_rng(11) for _ in range(3))
     expected = libm_corpus(grid.nodes, 40, ref_rng)
+    by_row = row_table_corpus(grid.nodes, grid.spacing, 40, row_rng)
     corpus = _field_corpus(cfg, 40, rng)
     assert corpus.shape == (40, n)
     np.testing.assert_allclose(corpus, expected, rtol=0, atol=1e-12)
-    assert rng.uniform() == ref_rng.uniform()
+    assert np.array_equal(corpus, by_row)
+    assert rng.uniform() == ref_rng.uniform() == row_rng.uniform()
 
 
 def test_corpus_pass_convolves_each_row_once(tanh_cfg, monkeypatch):
-    # J*u and J'*u of the first `samples` rows, and J*u of the rest, which
-    # G reuses: 3 * samples rows, none of them inside dynamics, in one J
-    # call per pair and one J' call per pair holding lemma rows.  At 11
-    # samples an unclamped pair[:-1] would convolve a 34th row.
-    def counting(module):
-        def convolve(kernel, values, derivative=False):
-            rows[module] += len(values)
-            calls[module] += 1
-            return _fft_convolve(kernel, values, derivative)
-        return convolve
+    # one forward transform of every row; back: J*u of every row, which G
+    # reuses, and J'*u of the first `samples` rows; none inside dynamics.
+    # At 11 samples the second block holds no lemma row, and an unclamped
+    # block[:samples - first] would transform a 34th row back.
+    def counting(name, transform):
+        def counted(kernel, values):
+            rows[name] += len(values)
+            calls[name] += 1
+            return transform(kernel, values)
+        return counted
 
-    monkeypatch.setattr(nlfield.bounds, "_fft_convolve", counting("bounds"))
-    monkeypatch.setattr(nlfield.dynamics, "_fft_convolve", counting("dynamics"))
-    for samples in (10, 11):
-        rows, calls = {"bounds": 0, "dynamics": 0}, {"bounds": 0, "dynamics": 0}
+    def in_dynamics(kernel, values, derivative=False):
+        rows["dynamics"] += len(values)
+        return _fft_convolve(kernel, values, derivative)
+
+    monkeypatch.setattr(nlfield.kernel, "_forward",
+                        counting("forward", nlfield.kernel._forward))
+    monkeypatch.setattr(nlfield.kernel, "_inverse",
+                        counting("inverse", nlfield.kernel._inverse))
+    monkeypatch.setattr(nlfield.dynamics, "_fft_convolve", in_dynamics)
+    for samples in (10, 11, 2 * _BLOCK + 5):
+        rows = {"forward": 0, "inverse": 0, "dynamics": 0}
+        calls = {"forward": 0, "inverse": 0}
         nf.battery(tanh_cfg, CORPUS_CHECKS, samples=samples, seed=0)
-        assert rows == {"bounds": 3 * samples, "dynamics": 0}
-        assert calls["bounds"] <= samples + math.ceil(samples / 2)
+        assert rows == {"forward": 2 * samples, "inverse": 3 * samples,
+                        "dynamics": 0}
+        assert calls["forward"] == math.ceil(2 * samples / _BLOCK)
 
 
 @pytest.mark.parametrize("name", CORPUS_CHECKS)
@@ -356,10 +390,12 @@ def test_battery_reports_in_the_order_given(tanh_cfg):
 # ---------------------------------------------------------------------------
 
 def test_convolution_without_dx_trips_the_lemma_checks(tanh_cfg, monkeypatch):
-    def no_dx(kernel, values, derivative=False):
-        return _fft_convolve(kernel, values, derivative) / kernel.grid.spacing
+    inverse = nlfield.kernel._inverse
 
-    monkeypatch.setattr(nlfield.bounds, "_fft_convolve", no_dx)
+    def no_dx(kernel, product):
+        return inverse(kernel, product) / kernel.grid.spacing
+
+    monkeypatch.setattr(nlfield.kernel, "_inverse", no_dx)
     reports = nf.battery(tanh_cfg, CORPUS_CHECKS, samples=100, seed=0)
     assert [r.name for r in reports if not r.passed] == \
         ["lemma1a", "lemma1a_deriv", "lemma1b"]

@@ -15,9 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nlfield.bounds
 from nlfield import cli
 from nlfield.bifurcation import compute_h_star, tanh_h_star
-from nlfield.bounds import CHECK_NAMES
+from nlfield.bounds import CHECK_NAMES, c1_regularity_bound
 from nlfield.cli import main, parse_config
 from nlfield.errors import BlowUpError, ConfigError
 from nlfield.weighted_space import WeightedField, weighted_norm
@@ -389,6 +390,28 @@ def test_hstar_on_pulsed_config_computes_threshold_once(tmp_path, capsys,
     assert [int(r[1]) for r in rows] == [3, 3, 3, 1, 1]
 
 
+def test_verify_on_pulsed_config_computes_threshold_once(tmp_path,
+                                                         monkeypatch):
+    # the amplitude guard's h* is the one c1_attractor bounds with
+    calls = []
+
+    def counting(beta, g):
+        calls.append(beta)
+        return compute_h_star(beta, g)
+
+    monkeypatch.setattr(cli, "compute_h_star", counting)
+    monkeypatch.setattr(nlfield.bounds, "compute_h_star", counting)
+    out = tmp_path / "run"
+    doc = (SMALL.format(beta=2.0, out=out)
+           + "field:\n  family: pulsed\n  amplitude: 0.2\n"
+             "verify:\n  checks: [c1_attractor]\n  samples: 4\n")
+    assert main(["verify", "--config", write_config(tmp_path, doc)]) == 0
+    assert calls == [2.0]
+    _, rows = read_rows(out / "verify.csv")
+    assert float(rows[0][1]) == c1_regularity_bound(
+        parse_config(doc).process, 0.26641998767677594)
+
+
 ZERO_MODEL = SMALL + "model: zero\n"
 
 
@@ -566,7 +589,8 @@ def test_verify_subset_passes(tmp_path, caplog):
         assert main(["verify", "--config", path]) == 0
     messages = [r.getMessage() for r in caplog.records]
     assert any(m.startswith("corpus pass: 120 rows drawn in ")
-               and ", 180 convolutions, checked in " in m for m in messages)
+               and ", 8 blocks, 120 forward rows, 180 inverse rows, checked in "
+               in m for m in messages)
 
     header, rows = read_rows(out / "verify.csv")
     assert header == ["name", "theoretical", "measured", "margin",
@@ -584,7 +608,7 @@ def test_verify_subset_passes(tmp_path, caplog):
 def test_verify_without_checks_asks_for_every_check(tmp_path, monkeypatch):
     asked = []
 
-    def recording(cfg, names=None, samples=500, seed=0):
+    def recording(cfg, names=None, samples=500, seed=0, h_star=None):
         asked.append((names, samples, seed))
         return []
 
@@ -676,7 +700,7 @@ def test_sweep_shallow_ladder_reports_failure(tmp_path, caplog):
 
 
 def test_package_error_inside_a_command_exits_2(tmp_path, monkeypatch, capsys):
-    def blow_up(cfg, names=None, samples=500, seed=0):
+    def blow_up(cfg, names=None, samples=500, seed=0, h_star=None):
         raise BlowUpError("state left the finite range at t = 0.5")
 
     monkeypatch.setattr(cli, "battery", blow_up)

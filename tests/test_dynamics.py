@@ -2,11 +2,14 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nlfield as nf
+import nlfield.dynamics
+from nlfield.cli import parse_config
 from nlfield.weighted_space import quad_weights
 
 
@@ -185,6 +188,50 @@ def test_self_convergence_second_order(cfg_name, request, corpus_factory):
     e1 = norm_of(endpoint(0.05).values - ref.values, u0)
     e2 = norm_of(endpoint(0.025).values - ref.values, u0)
     assert 3.5 <= e1 / e2 <= 4.5
+
+
+# weighted l^2 endpoint error of the shipped stepper at each step h, on the
+# configs/sweep.yaml process at n = 1024 from a constant 0.5 start over
+# [0, 8], against a dt = 0.003125 reference.  An order test cannot see a
+# wrong error constant: swapping w1 and w2 in _phi_weights keeps their sum
+# and the second order, and reads 2.08e-4, 5.29e-5 and 1.34e-5.
+STEP_ERRORS = {0.4: 8.90e-5, 0.2: 2.28e-5, 0.1: 5.76e-6}
+STEP_ERROR_SLACK = 1.5
+
+
+def step_errors():
+    text = (Path(__file__).parent.parent / "configs" / "sweep.yaml").read_text()
+    cfg = parse_config(text.replace("n_points: 4096", "n_points: 1024")).process
+    assert cfg.grid.n_points == 1024
+    u0 = nf.WeightedField(cfg.grid, cfg.weight, np.full(cfg.grid.n_points, 0.5))
+
+    def endpoint(dt):
+        return nf.evolve(u0, 0.0, 8.0, dataclasses.replace(cfg, dt=dt)).values
+
+    ref = endpoint(0.003125)
+    return {h: norm_of(endpoint(h) - ref, u0) for h in STEP_ERRORS}
+
+
+def within_pin(errors):
+    return all(STEP_ERRORS[h] / STEP_ERROR_SLACK <= e <= STEP_ERRORS[h] * STEP_ERROR_SLACK
+               for h, e in errors.items())
+
+
+def test_stepper_error_constant_is_pinned():
+    assert within_pin(step_errors())
+
+
+def test_swapped_quadrature_weights_trip_the_error_pin(monkeypatch):
+    phi = nlfield.dynamics._phi_weights
+
+    def swapped(delta):
+        em, w1, w2 = phi(delta)
+        return em, w2, w1
+
+    monkeypatch.setattr(nlfield.dynamics, "_phi_weights", swapped)
+    errors = step_errors()
+    assert not within_pin(errors)
+    assert all(e > STEP_ERRORS[h] * STEP_ERROR_SLACK for h, e in errors.items())
 
 
 # ---------------------------------------------------------------------------
