@@ -19,7 +19,7 @@ from .errors import (
 )
 from .weighted_space import (
     WeightFunction, Grid1D, WeightedField, weighted_norm, tail_mass,
-    radius_for_tail, estimate_K, rho_inf_unit_ball, finite_difference,
+    radius_for_tail, finite_difference,
 )
 from .kernel import Kernel, make_bump_kernel, convolve_direct, convolve_fast
 from .dynamics import (
@@ -43,8 +43,7 @@ __all__ = [
     "GridTooCoarseError", "TimeOrderError", "BlowUpError",
     "NotBistableError", "EmptySetError", "ConfigError",
     "WeightFunction", "Grid1D", "WeightedField", "weighted_norm",
-    "tail_mass", "radius_for_tail", "estimate_K", "rho_inf_unit_ball",
-    "finite_difference",
+    "tail_mass", "radius_for_tail", "finite_difference",
     "Kernel", "make_bump_kernel", "convolve_direct", "convolve_fast",
     "Nonlinearity", "ExternalField", "ProcessConfig", "TrajectoryState",
     "rhs_f", "step_exponential", "evolve", "K1_TANH",

@@ -11,8 +11,14 @@ of one.  The draw is one (rows, n) array whose mode sums come from a
 cos/sin block table by angle addition, within about 1e-13 of summing one
 libm cosine per node.  It is walked in blocks of _BLOCK rows, each
 transformed forward once for both J*u and J'*u; norms are taken and G is
-evaluated row by row and pair by pair, as on a single field.  Every
-report records its tolerance class:
+evaluated row by row and pair by pair, as on a single field.
+
+The constants built on the weight are the Cauchy weight's: K = 3 bounds
+rho(x)/rho(y) over |x - y| <= 1 (its sup is (3 + sqrt 5)/2), and
+rho_1 = min_{|y|<=1} rho = 1/(2 pi).  The gaussian weight has no finite
+K (rho(c-1)/rho(c) = exp(c - 1/2)), so battery rejects it for the checks
+that use either constant; absorbing, w_bound and c1_attractor still run
+on it.  Every report records its tolerance class:
 
     algebraic identities    1e-12 relative
     quadrature-backed       1e-9  absolute
@@ -33,14 +39,19 @@ from .attractor import absorbing_entry_time, approximate_pullback_attractor
 from .bifurcation import compute_h_star
 from .dynamics import ExternalField, ProcessConfig, evolve, _guard_finite, \
     _nonlinear_term
+from .errors import ConfigError
 from .kernel import _fft_convolve_both
-from .weighted_space import WEIGHT_CAUCHY, WeightedField, _lp_norm, estimate_K, \
-    finite_difference, quad_weights, rho_inf_unit_ball
+from .weighted_space import WEIGHT_CAUCHY, WeightedField, _lp_norm, \
+    finite_difference, quad_weights
 
 log = logging.getLogger(__name__)
 
 TOL_QUADRATURE = 1e-9
 TOL_TRAJECTORY = 1e-3
+
+# the Cauchy weight's constants: K, and rho_1, which is rho(1) to the bit
+CAUCHY_K = 3.0
+CAUCHY_RHO_1 = 1.0 / (2.0 * math.pi)
 
 # corpus rows per forward FFT and per batched mode table: the batch knee
 # of the FFT on a (rows, n) array; even, so (2, n) pairs stay whole
@@ -70,14 +81,6 @@ def _report(name, theoretical, measured, tolerance, cfg, samples, seed,
                        margin=float(theoretical - measured), passed=passed,
                        tolerance=tolerance, digest=cfg.digest(),
                        samples=samples, seed=seed)
-
-
-def _weight_admissibility(cfg: ProcessConfig) -> float:
-    # the Cauchy weight admits the clean constant 3; other weights fall
-    # back to the measured constant of the truncated grid
-    if cfg.weight.kind == WEIGHT_CAUCHY:
-        return 3.0
-    return estimate_K(cfg.weight, cfg.grid)
 
 
 def _field_corpus(cfg: ProcessConfig, count: int,
@@ -126,24 +129,24 @@ def _field_corpus(cfg: ProcessConfig, count: int,
 # constant calculators
 # ---------------------------------------------------------------------------
 
-def lipschitz_constant_f(cfg: ProcessConfig, K: float) -> float:
+def lipschitz_constant_f(cfg: ProcessConfig) -> float:
     """Lipschitz constant of u -> -u + g(beta(J*u) + beta h(t,u)).
 
-    Returns the stated constant 1 + l_g beta K^(1/p) + beta l_h.
+    Returns the stated constant 1 + l_g beta K^(1/p) + beta l_h, with the
+    Cauchy weight's K.
     """
-    if K < 1.0:
-        raise ValueError(f"admissibility constant must be >= 1, got {K}")
-    return (1.0 + cfg.nonlinearity.lipschitz * cfg.beta * K ** (1.0 / cfg.p)
-            + cfg.beta * cfg.field.lipschitz)
+    return (1.0 + cfg.nonlinearity.lipschitz * cfg.beta
+            * CAUCHY_K ** (1.0 / cfg.p) + cfg.beta * cfg.field.lipschitz)
 
 
 def continuity_envelope(cfg: ProcessConfig, h_gap: float, horizon: float) -> float:
     """Exponential bound on trajectory divergence under a field gap.
 
     M1 h_gap exp(M1 ||J||_inf rho1^(-1) horizon) with
-    M1 = 2^((p+1)/p) l_g beta.  A zero gap gives exactly 0 at any
-    horizon; a value past the float range is returned as inf, with a
-    warning that the bound says nothing at that horizon.
+    M1 = 2^((p+1)/p) l_g beta, and rho1 the Cauchy weight's.  A zero gap
+    gives exactly 0 at any horizon.  A weight other than Cauchy, or a
+    value past the float range, gives inf, with a warning that the bound
+    says nothing there.
     """
     if horizon < 0.0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
@@ -151,9 +154,12 @@ def continuity_envelope(cfg: ProcessConfig, h_gap: float, horizon: float) -> flo
         raise ValueError(f"h gap must be nonnegative, got {h_gap}")
     if h_gap == 0.0:
         return 0.0
+    if cfg.weight.kind != WEIGHT_CAUCHY:
+        log.warning("continuity envelope: the %s weight has no finite K;"
+                    " the bound is vacuous", cfg.weight.kind)
+        return math.inf
     m1 = 2.0 ** ((cfg.p + 1.0) / cfg.p) * cfg.nonlinearity.lipschitz * cfg.beta
-    rho1 = rho_inf_unit_ball(cfg.weight)
-    rate = m1 * cfg.kernel.norm_sup / rho1
+    rate = m1 * cfg.kernel.norm_sup / CAUCHY_RHO_1
     try:
         envelope = m1 * h_gap * math.exp(rate * horizon)
     except OverflowError:
@@ -300,11 +306,10 @@ def _check_gronwall(cfg, samples, seed):
 
 # the checks measured on the shared corpus: name -> stated constant(cfg)
 _CORPUS_BOUNDS = {
-    "lemma1a": lambda cfg: _weight_admissibility(cfg) ** (1.0 / cfg.p),
-    "lemma1a_deriv": lambda cfg: _weight_admissibility(cfg) ** (1.0 / cfg.p),
-    "lemma1b": lambda cfg: cfg.kernel.norm_sup / rho_inf_unit_ball(cfg.weight),
-    "prop_lipschitz": lambda cfg: lipschitz_constant_f(
-        cfg, _weight_admissibility(cfg)),
+    "lemma1a": lambda cfg: CAUCHY_K ** (1.0 / cfg.p),
+    "lemma1a_deriv": lambda cfg: CAUCHY_K ** (1.0 / cfg.p),
+    "lemma1b": lambda cfg: cfg.kernel.norm_sup / CAUCHY_RHO_1,
+    "prop_lipschitz": lipschitz_constant_f,
 }
 # the checks with their own runs: name -> check(cfg, samples, seed)
 _CHECKS = {
@@ -314,6 +319,10 @@ _CHECKS = {
     "gronwall_continuity": _check_gronwall,
 }
 CHECK_NAMES = tuple(_CORPUS_BOUNDS) + tuple(_CHECKS)
+# the checks whose constants hold for the Cauchy weight only: name -> the
+# weight constant its bound is built on
+_CAUCHY_ONLY = {"lemma1a": "K", "lemma1a_deriv": "K", "lemma1b": "rho_1",
+                "prop_lipschitz": "K", "gronwall_continuity": "rho_1"}
 
 
 def verify(name: str, cfg: ProcessConfig, samples: int = 500,
@@ -329,11 +338,20 @@ def battery(cfg: ProcessConfig, names=None, samples: int = 500,
     The corpus checks share one seeded draw, made once per call.  h_star,
     when given, is the threshold h* of cfg's beta and response, already
     computed by the caller; c1_attractor computes it only when it is None.
+    A weight other than Cauchy raises ConfigError at key path "weight",
+    before any draw, if a check of _CAUCHY_ONLY is asked for.
     """
     names = list(CHECK_NAMES if names is None else names)
     for n in names:
         if n not in CHECK_NAMES:
             raise ValueError(f"unknown check {n!r}; expected one of {CHECK_NAMES}")
+    needs = [f"{n} ({_CAUCHY_ONLY[n]})" for n in names if n in _CAUCHY_ONLY]
+    if needs and cfg.weight.kind != WEIGHT_CAUCHY:
+        others = [n for n in CHECK_NAMES if n not in _CAUCHY_ONLY]
+        raise ConfigError(
+            f"the {cfg.weight.kind} weight has no finite K, so the cauchy "
+            f"weight's constants of {', '.join(needs)} do not hold; list "
+            f"checks from {', '.join(others)}", "weight")
     worst = _corpus_worst(cfg, samples, seed) \
         if any(n in _CORPUS_BOUNDS for n in names) else {}
     checks = dict(_CHECKS, c1_attractor=partial(_check_c1_attractor,

@@ -33,12 +33,14 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .attractor import approximate_pullback_attractor, upper_semicontinuity_sweep
+from .attractor import approximate_pullback_attractor, \
+    upper_semicontinuity_sweep, _ladder_taus
 from .bifurcation import compute_h_star, count_roots
 from .bounds import battery
 from .dynamics import ExternalField, Nonlinearity, ProcessConfig, evolve, \
     _delta_schedule
-from .errors import ConfigError, GridTooCoarseError, NlfieldError
+from .errors import ConfigError, GridTooCoarseError, NlfieldError, \
+    TimeOrderError
 from .kernel import make_bump_kernel
 from .weighted_space import Grid1D, WeightedField, WeightFunction, \
     _central_difference, _lp_norm, quad_weights, weighted_norm
@@ -93,13 +95,6 @@ def _check_finite(node, path: str = "") -> None:
         items = node.items() if isinstance(node, dict) else enumerate(node)
         for key, sub in items:
             _check_finite(sub, f"{path}.{key}" if path else str(key))
-
-
-def _check_ladder(ladder, t, path):
-    if any(tau >= t for tau in ladder):
-        raise ConfigError(f"every ladder rung must precede t = {t}", path)
-    if any(b >= a for a, b in zip(ladder, ladder[1:])):
-        raise ConfigError("ladder must be strictly decreasing", path)
 
 
 def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
@@ -160,7 +155,10 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError("end time precedes start time", "simulate.t")
     for name in ("attractor", "sweep"):
         blk = data[name]
-        _check_ladder(blk["tau_ladder"], blk["t"], f"{name}.tau_ladder")
+        try:
+            _ladder_taus(blk["t"], blk["tau_ladder"])
+        except (ValueError, TimeOrderError) as e:
+            raise ConfigError(str(e), f"{name}.tau_ladder")
 
     return ExperimentConfig(process=process, seed=data["seed"],
                             out_dir=data["output"], blocks=data, h_star=h_star)

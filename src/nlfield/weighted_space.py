@@ -17,6 +17,13 @@ real line:
 
     cauchy     rho(x) = 1 / (pi (1 + x^2))
     gaussian   rho(x) = exp(-x^2/2) / sqrt(2 pi)
+
+Only the Cauchy weight meets the theory's hypothesis that
+K = sup_y max_{|x-y|<=1} rho(x)/rho(y) is finite: K = (3 + sqrt 5)/2 for
+it, while the gaussian ratio rho(c-1)/rho(c) = exp(c - 1/2) grows without
+bound.  The constants built on K and on rho_1 = min_{|y|<=1} rho live in
+bounds, as the Cauchy weight's; the gaussian weight serves the
+integration and attractor code, which need neither.
 """
 
 from __future__ import annotations
@@ -58,13 +65,6 @@ class WeightFunction:
         if self.kind == WEIGHT_CAUCHY:
             return 1.0 / (math.pi * (1.0 + x * x))
         return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-    def log_density(self, x):
-        """log rho(x); finite even where the density itself underflows."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == WEIGHT_CAUCHY:
-            return -np.log(math.pi * (1.0 + x * x))
-        return -0.5 * x * x - 0.5 * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -179,31 +179,6 @@ def radius_for_tail(weight: WeightFunction, mass_bound: float) -> float:
         else:
             hi = mid
     return hi
-
-
-def estimate_K(weight: WeightFunction, grid: Grid1D) -> float:
-    """Grid estimate of sup_y max_{|x-y|<=1} rho(x)/rho(y).
-
-    The window holds every node within distance 1 of the center; with a
-    spacing that divides 1 exactly the window endpoints land on the
-    continuum extremum and the estimate is sharp to O(dx^2).  The ratio
-    is formed in log space, so weights whose edge densities underflow
-    (the gaussian on a wide grid) still give a finite answer.
-    """
-    window = int(math.floor(1.0 / grid.spacing + 1e-9))
-    if window < 1:
-        raise ValueError("window must cover at least one node")
-    log_rho = weight.log_density(grid.nodes)
-    pad = np.full(window, -np.inf)
-    padded = np.concatenate([pad, log_rho, pad])
-    view = np.lib.stride_tricks.sliding_window_view(padded, 2 * window + 1)
-    return float(np.exp(np.max(view.max(axis=1) - log_rho)))
-
-
-def rho_inf_unit_ball(weight: WeightFunction) -> float:
-    """min of the weight over [-1, 1]: weight(1), since both weight
-    families are even and decrease in |y|."""
-    return float(weight(1.0))
 
 
 def _central_difference(values: np.ndarray, dx: float) -> np.ndarray:

@@ -443,3 +443,18 @@ def test_sweep_shapes_and_exact_zero(sweep_curve):
 
 def test_sweep_converged_flags(sweep_curve):
     assert all(sweep_curve.converged)
+
+
+def test_sweep_on_gaussian_weight_has_no_finite_envelope(caplog):
+    # the gaussian weight has no finite K, so the continuity envelope is
+    # inf at every nonzero gap; a zero gap stays 0 below the dedup tolerance
+    cfg = small_cfg(weight=nf.WeightFunction.gaussian(),
+                    field=nf.ExternalField("pulsed", 0.2, 1.0))
+    with caplog.at_level(logging.WARNING, logger="nlfield.bounds"):
+        curve = nf.upper_semicontinuity_sweep(0.0, cfg, [0.2, 0.1, 0.0], 4,
+                                              (-4.0, -8.0, -16.0), seed=0)
+    assert curve.envelopes[:2] == (math.inf, math.inf)
+    assert curve.envelopes[2] - attractor.DEDUP_TOL == 0.0
+    assert curve.distances[2] == 0.0
+    assert all(curve.converged)
+    assert caplog.text.count("gaussian weight has no finite K") == 2

@@ -633,6 +633,22 @@ def test_verify_failed_check_writes_false(tmp_path):
     assert float(rows[0][2]) > float(rows[0][1])
 
 
+def test_verify_on_gaussian_weight_must_list_its_checks(tmp_path, capsys):
+    # the default checks include those built on the Cauchy weight's K and
+    # rho_1, which the gaussian weight lacks
+    out = tmp_path / "run"
+    doc = SMALL.format(beta=2.0, out=out) + "weight: gaussian\nverify:\n  samples: 4\n"
+    assert main(["verify", "--config", write_config(tmp_path, doc)]) == 2
+    assert "error: weight: the gaussian weight has no finite K" \
+        in capsys.readouterr().err
+    assert not (out / "verify.csv").exists()
+    doc += "  checks: [absorbing, w_bound, c1_attractor]\n"
+    assert main(["verify", "--config", write_config(tmp_path, doc)]) == 0
+    _, rows = read_rows(out / "verify.csv")
+    assert [(r[0], r[4]) for r in rows] == [
+        ("absorbing", "true"), ("w_bound", "true"), ("c1_attractor", "true")]
+
+
 def test_c1_attractor_on_zero_model_has_zero_bound(tmp_path):
     # a = sup|g| = 0 makes the slope bound 0 for any h*, so no threshold
     # search may run on a response without a bistable regime

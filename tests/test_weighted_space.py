@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 import nlfield as nf
+import nlfield.bounds
 from nlfield.weighted_space import _central_difference, _lp_norm, quad_weights
 
 GOLDEN_K = (3.0 + math.sqrt(5.0)) / 2.0  # sup ratio of the cauchy weight over unit shifts
@@ -189,33 +190,61 @@ def test_radius_for_tail_roundtrip(cauchy, gaussian):
 
 
 # ---------------------------------------------------------------------------
-# weight-ratio constants
+# weight-ratio constants: the theory's K and rho_1 are the Cauchy weight's
 # ---------------------------------------------------------------------------
 
+def log_density(weight, x):
+    """log rho(x), finite where the gaussian density itself underflows."""
+    if weight.kind == "cauchy":
+        return -np.log(math.pi * (1.0 + x * x))
+    return -0.5 * x * x - 0.5 * math.log(2.0 * math.pi)
+
+
+def estimate_K(weight, grid):
+    """Grid estimate of K = sup_y max_{|x-y|<=1} rho(x)/rho(y), in log space.
+
+    The window holds every node within distance 1 of the center; with a
+    spacing that divides 1 the window ends land on the continuum extremum.
+    """
+    window = int(math.floor(1.0 / grid.spacing + 1e-9))
+    log_rho = log_density(weight, grid.nodes)
+    pad = np.full(window, -np.inf)
+    view = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([pad, log_rho, pad]), 2 * window + 1)
+    return float(np.exp(np.max(view.max(axis=1) - log_rho)))
+
+
 def test_estimate_K_cauchy(unit_spacing_grid, cauchy):
-    est = nf.estimate_K(cauchy, unit_spacing_grid)
-    assert est <= 3.0
+    # the stated K = 3 bounds the grid's K.  A spacing that divides 1 puts
+    # the window ends on the continuum extremum (3 + sqrt 5)/2.  On the
+    # prime-length grid the window spans d = 12 dx = 0.951, and the grid K
+    # sits just below the continuum sup over that span,
+    # ((d + sqrt(d^2 + 4))/2)^2 = 2.506, which reads GOLDEN_K at d = 1
+    est = estimate_K(cauchy, unit_spacing_grid)
+    assert est <= nlfield.bounds.CAUCHY_K
     assert est == pytest.approx(GOLDEN_K, abs=1e-4)
+    grid = nf.Grid1D(40.0, 1009)
+    d = 12 * grid.spacing
+    span_K = ((d + math.sqrt(d * d + 4.0)) / 2.0) ** 2
+    est = estimate_K(cauchy, grid)
+    assert span_K - grid.spacing ** 2 <= est <= span_K < GOLDEN_K
 
 
 def test_estimate_K_gaussian_unbounded_growth(unit_spacing_grid, gaussian):
-    # largest jump sits at the domain edge: exp((2L - 1)/2) at L = 50;
-    # must stay finite even though the edge density underflows
-    est = nf.estimate_K(gaussian, unit_spacing_grid)
-    assert math.isfinite(est)
+    # why the checks built on K reject the gaussian weight: the largest
+    # ratio sits at the domain edge, exp((2L - 1)/2) at L = 50, and grows
+    # without bound with L
+    est = estimate_K(gaussian, unit_spacing_grid)
     assert est == pytest.approx(math.exp(49.5), rel=1e-9)
-    assert est >= 1.0
+    assert estimate_K(gaussian, nf.Grid1D(100.0, 20000)) > est ** 2
 
 
-def test_rho_inf_unit_ball(cauchy, gaussian):
-    assert nf.rho_inf_unit_ball(cauchy) == pytest.approx(1.0 / (2.0 * math.pi), abs=1e-12)
-    oracle = math.exp(-0.5) / math.sqrt(2.0 * math.pi)
-    assert nf.rho_inf_unit_ball(gaussian) == pytest.approx(oracle, abs=1e-12)
+def test_rho_inf_unit_ball(cauchy):
     # reference: the minimum over 20001 nodes of [-1, 1], both ends
-    # included; weight(1) matches it to the last bit
-    for w in (cauchy, gaussian):
-        scan = float(np.min(w(np.linspace(-1.0, 1.0, 20001))))
-        assert nf.rho_inf_unit_ball(w) == scan
+    # included; the stated rho_1 matches it to the last bit
+    scan = float(np.min(cauchy(np.linspace(-1.0, 1.0, 20001))))
+    assert nlfield.bounds.CAUCHY_RHO_1 == scan
+    assert scan == float(cauchy(1.0))
 
 
 # ---------------------------------------------------------------------------
