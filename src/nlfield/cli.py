@@ -181,16 +181,22 @@ def _fmt(v) -> str:
 def _format_column(col) -> list[str]:
     if isinstance(col, np.ndarray) and col.dtype.kind == "f":
         return [format(v, ".17g") for v in col.tolist()]
+    if isinstance(col, np.ndarray) and col.dtype.kind in "iu":
+        return list(map(str, col.tolist()))
     return [_fmt(v) for v in col]
 
 
 def _write_csv(path: str, names: list[str], *columns) -> None:
     """Write a versioned CSV from equal-length columns, one per name.
 
-    A float array column is formatted in one pass; the cells of any other
-    column go through _fmt one by one.  Both print the same text.
+    A float or integer array column is formatted in one pass; the cells of
+    any other column go through _fmt one by one.  Both print the same text.
     """
-    cells = [_format_column(col) for col in columns]
+    _write_cells(path, names, [_format_column(col) for col in columns])
+
+
+def _write_cells(path: str, names: list[str], cells: list[list[str]]) -> None:
+    """Write a versioned CSV from columns already formatted as text."""
     with open(path, "w", newline="") as f:
         f.write(f"# nlfield {__version__}\n")
         f.write(",".join(names) + "\n")
@@ -244,10 +250,12 @@ def _cmd_simulate(exp: ExperimentConfig) -> int:
                ["t", "norm", "sup", "interior_max_slope"],
                *np.array(rows, dtype=float).T)
 
-    x = cfg.grid.nodes
+    # the node column is the same in every snapshot and the time column
+    # one repeated cell, so each is formatted once
+    x = _format_column(cfg.grid.nodes)
     for i, (s, vals) in enumerate(fields):
-        _write_csv(os.path.join(exp.out_dir, f"snapshot_{i:03d}.csv"),
-                   ["t", "x", "u"], np.full(len(x), s, dtype=float), x, vals)
+        _write_cells(os.path.join(exp.out_dir, f"snapshot_{i:03d}.csv"),
+                     ["t", "x", "u"], [[_fmt(float(s))] * len(x), x, _format_column(vals)])
     return 0
 
 
@@ -376,6 +384,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
+    created = not os.path.isdir(exp.out_dir)
     try:
         os.makedirs(exp.out_dir, exist_ok=True)
     except OSError as e:
@@ -387,6 +396,10 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](exp)
     except NlfieldError as e:
         print(f"error: {e}", file=sys.stderr)
+        # a run rejected before writing anything leaves no empty directory
+        # it made itself; one that existed before stays
+        if created and not os.listdir(exp.out_dir):
+            os.rmdir(exp.out_dir)
         return 2
 
 

@@ -204,7 +204,8 @@ def _nonlinear_term(cfg: ProcessConfig, t: float, u_vals: np.ndarray,
     """
     if conv is None:
         conv = _fft_convolve(cfg.kernel, u_vals)
-    arg = cfg.beta * conv + cfg.beta * cfg.field(t, u_vals)
+    arg = cfg.beta * conv
+    arg += cfg.beta * cfg.field(t, u_vals)
     return cfg.nonlinearity(arg)
 
 
@@ -231,9 +232,16 @@ def _phi_weights(delta: float) -> tuple[float, float, float]:
 def _step_raw(cfg: ProcessConfig, t: float, u: np.ndarray, delta: float) -> np.ndarray:
     em, w1, w2 = _phi_weights(delta)
     g0 = _nonlinear_term(cfg, t, u)
-    pred = em * u + (w1 + w2) * g0
+    out = em * u
+    pred = (w1 + w2) * g0
+    pred += out
     g1 = _nonlinear_term(cfg, t + delta, pred)
-    return em * u + w1 * g0 + w2 * g1
+    # em u + w1 g0 + w2 g1, summed left to right in place
+    g0 *= w1
+    out += g0
+    g1 *= w2
+    out += g1
+    return out
 
 
 def step_exponential(state: TrajectoryState, cfg: ProcessConfig,

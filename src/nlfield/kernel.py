@@ -16,18 +16,25 @@ convolve_direct is the quadratic-cost reference sum (the oracle the
 fast path is tested against).  Every other convolution in the package,
 convolve_fast, the nonlinear term of the dynamics and the J * u and
 J' * u of the corpus checks, goes through one FFT expression: a forward
-transform of the rows (_forward), products with the cached spectra, and
-an inverse transform cropped to the grid (_inverse).  _fft_convolve
-gives one product; _fft_convolve_both gives J * u for every row and
-J' * u for a leading slice of them from a single forward transform, so
-a row that needs both is transformed forward once.  The transform is
-zero padded to the next 5-smooth length (no prime factor above 5) that
-is at least n + 2m, with m the kernel half width: any length >= n + 2m
-leaves no circular wrap-around in the cropped window, and numpy's FFT
-is several times slower at lengths with a large prime factor (n = 8192
-gives n + 2m = 8354 = 2 * 4177, padded to 8640 = 2^6 3^3 5).  The
-expression acts along the last axis, so a batch of fields stacked as a
-(k, n) array convolves in one call.
+transform of the rows (_forward), products with the cached spectra, an
+inverse transform cropped to the grid (_inverse), and the subtraction
+of the wrap-around at the cuts (_unwrap).  _fft_convolve gives one
+product; _fft_convolve_both gives J * u for every row and J' * u for a
+leading slice of them from a single forward transform, so a row that
+needs both is transformed forward once.
+
+The transform length is the grid's own 5-smooth length L, the smallest
+length >= n with no prime factor above 5 (numpy's FFT is several times
+slower at lengths with a large prime factor), and the kernel taps, dx
+folded in, sit circularly at index j mod L.  A circular convolution of
+that length wraps the last m nodes (m the kernel half width) onto the
+first r = max(m - (L - n), 0) outputs and the first m nodes onto the
+last r.  That wrap-around is an exact linear term: two cached (m, r)
+edge matrices per spectrum, slices of the kernel's Toeplitz band, give
+it, and _unwrap subtracts it.  At n = 4096 the band is the full m wide;
+at n = 1009 (L = 1024, m = 10) there is none.  The expression acts
+along the last axis, so a batch of fields stacked as a (k, n) array
+convolves in one call, each row bitwise equal to its own call.
 """
 
 from __future__ import annotations
@@ -58,6 +65,9 @@ class Kernel:
     _spectrum: np.ndarray = field(repr=False)
     _deriv_spectrum: np.ndarray = field(repr=False)
     _fft_len: int = field(repr=False)
+    # (head, tail) wrap-around matrices of each spectrum, both (m, r)
+    _edges: tuple[np.ndarray, np.ndarray] = field(repr=False)
+    _deriv_edges: tuple[np.ndarray, np.ndarray] = field(repr=False)
 
 
 def _next_5smooth(n: int) -> int:
@@ -71,6 +81,23 @@ def _next_5smooth(n: int) -> int:
         if rest == 1:
             return length
         length += 1
+
+
+def _edge_matrices(taps: np.ndarray, m: int, gap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Wrap-around of a circular convolution of length n + gap at the cuts.
+
+    taps holds the 2m + 1 kernel values at offsets -m..m.  Output i < r
+    picks up taps[2m + gap + i - a] * u[n - m + a] from the last m nodes
+    (head[a, i]), and output n - r + b picks up taps[b - t] * u[t] from
+    the first m nodes (tail[t, b]), zero where the tap index leaves
+    0..2m.  Both are slices of the Toeplitz band of the zero-padded taps.
+    """
+    r = max(m - gap, 0)
+    band = np.concatenate([np.zeros(m), taps, np.zeros(m)])
+    diff = np.arange(r) - np.arange(m)[:, None]
+    head = band[3 * m + gap + diff]
+    tail = band[m + diff]
+    return head, tail
 
 
 def make_bump_kernel(grid: Grid1D) -> Kernel:
@@ -92,10 +119,15 @@ def make_bump_kernel(grid: Grid1D) -> Kernel:
     deriv[inside] = -2.0 * offsets[inside] / (1.0 - offsets[inside] ** 2) ** 2 * samples[inside]
 
     n = grid.n_points
-    fft_len = _next_5smooth(n + 2 * m)
-    spectrum = np.fft.rfft(samples, fft_len)
-    deriv_spectrum = np.fft.rfft(deriv, fft_len)
-    for arr in (samples, deriv, spectrum, deriv_spectrum):
+    fft_len = _next_5smooth(n)
+    at = np.arange(-m, m + 1) % fft_len
+    spectra, edges = [], []
+    for taps in (samples * dx, deriv * dx):
+        circular = np.zeros(fft_len)
+        circular[at] = taps
+        spectra.append(np.fft.rfft(circular))
+        edges.append(_edge_matrices(taps, m, fft_len - n))
+    for arr in (samples, deriv, *spectra, *edges[0], *edges[1]):
         arr.setflags(write=False)
 
     return Kernel(
@@ -106,9 +138,11 @@ def make_bump_kernel(grid: Grid1D) -> Kernel:
         norm_l1=float(samples.sum() * dx),
         norm_sup=float(samples.max()),
         deriv_norm_l1=float(np.abs(deriv).sum() * dx),
-        _spectrum=spectrum,
-        _deriv_spectrum=deriv_spectrum,
+        _spectrum=spectra[0],
+        _deriv_spectrum=spectra[1],
         _fft_len=fft_len,
+        _edges=edges[0],
+        _deriv_edges=edges[1],
     )
 
 
@@ -125,22 +159,45 @@ def convolve_direct(kernel: Kernel, u: WeightedField) -> WeightedField:
 
 
 def _forward(kernel: Kernel, values: np.ndarray) -> np.ndarray:
-    """Zero-padded forward transform of each row of a (..., n) array."""
+    """Forward transform of each row of a (..., n) array at the grid's length."""
     return np.fft.rfft(values, kernel._fft_len, axis=-1)
 
 
 def _inverse(kernel: Kernel, product: np.ndarray) -> np.ndarray:
-    """Inverse transform of spectrum products, cropped to the grid, times dx."""
-    n = kernel.grid.n_points
-    m = kernel.half_width
+    """Inverse transform of spectrum products, cropped to the grid.
+
+    dx is folded into the spectra; the first and last r outputs still
+    carry the wrap-around that _unwrap subtracts.
+    """
     full = np.fft.irfft(product, kernel._fft_len, axis=-1)
-    return full[..., m : m + n] * kernel.grid.spacing
+    return full[..., :kernel.grid.n_points]
+
+
+def _unwrap(kernel: Kernel, out: np.ndarray, values: np.ndarray,
+            edges: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Subtract, in place, the circular wrap-around from the outputs at
+    both cuts; values are the rows that were transformed forward.
+
+    The correction is a stacked (..., 1, m) @ (m, r) product, so each row
+    of a batch gets the same floating-point sums as its own call.
+    """
+    head, tail = edges
+    r = head.shape[1]
+    if r:
+        n, m = kernel.grid.n_points, kernel.half_width
+        out[..., :r] -= (values[..., None, n - m:] @ head)[..., 0, :]
+        out[..., n - r:] -= (values[..., None, :m] @ tail)[..., 0, :]
+    return out
 
 
 def _fft_convolve(kernel: Kernel, values: np.ndarray, derivative: bool = False) -> np.ndarray:
     """J * values (or J' * values) along the last axis of a (..., n) array."""
-    spectrum = kernel._deriv_spectrum if derivative else kernel._spectrum
-    return _inverse(kernel, _forward(kernel, values) * spectrum)
+    if derivative:
+        spectrum, edges = kernel._deriv_spectrum, kernel._deriv_edges
+    else:
+        spectrum, edges = kernel._spectrum, kernel._edges
+    out = _inverse(kernel, _forward(kernel, values) * spectrum)
+    return _unwrap(kernel, out, values, edges)
 
 
 def _fft_convolve_both(kernel: Kernel, values: np.ndarray,
@@ -148,14 +205,17 @@ def _fft_convolve_both(kernel: Kernel, values: np.ndarray,
     """J * values for every row of a (rows, n) array, and J' * values for
     its first deriv_rows rows, from one forward transform of the rows."""
     forward = _forward(kernel, values)
-    conv = _inverse(kernel, forward * kernel._spectrum)
+    conv = _unwrap(kernel, _inverse(kernel, forward * kernel._spectrum),
+                   values, kernel._edges)
     if not deriv_rows:
         return conv, conv[:0]
-    return conv, _inverse(kernel, forward[:deriv_rows] * kernel._deriv_spectrum)
+    deriv = _inverse(kernel, forward[:deriv_rows] * kernel._deriv_spectrum)
+    return conv, _unwrap(kernel, deriv, values[:deriv_rows], kernel._deriv_edges)
 
 
 def convolve_fast(kernel: Kernel, u: WeightedField) -> WeightedField:
-    """FFT convolution, zero padded past the kernel width (no wrap-around)."""
+    """FFT convolution at the grid's 5-smooth length, with the circular
+    wrap-around at the cuts subtracted; equals convolve_direct (zero
+    extension past the cut) at every node up to rounding."""
     _check_space(kernel, u)
     return u.with_values(_fft_convolve(kernel, u.values))
-

@@ -511,6 +511,35 @@ def test_write_csv_cells_match_per_cell_format(tmp_path):
         cli._write_csv(str(path), ["a", "b"], [1.0], np.zeros(2))
 
 
+def test_write_csv_integer_arrays_match_per_cell_format(tmp_path):
+    columns = [np.arange(-3, 9), np.arange(12, dtype=np.uint8),
+               np.array([0, 1, -1, 2**31 - 1, -2**31, 7] * 2, dtype=np.int32),
+               np.array([2**63 - 1, -2**63] + [0] * 10, dtype=np.int64)]
+    path = tmp_path / "ints.csv"
+    cli._write_csv(str(path), ["a", "b", "c", "d"], *columns)
+    _, rows = read_rows(path)
+    assert rows == [[cli._fmt(v) for v in row] for row in zip(*columns)]
+
+
+def test_snapshot_bytes_match_per_cell_format(tmp_path):
+    # the node and time columns are formatted once per run and per
+    # snapshot; the text must be what _fmt gives cell by cell
+    out = tmp_path / "run"
+    doc = (SMALL.format(beta=2.0, out=out)
+           + "simulate:\n  tau: 0\n  t: 0.5\n  snapshots: 3\n"
+           + "  initial:\n    kind: random\n    norm: 0.7\n")
+    assert main(["simulate", "--config", write_config(tmp_path, doc)]) == 0
+    x = parse_config(doc).process.grid.nodes
+    for path in sorted(out.glob("snapshot_*.csv")):
+        _, rows = read_rows(path)
+        t = float(rows[0][0])
+        u = [float(r[2]) for r in rows]
+        cells = [",".join([cli._fmt(t), cli._fmt(xi), cli._fmt(ui)])
+                 for xi, ui in zip(x, u)]
+        want = f"# nlfield {cli.__version__}\nt,x,u\n" + "\n".join(cells) + "\n"
+        assert path.read_text() == want
+
+
 def test_simulate_keeps_only_snapshot_fields(tmp_path):
     # 1201 observed fields of 8 kB each; only the 4 picked ones are kept
     out = tmp_path / "run"
@@ -647,6 +676,18 @@ def test_verify_on_gaussian_weight_must_list_its_checks(tmp_path, capsys):
     _, rows = read_rows(out / "verify.csv")
     assert [(r[0], r[4]) for r in rows] == [
         ("absorbing", "true"), ("w_bound", "true"), ("c1_attractor", "true")]
+
+
+def test_rejected_run_removes_only_the_empty_directory_it_made(tmp_path):
+    out = tmp_path / "made" / "run"
+    doc = SMALL.format(beta=2.0, out=out) + "weight: gaussian\nverify:\n  samples: 4\n"
+    path = write_config(tmp_path, doc)
+    assert main(["verify", "--config", path]) == 2
+    assert not out.exists() and out.parent.is_dir()
+    # a directory that was there before the run is never removed
+    out.mkdir()
+    assert main(["verify", "--config", path]) == 2
+    assert out.is_dir() and not any(out.iterdir())
 
 
 def test_c1_attractor_on_zero_model_has_zero_bound(tmp_path):

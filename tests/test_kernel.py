@@ -1,5 +1,6 @@
 """Bump kernel construction and the two convolution routes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,9 +10,15 @@ from scipy.integrate import quad
 import nlfield as nf
 from nlfield.kernel import _fft_convolve, _next_5smooth
 
-# grid sizes for the transform-length tests: n + 2m is already 5-smooth at
-# n = 1178 (1178 + 22 = 1200) and has a prime factor above 5 at the others
-PADDED_NS = (1178, 1500, 3000, 4096, 6000, 8192)
+# grid sizes for the transform-length tests, each with the 5-smooth length
+# L it transforms at and its wrap band width r = max(m - (L - n), 0): n is
+# itself 5-smooth at 1500 to 8192 (a full band, r = m), the band is partial
+# at 4090 and 2047, and L - n exceeds m at 1178 (22 > 11) and at the prime
+# 1009 (15 > 10), so there is none
+FFT_LEN_AND_BAND = {1178: (1200, 0), 1500: (1500, 14), 3000: (3000, 29),
+                    4096: (4096, 40), 6000: (6000, 59), 8192: (8192, 81),
+                    4090: (4096, 34), 2047: (2048, 19), 1009: (1024, 0)}
+WRAP_NS = tuple(FFT_LEN_AND_BAND)
 
 
 def bump_center_oracle():
@@ -166,7 +173,7 @@ def test_convolution_rejects_foreign_grid(kernel, fine_grid, cauchy):
 
 
 # ---------------------------------------------------------------------------
-# padded FFT length
+# transform length and the wrap band at the cuts
 # ---------------------------------------------------------------------------
 
 def _largest_prime_factor(k):
@@ -184,33 +191,96 @@ def test_next_5smooth_matches_scipy():
     assert [_next_5smooth(n) for n in ns] == [next_fast_len(n, real=True) for n in ns]
 
 
-@pytest.mark.parametrize("n", PADDED_NS)
+@pytest.mark.parametrize("n", WRAP_NS)
 def test_fft_length_is_5smooth_and_wrap_free(n):
+    # the transform runs at the grid's own 5-smooth length; the wrap-around
+    # of that circular convolution lands on r nodes at each cut and is
+    # subtracted through two (m, r) edge matrices per spectrum
     kernel = nf.make_bump_kernel(nf.Grid1D(50.0, n))
-    assert kernel._fft_len >= n + 2 * kernel.half_width
+    m = kernel.half_width
+    assert kernel._fft_len == _next_5smooth(n)
+    r = max(m - (kernel._fft_len - n), 0)
+    assert (kernel._fft_len, r) == FFT_LEN_AND_BAND[n]
     assert _largest_prime_factor(kernel._fft_len) <= 5
     assert kernel._spectrum.shape == (kernel._fft_len // 2 + 1,)
+    for head, tail in (kernel._edges, kernel._deriv_edges):
+        assert head.shape == tail.shape == (m, r)
 
 
-@pytest.mark.parametrize("n", PADDED_NS)
-def test_padded_convolutions_match_direct_sums(n, cauchy):
-    grid = nf.Grid1D(50.0, n)
-    kernel = nf.make_bump_kernel(grid)
-    x = grid.nodes
-    rng = np.random.default_rng(n)
-    u = nf.WeightedField(grid, cauchy, np.cos(0.7 * x) + 0.3 * np.sin(1.3 * x)
-                         + 0.1 * rng.normal(size=n))
-    # every node, not only the interior: a wrap-around from too short a
+def _direct_sum_errors(kernel):
+    """Largest gap, over every node, between the FFT route and the direct
+    sums for J and for J' on a smooth-plus-noise field."""
+    grid = kernel.grid
+    n, x = grid.n_points, grid.nodes
+    u = (np.cos(0.7 * x) + 0.3 * np.sin(1.3 * x)
+         + 0.1 * np.random.default_rng(n).normal(size=n))
+    errs = []
+    for derivative, taps in ((False, kernel.samples), (True, kernel.deriv_samples)):
+        direct = np.convolve(u, taps, mode="same") * grid.spacing
+        errs.append(np.max(np.abs(_fft_convolve(kernel, u, derivative) - direct)))
+    return errs
+
+
+def _end_leaks(kernel):
+    """Largest |output| on the first m nodes, for J and for J', of a field
+    whose mass sits on the last m nodes only: none of it is in reach."""
+    m, n = kernel.half_width, kernel.grid.n_points
+    u = np.zeros(n)
+    u[n - m:] = 1.0 + np.random.default_rng(m).random(m)
+    return [np.max(np.abs(_fft_convolve(kernel, u, derivative)[:m]))
+            for derivative in (False, True)]
+
+
+@pytest.mark.parametrize("n", WRAP_NS)
+def test_padded_convolutions_match_direct_sums(n):
+    # every node, not only the interior: a wrap-around left in the circular
     # transform would land on the nodes next to the cut
-    fast = nf.convolve_fast(kernel, u).values
-    direct = nf.convolve_direct(kernel, u).values
-    assert np.max(np.abs(fast - direct)) < 1e-12
-    deriv = _fft_convolve(kernel, u.values, derivative=True)
-    deriv_direct = np.convolve(u.values, kernel.deriv_samples, mode="same") * grid.spacing
-    assert np.max(np.abs(deriv - deriv_direct)) < 1e-12
+    kernel = nf.make_bump_kernel(nf.Grid1D(50.0, n))
+    assert max(_direct_sum_errors(kernel)) < 1e-12
 
 
-@pytest.mark.parametrize("n", PADDED_NS)
+@pytest.mark.parametrize("n", WRAP_NS)
+def test_mass_at_one_end_leaves_the_other_end_untouched(n):
+    kernel = nf.make_bump_kernel(nf.Grid1D(50.0, n))
+    assert max(_end_leaks(kernel)) < 1e-15
+
+
+@pytest.mark.parametrize("n", (4096, 4090, 2047))
+def test_zeroed_edge_matrices_trip_the_wrap_checks(n):
+    # planted defect: the wrap band is left in place
+    kernel = nf.make_bump_kernel(nf.Grid1D(50.0, n))
+    zero = tuple(np.zeros_like(e) for e in kernel._edges)
+    leaky = dataclasses.replace(kernel, _edges=zero, _deriv_edges=zero)
+    assert min(_direct_sum_errors(leaky)) > 1e-3
+    assert min(_end_leaks(leaky)) > 1e-3
+
+
+@pytest.mark.parametrize("n", WRAP_NS)
+def test_edge_matrices_equal_a_loop_over_wrapped_taps(n):
+    # from the definition: output i of the circular convolution of length L
+    # picks up taps[m + d] * u[t] wherever d = i - t differs by +-L from an
+    # offset the linear convolution uses
+    kernel = nf.make_bump_kernel(nf.Grid1D(50.0, n))
+    m, L, dx = kernel.half_width, kernel._fft_len, kernel.grid.spacing
+    r = max(m - (L - n), 0)
+    for taps, (head, tail) in ((kernel.samples, kernel._edges),
+                               (kernel.deriv_samples, kernel._deriv_edges)):
+        want_head, want_tail = np.zeros((m, r)), np.zeros((m, r))
+        for a in range(m):
+            for i in range(r):
+                d = i - (n - m + a) + L
+                if abs(d) <= m:
+                    want_head[a, i] = taps[m + d] * dx
+        for t in range(m):
+            for b in range(r):
+                d = (n - r + b) - t - L
+                if abs(d) <= m:
+                    want_tail[t, b] = taps[m + d] * dx
+        assert np.array_equal(head, want_head)
+        assert np.array_equal(tail, want_tail)
+
+
+@pytest.mark.parametrize("n", WRAP_NS)
 def test_batched_rows_equal_single_row_calls(n):
     kernel = nf.make_bump_kernel(nf.Grid1D(50.0, n))
     rows = np.random.default_rng(n).normal(size=(3, n))
