@@ -8,8 +8,8 @@ the root count drops from three to one is the height of the fold,
 
     h*(beta) = max_{x > 0} g(x) - x/beta,
 
-attained where beta g'(x) = 1.  compute_h_star finds that peak by
-golden-section search on g alone and confirms it with two scans: three
+attained where beta g'(x) = 1.  compute_h_star bisects for that root
+as count_roots does and confirms the height with two scans: three
 roots just below h*, one just above.  compute_h_star alone decides
 whether the bistable regime exists: where it does not, h* is 0.
 
@@ -38,9 +38,7 @@ SCAN_INTERVAL = (-1.5, 1.5)
 SCAN_POINTS = 100_000
 ROOT_XTOL = 1e-12
 ROOT_SEPARATION = 1e-8
-PEAK_XTOL = 1e-10
 CHECK_REL = 1e-3
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -113,37 +111,29 @@ def count_roots(beta: float, h: float, g: Nonlinearity) -> RootReport:
 
 
 def _fold_peak(beta: float, g: Nonlinearity) -> float:
-    """max over x > 0 of g(x) - x/beta, by golden-section search.
+    """max over x > 0 of g(x) - x/beta, at the root of beta g'(x) = 1.
 
-    The bracket starts at [0, 1] and its right end doubles while
-    g(b) - b/beta is still positive, so it holds the peak of a response
-    that rises above the line x/beta and falls back below it.
+    Assumes g' decreases on x > 0, as for tanh and zero.  The bracket
+    [0, b] doubles b from 1 while the slope is still positive; with no
+    fold (beta g'(0) <= 1) the peak is g(0) = 0.
     """
-    def f(x):
-        return float(g(x)) - x / beta
+    def slope(x):
+        return beta * float(g.deriv(x)) - 1.0
 
-    a, b = 0.0, 1.0
-    while f(b) > 0.0:
+    if slope(0.0) <= 0.0:
+        return float(g(0.0))
+    b = 1.0
+    while slope(b) > 0.0:
         b *= 2.0
-    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > PEAK_XTOL:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return max(fc, fd)
+    x = _bisect(slope, 0.0, b, ROOT_XTOL)
+    return float(g(x)) - x / beta
 
 
 def compute_h_star(beta: float, g: Nonlinearity) -> float:
     """Threshold forcing: supremum of h with three transversal roots.
 
-    h* is the fold height max_{x > 0} g(x) - x/beta, found by
-    golden-section search, and two count_roots scans confirm it: three
+    h* is the fold height max_{x > 0} g(x) - x/beta, at the bisected
+    root of beta g'(x) = 1, and two count_roots scans confirm it: three
     roots at h*(1 - CHECK_REL), one at h*(1 + CHECK_REL), else
     NotBistableError.  Where no bistable regime exists, that is for
     beta <= 1 (decided without a scan) or when the fold does not rise

@@ -47,6 +47,10 @@ from .weighted_space import Grid1D, WeightedField, WeightFunction, \
 
 log = logging.getLogger(__name__)
 
+# a check whose measured/theoretical falls below this passes by a margin
+# too wide to catch a defect; verify names it in a warning
+VACUOUS_RATIO = 1e-3
+
 # the stock "integer" admits a YAML float such as 4096.0, which every
 # integer key's consumer (array sizes, seeds) rejects with a TypeError
 _Validator = jsonschema.validators.extend(
@@ -308,16 +312,22 @@ def _cmd_verify(exp: ExperimentConfig) -> int:
     blk = exp.blocks["verify"]
     reports = battery(exp.process, names=blk.get("checks"),
                       samples=blk["samples"], seed=exp.seed, h_star=exp.h_star)
+    ratios = [r.measured / r.theoretical if r.theoretical else math.nan
+              for r in reports]
     _write_csv(os.path.join(exp.out_dir, "verify.csv"),
                ["name", "theoretical", "measured", "margin", "passed",
-                "seed", "config_digest"],
+                "seed", "config_digest", "ratio"],
                *zip(*((r.name, r.theoretical, r.measured, r.margin, r.passed,
-                       r.seed, r.digest) for r in reports)))
-    for r in reports:
+                       r.seed, r.digest, q) for r, q in zip(reports, ratios))))
+    for r, q in zip(reports, ratios):
         marker = "pass" if r.passed else "FAIL"
-        ratio = r.measured / r.theoretical if r.theoretical else math.nan
         log.info("%-20s %s  measured %.6g vs bound %.6g (ratio %.3g)", r.name,
-                 marker, r.measured, r.theoretical, ratio)
+                 marker, r.measured, r.theoretical, q)
+    vacuous = [f"{r.name} ({q:.2g})" for r, q in zip(reports, ratios)
+               if q < VACUOUS_RATIO]
+    if vacuous:
+        log.warning("vacuous bounds, measured/theoretical below %g: %s",
+                    VACUOUS_RATIO, ", ".join(vacuous))
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -76,6 +76,7 @@ class Nonlinearity:
         return np.zeros_like(np.asarray(s, dtype=float))
 
     def deriv(self, s):
+        """g'(s); compute_h_star bisects beta g'(x) = 1 for the fold."""
         if self.name == "tanh":
             c = np.cosh(s)
             return 1.0 / (c * c)
@@ -93,10 +94,13 @@ class Nonlinearity:
         gap = np.abs(self(s) - self(t))
         if np.any(gap > self.lipschitz * np.abs(s - t) + 1e-12):
             raise ValueError(f"{self.name}: Lipschitz constant violated on samples")
+        # centered differences against deriv and the curvature cap
+        eps = 1e-4
+        g1 = (self(s + eps) - self(s - eps)) / (2.0 * eps)
+        if np.max(np.abs(g1 - self.deriv(s))) > 1e-6:
+            raise ValueError(f"{self.name}: g' disagrees with a centered difference of g")
         if abs(float(self.deriv(0.0))) > self.deriv_at_zero + 1e-12:
             raise ValueError(f"{self.name}: |g'(0)| exceeds deriv_at_zero")
-        # centered second difference against the curvature cap
-        eps = 1e-4
         g2 = (self(s + eps) - 2.0 * self(s) + self(s - eps)) / eps**2
         if np.max(np.abs(g2)) > self.curvature_max + 1e-6:
             raise ValueError(f"{self.name}: |g''| exceeds curvature_max on samples")

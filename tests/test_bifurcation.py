@@ -134,6 +134,16 @@ def test_misplaced_fold_is_rejected(monkeypatch):
         nf.compute_h_star(2.0, TANH)
 
 
+def test_doubled_deriv_fold_is_rejected(monkeypatch):
+    # the fold root moves out to where beta g' = 1/2: the planted fold
+    # reads h* about 0.21, with three roots on both sides of it
+    true_deriv = nf.Nonlinearity.deriv
+    monkeypatch.setattr(nf.Nonlinearity, "deriv",
+                        lambda self, s: 2.0 * true_deriv(self, s))
+    with pytest.raises(nf.NotBistableError, match="3 roots below it, 3 above"):
+        nf.compute_h_star(2.0, TANH)
+
+
 def test_h_star_beta_four_anchor():
     assert nf.compute_h_star(4.0, TANH) == pytest.approx(0.5367856, abs=1e-6)
 
@@ -188,9 +198,14 @@ def test_h_star_warnings_name_their_reason(caplog):
 
 def test_h_star_without_transition_in_range_raises(monkeypatch):
     # g = 3 tanh at beta 4 keeps three roots at h = 2 inside [-4, 4]
-    def g(x):
-        return 3.0 * np.tanh(x)
+    class ThreeTanh(nf.Nonlinearity):
+        def __call__(self, s):
+            return 3.0 * np.tanh(s)
 
+        def deriv(self, s):
+            return 3.0 * super().deriv(s)
+
+    g = ThreeTanh.tanh()
     monkeypatch.setattr(bifurcation, "SCAN_INTERVAL", (-4.0, 4.0))
     assert nf.count_roots(4.0, 0.0, g).count == 3
     assert nf.count_roots(4.0, 2.0, g).count == 3

@@ -18,7 +18,7 @@ import pytest
 import nlfield.bounds
 from nlfield import cli
 from nlfield.bifurcation import compute_h_star, tanh_h_star
-from nlfield.bounds import CHECK_NAMES, c1_regularity_bound
+from nlfield.bounds import CHECK_NAMES, BoundReport, c1_regularity_bound
 from nlfield.cli import main, parse_config
 from nlfield.errors import BlowUpError, ConfigError
 from nlfield.weighted_space import WeightedField, weighted_norm
@@ -348,13 +348,13 @@ def test_hstar_command_prints_threshold_and_table(tmp_path, capsys):
     path = write_config(tmp_path, SMALL.format(beta=2.0, out=out))
     rc = main(["hstar", "--config", path])
     assert rc == 0
-    assert "h_star = 0.26641998767677594" in capsys.readouterr().out
+    assert "h_star = 0.26641998767677599" in capsys.readouterr().out
 
     header, rows = read_rows(out / "hstar.csv")
     assert header == ["h", "root_count"]
     counts = [int(r[1]) for r in rows]
     assert counts == [3, 3, 3, 1, 1]
-    h_star = 0.26641998767677594
+    h_star = 0.26641998767677599
     assert abs(h_star - tanh_h_star(2.0)) <= 1e-15
     assert float(rows[1][0]) == pytest.approx(0.5 * h_star, rel=1e-15)
 
@@ -384,8 +384,8 @@ def test_hstar_on_pulsed_config_computes_threshold_once(tmp_path, capsys,
            + "field:\n  family: pulsed\n  amplitude: 0.2\n")
     assert main(["hstar", "--config", write_config(tmp_path, doc)]) == 0
     assert calls == [2.0]
-    assert "h_star = 0.26641998767677594" in capsys.readouterr().out
-    assert abs(0.26641998767677594 - tanh_h_star(2.0)) <= 1e-15
+    assert "h_star = 0.26641998767677599" in capsys.readouterr().out
+    assert abs(0.26641998767677599 - tanh_h_star(2.0)) <= 1e-15
     _, rows = read_rows(out / "hstar.csv")
     assert [int(r[1]) for r in rows] == [3, 3, 3, 1, 1]
 
@@ -623,7 +623,7 @@ def test_verify_subset_passes(tmp_path, caplog):
 
     header, rows = read_rows(out / "verify.csv")
     assert header == ["name", "theoretical", "measured", "margin",
-                      "passed", "seed", "config_digest"]
+                      "passed", "seed", "config_digest", "ratio"]
     assert [r[0] for r in rows] == ["lemma1a", "prop_lipschitz"]
     for r in rows:
         assert r[4] == "true"
@@ -632,6 +632,43 @@ def test_verify_subset_passes(tmp_path, caplog):
         ratio = float(r[2]) / float(r[1])
         assert any(m.startswith(r[0]) and m.endswith(f"(ratio {ratio:.3g})")
                    for m in messages)
+
+
+def test_verify_ratio_column_flags_vacuous_checks(tmp_path, caplog,
+                                                  monkeypatch):
+    # measured/theoretical lands last; below VACUOUS_RATIO one warning
+    # names the check, a stated 0 reads NaN, and no verdict changes
+    reports = [BoundReport(name, theoretical, measured, theoretical - measured,
+                           True, 0.0, "d", 60, 0)
+               for name, theoretical, measured in (("lemma1a", 2.0, 1.5),
+                                                   ("gronwall_continuity", 0.02, 1e-7),
+                                                   ("absorbing", 0.0, 0.0))]
+    monkeypatch.setattr(cli, "battery", lambda *a, **k: reports)
+    out = tmp_path / "run"
+    path = write_config(tmp_path, SMALL.format(beta=2.0, out=out))
+    with caplog.at_level(logging.WARNING, logger="nlfield.cli"):
+        assert main(["verify", "--config", path]) == 0
+    header, rows = read_rows(out / "verify.csv")
+    assert header[-1] == "ratio"
+    assert [r[-1] for r in rows] == ["0.75", format(1e-7 / 0.02, ".17g"), "nan"]
+    [warning] = [r.getMessage() for r in caplog.records
+                 if r.levelno == logging.WARNING]
+    assert warning == ("vacuous bounds, measured/theoretical below 0.001: "
+                       "gronwall_continuity (5e-06)")
+
+
+def test_verify_flags_gronwall_continuity_as_vacuous(tmp_path, caplog):
+    out = tmp_path / "run"
+    doc = (SMALL.format(beta=2.0, out=out)
+           + "verify:\n  checks: [lemma1a, gronwall_continuity]\n  samples: 60\n")
+    with caplog.at_level(logging.WARNING, logger="nlfield.cli"):
+        assert main(["verify", "--config", write_config(tmp_path, doc)]) == 0
+    _, rows = read_rows(out / "verify.csv")
+    ratios = {r[0]: float(r[-1]) for r in rows}
+    assert ratios["gronwall_continuity"] < cli.VACUOUS_RATIO < ratios["lemma1a"]
+    [warning] = [r.getMessage() for r in caplog.records
+                 if r.levelno == logging.WARNING]
+    assert "gronwall_continuity" in warning and "lemma1a" not in warning
 
 
 def test_verify_without_checks_asks_for_every_check(tmp_path, monkeypatch):

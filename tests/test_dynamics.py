@@ -61,6 +61,14 @@ def test_zero_and_constant_families():
         nf.Nonlinearity("bogus", 1.0, 1.0, 1.0, 1.0)
 
 
+def test_doubled_deriv_trips_check_axioms(monkeypatch):
+    true_deriv = nf.Nonlinearity.deriv
+    monkeypatch.setattr(nf.Nonlinearity, "deriv",
+                        lambda self, s: 2.0 * true_deriv(self, s))
+    with pytest.raises(ValueError, match="g' disagrees with a centered difference"):
+        nf.Nonlinearity.tanh().check_axioms(np.random.default_rng(0))
+
+
 def test_external_field_properties():
     h = nf.ExternalField("pulsed", 0.2, 1.0)
     t = np.linspace(0.0, 20.0, 41)
