@@ -18,10 +18,10 @@ convolve_fast, the nonlinear term of the dynamics and the J * u and
 J' * u of the corpus checks, goes through one FFT expression: a forward
 transform of the rows (_forward), products with the cached spectra, an
 inverse transform cropped to the grid (_inverse), and the subtraction
-of the wrap-around at the cuts (_unwrap).  _fft_convolve gives one
-product; _fft_convolve_both gives J * u for every row and J' * u for a
-leading slice of them from a single forward transform, so a row that
-needs both is transformed forward once.
+of the wrap-around at the cuts (_unwrap).  _fft_convolve gives J * u;
+_fft_convolve_both gives J * u for every row and J' * u for a leading
+slice of them from a single forward transform, so a row that needs both
+is transformed forward once.  J' * u is taken nowhere else.
 
 The transform length is the grid's own 5-smooth length L, the smallest
 length >= n with no prime factor above 5 (numpy's FFT is several times
@@ -179,25 +179,20 @@ def _unwrap(kernel: Kernel, out: np.ndarray, values: np.ndarray,
     both cuts; values are the rows that were transformed forward.
 
     The correction is a stacked (..., 1, m) @ (m, r) product, so each row
-    of a batch gets the same floating-point sums as its own call.
+    of a batch gets the same floating-point sums as its own call.  With
+    no wrap band (r = 0) both output slices are empty.
     """
     head, tail = edges
-    r = head.shape[1]
-    if r:
-        n, m = kernel.grid.n_points, kernel.half_width
-        out[..., :r] -= (values[..., None, n - m:] @ head)[..., 0, :]
-        out[..., n - r:] -= (values[..., None, :m] @ tail)[..., 0, :]
+    n, m, r = kernel.grid.n_points, kernel.half_width, head.shape[1]
+    out[..., :r] -= (values[..., None, n - m:] @ head)[..., 0, :]
+    out[..., n - r:] -= (values[..., None, :m] @ tail)[..., 0, :]
     return out
 
 
-def _fft_convolve(kernel: Kernel, values: np.ndarray, derivative: bool = False) -> np.ndarray:
-    """J * values (or J' * values) along the last axis of a (..., n) array."""
-    if derivative:
-        spectrum, edges = kernel._deriv_spectrum, kernel._deriv_edges
-    else:
-        spectrum, edges = kernel._spectrum, kernel._edges
-    out = _inverse(kernel, _forward(kernel, values) * spectrum)
-    return _unwrap(kernel, out, values, edges)
+def _fft_convolve(kernel: Kernel, values: np.ndarray) -> np.ndarray:
+    """J * values along the last axis of a (..., n) array."""
+    out = _inverse(kernel, _forward(kernel, values) * kernel._spectrum)
+    return _unwrap(kernel, out, values, kernel._edges)
 
 
 def _fft_convolve_both(kernel: Kernel, values: np.ndarray,

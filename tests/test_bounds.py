@@ -15,7 +15,7 @@ import nlfield.dynamics
 import nlfield.kernel
 from nlfield.bounds import _BLOCK, CHECK_NAMES, _field_corpus, _scaled_to_norm
 from nlfield.dynamics import _nonlinear_term
-from nlfield.kernel import _fft_convolve
+from nlfield.kernel import _fft_convolve, _fft_convolve_both
 from nlfield.weighted_space import _lp_norm, quad_weights
 
 CORPUS_CHECKS = ["lemma1a", "lemma1a_deriv", "lemma1b", "prop_lipschitz"]
@@ -218,7 +218,7 @@ def redrawn_corpus_worst(cfg, samples, seed):
     measures = {
         "lemma1a": lambda u: _lp_norm(_fft_convolve(cfg.kernel, u), w, cfg.p),
         "lemma1a_deriv": lambda u: _lp_norm(
-            _fft_convolve(cfg.kernel, u, derivative=True), w, cfg.p),
+            _fft_convolve_both(cfg.kernel, u[None], 1)[1][0], w, cfg.p),
         "lemma1b": lambda u: float(np.max(np.abs(_fft_convolve(cfg.kernel, u)[mask]))),
     }
     worst = {}
@@ -327,9 +327,9 @@ def test_corpus_pass_convolves_each_row_once(tanh_cfg, monkeypatch):
             return transform(kernel, values)
         return counted
 
-    def in_dynamics(kernel, values, derivative=False):
+    def in_dynamics(kernel, values):
         rows["dynamics"] += len(values)
-        return _fft_convolve(kernel, values, derivative)
+        return _fft_convolve(kernel, values)
 
     monkeypatch.setattr(nlfield.kernel, "_forward",
                         counting("forward", nlfield.kernel._forward))
@@ -432,12 +432,15 @@ def test_understated_response_lipschitz_trips_prop_lipschitz(tanh_cfg,
 
 
 def test_kernel_heavier_than_its_stated_norms_trips_the_lemma_checks(tanh_cfg):
-    # samples and both spectra x1.5 while norm_l1 and norm_sup still state
-    # the unit-mass kernel; lemma1a alone would pass it (ratio 0.861)
+    # samples, both spectra and their edge matrices x1.5 while norm_l1 and
+    # norm_sup still state the unit-mass kernel; lemma1a alone would pass
+    # it (ratio 0.861)
     k = tanh_cfg.kernel
-    heavy = dataclasses.replace(k, samples=1.5 * k.samples,
-                                _spectrum=1.5 * k._spectrum,
-                                _deriv_spectrum=1.5 * k._deriv_spectrum)
+    heavy = dataclasses.replace(
+        k, samples=1.5 * k.samples,
+        _spectrum=1.5 * k._spectrum, _deriv_spectrum=1.5 * k._deriv_spectrum,
+        _edges=tuple(1.5 * e for e in k._edges),
+        _deriv_edges=tuple(1.5 * e for e in k._deriv_edges))
     cfg = dataclasses.replace(tanh_cfg, kernel=heavy)
     reports = nf.battery(cfg, CORPUS_CHECKS, samples=200, seed=0)
     assert [r.name for r in reports if not r.passed] == ["lemma1a_deriv", "lemma1b"]

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 import nlfield as nf
-from nlfield.kernel import _fft_convolve, _next_5smooth
+from nlfield.kernel import _fft_convolve, _fft_convolve_both, _next_5smooth
 
 # grid sizes for the transform-length tests, each with the 5-smooth length
 # L it transforms at and its wrap band width r = max(m - (L - n), 0): n is
@@ -29,6 +29,11 @@ def bump_center_oracle():
     # digits of headroom over the comparisons made with this oracle
     assert err < 1e-9
     return math.exp(-1.0) / mass
+
+
+def _deriv_convolve(kernel, u):
+    """J' * u of one row, on the path the corpus pass takes it."""
+    return _fft_convolve_both(kernel, u[None], 1)[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +142,14 @@ def test_convolution_commutes_with_node_shifts(grid, cauchy, kernel):
 
 def test_derivative_kernel_annihilates_constants(grid, cauchy, kernel):
     u = nf.WeightedField(grid, cauchy, np.ones(grid.n_points))
-    out = _fft_convolve(kernel, u.values, derivative=True)
+    out = _deriv_convolve(kernel, u.values)
     interior = grid.interior_mask()
     assert np.max(np.abs(out[interior])) < 1e-9
 
 
 def test_derivative_kernel_reproduces_slope(fine_grid, cauchy, fine_kernel):
     u = nf.WeightedField(fine_grid, cauchy, fine_grid.nodes.copy())
-    out = _fft_convolve(fine_kernel, u.values, derivative=True)
+    out = _deriv_convolve(fine_kernel, u.values)
     interior = fine_grid.interior_mask()
     assert np.max(np.abs(out[interior] - 1.0)) < 1e-6
 
@@ -156,7 +161,7 @@ def test_derivative_matches_difference_quotient_second_order(cauchy):
         g = nf.Grid1D(50.0, n)
         k = nf.make_bump_kernel(g)
         u = nf.WeightedField(g, cauchy, np.cos(0.7 * g.nodes) + 0.3 * np.sin(1.3 * g.nodes))
-        exact = _fft_convolve(k, u.values, derivative=True)
+        exact = _deriv_convolve(k, u.values)
         approx = nf.finite_difference(nf.convolve_fast(k, u)).values
         interior = g.interior_mask()
         errs.append(np.max(np.abs(exact[interior] - approx[interior])))
@@ -215,9 +220,10 @@ def _direct_sum_errors(kernel):
     u = (np.cos(0.7 * x) + 0.3 * np.sin(1.3 * x)
          + 0.1 * np.random.default_rng(n).normal(size=n))
     errs = []
-    for derivative, taps in ((False, kernel.samples), (True, kernel.deriv_samples)):
+    for convolve, taps in ((_fft_convolve, kernel.samples),
+                           (_deriv_convolve, kernel.deriv_samples)):
         direct = np.convolve(u, taps, mode="same") * grid.spacing
-        errs.append(np.max(np.abs(_fft_convolve(kernel, u, derivative) - direct)))
+        errs.append(np.max(np.abs(convolve(kernel, u) - direct)))
     return errs
 
 
@@ -227,8 +233,8 @@ def _end_leaks(kernel):
     m, n = kernel.half_width, kernel.grid.n_points
     u = np.zeros(n)
     u[n - m:] = 1.0 + np.random.default_rng(m).random(m)
-    return [np.max(np.abs(_fft_convolve(kernel, u, derivative)[:m]))
-            for derivative in (False, True)]
+    return [np.max(np.abs(convolve(kernel, u)[:m]))
+            for convolve in (_fft_convolve, _deriv_convolve)]
 
 
 @pytest.mark.parametrize("n", WRAP_NS)
@@ -284,7 +290,23 @@ def test_edge_matrices_equal_a_loop_over_wrapped_taps(n):
 def test_batched_rows_equal_single_row_calls(n):
     kernel = nf.make_bump_kernel(nf.Grid1D(50.0, n))
     rows = np.random.default_rng(n).normal(size=(3, n))
-    for derivative in (False, True):
-        batched = _fft_convolve(kernel, rows, derivative=derivative)
-        for row, out in zip(rows, batched):
-            assert np.array_equal(out, _fft_convolve(kernel, row, derivative=derivative))
+    for row, out in zip(rows, _fft_convolve(kernel, rows)):
+        assert np.array_equal(out, _fft_convolve(kernel, row))
+
+
+@pytest.mark.parametrize("n", WRAP_NS)
+def test_both_products_split_like_their_own_calls(n):
+    # the corpus pass takes J' * u for a leading slice of a block's rows:
+    # every J row is the J-only call's, and every J' row is bitwise its
+    # own one-row call, whatever the slice length
+    kernel = nf.make_bump_kernel(nf.Grid1D(50.0, n))
+    rows = np.random.default_rng(n).normal(size=(5, n))
+    conv = _fft_convolve(kernel, rows)
+    full = _fft_convolve_both(kernel, rows, len(rows))[1]
+    for d in range(len(rows) + 1):
+        both, deriv = _fft_convolve_both(kernel, rows, d)
+        assert np.array_equal(both, conv)
+        assert deriv.shape == (d, n)
+        assert np.array_equal(deriv, full[:d])
+    for row, out in zip(rows, full):
+        assert np.array_equal(out, _deriv_convolve(kernel, row))
