@@ -8,13 +8,16 @@ of the tau ladder.  Sets are compared in the one-sided Hausdorff sense
 with the weighted norm underneath.
 
 All members of a rung share one time schedule, so they are evolved
-together as one batched (k, n) array.  Under a zero field the process is
-autonomous, S(t, tau) = S(t - tau), so a deeper rung continues the
-previous rung's (k, n) array over the span it adds instead of restarting
-the seeded family; it does so only when that gives the restart's steps
-exactly, so at one step the endpoints are the same bytes either way.
-A pulsed field, or a rung whose span would change the shortened tail
-step, restarts.
+together as one batched (k, n) array.  A ladder steps with one G
+evaluation per step (see nlfield.dynamics): each step carries G and its
+slope to the next, and a restart begins with one trapezoid step.  Under
+a zero field the process is autonomous, S(t, tau) = S(t - tau), so a
+deeper rung continues the previous rung's (k, n) array over the span it
+adds instead of restarting the seeded family, and carries on the
+(k, n) G and slope that the previous rung ended with; it does so only
+when that gives the restart's steps exactly, so at one step the
+endpoints are the same bytes either way.  A pulsed field, or a rung
+whose span would change the shortened tail step, restarts.
 
 The outputs carry no time grid, so a ladder steps at the coarsest
 h = dt 2^j that its Richardson estimate accepts (Hairer, Norsett &
@@ -228,12 +231,13 @@ def _run_ladder(family: np.ndarray, taus: list[float], t: float,
     w = quad_weights(cfg.weight, cfg.grid)
     rungs: list[_Rung] = []
     carried: np.ndarray = None  # all k endpoints of the last rung run
+    carry: list = []  # G and its slope at those endpoints
     for tau in taus:
         if rungs and _continues(tau, rungs[-1].tau, t, run):
             start, stop, how = carried, rungs[-1].tau, "continued"
         else:
-            start, stop, how = family, t, "restarted"
-        carried = _integrate(start, tau, stop, run)
+            start, stop, how, carry = family, t, "restarted", []
+        carried = _integrate(start, tau, stop, run, carry=carry)
         endpoints = _dedup(carried, w, cfg.p, DEDUP_TOL)
         gap = _two_sided(endpoints, rungs[-1].kept, w, cfg.p) if rungs else None
         log.info("rung tau=%g: %d steps of %g %s, %d of %d members kept, gap %s",

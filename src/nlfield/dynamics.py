@@ -21,6 +21,22 @@ and a stack of ensemble members (a pullback ladder rung) take the same
 steps; the phi weights do not depend on the state, and the stack is
 stepped as one batched array.  The time after step i is tau + i dt, and
 the last step lands on t exactly.
+
+A pullback ladder, whose outputs carry no time grid, runs the same loop
+with one G evaluation per step, the PEC mode of the same predictor and
+corrector (Lambert 1991, ch. 4).  Each step takes G(t) from the step
+before, the G at that step's predictor, together with the slope
+(G(t) - G(t - delta')) / delta', and predicts by the exponential AB2
+extrapolation
+
+    exp(-delta) u + (w1 + w2) G(t) + (delta - (w1 + w2)) slope,
+
+whose last coefficient is w2 delta (Hochbruck & Ostermann, Acta
+Numerica 19, 2010); the corrector is the trapezoid's.  The first step
+of a run that starts afresh evaluates G at u and is a trapezoid step.
+The scheme stays second order, with an error constant about 0.63 times
+the trapezoid's.  evolve, simulate and the verify checks other than
+c1_attractor step the trapezoid.
 """
 
 from __future__ import annotations
@@ -70,9 +86,10 @@ class Nonlinearity:
     def zero(cls) -> "Nonlinearity":
         return cls("zero", sup_abs=0.0, lipschitz=0.0, curvature_max=0.0, deriv_at_zero=0.0)
 
-    def __call__(self, s):
+    def __call__(self, s, out=None):
+        """g(s); tanh writes into out when given, so callers use the result."""
         if self.name == "tanh":
-            return np.tanh(s)
+            return np.tanh(s, out=out)
         return np.zeros_like(np.asarray(s, dtype=float))
 
     def deriv(self, s):
@@ -131,10 +148,13 @@ class ExternalField:
             raise ValueError("zero field must have zero amplitude")
 
     def __call__(self, t: float, s):
+        """h(t, s); a new array for array s, and 0.0 on the zero family."""
         if self.family == "zero":
             return 0.0
         th = np.tanh(s)
-        return self.amplitude * 0.5 * (1.0 + math.sin(self.omega * t)) * th * th
+        h = self.amplitude * 0.5 * (1.0 + math.sin(self.omega * t)) * th
+        h *= th
+        return h
 
     @property
     def sup(self) -> float:
@@ -209,8 +229,12 @@ def _nonlinear_term(cfg: ProcessConfig, t: float, u_vals: np.ndarray,
     if conv is None:
         conv = _fft_convolve(cfg.kernel, u_vals)
     arg = cfg.beta * conv
-    arg += cfg.beta * cfg.field(t, u_vals)
-    return cfg.nonlinearity(arg)
+    # the field returns a fresh array (or 0.0, which turns a -0.0 argument
+    # into +0.0), so beta h is formed in place
+    h = cfg.field(t, u_vals)
+    h *= cfg.beta
+    arg += h
+    return cfg.nonlinearity(arg, out=arg)
 
 
 def rhs_f(t: float, u: WeightedField, cfg: ProcessConfig) -> WeightedField:
@@ -233,19 +257,33 @@ def _phi_weights(delta: float) -> tuple[float, float, float]:
     return em, w1, w2
 
 
-def _step_raw(cfg: ProcessConfig, t: float, u: np.ndarray, delta: float) -> np.ndarray:
+def _step_raw(cfg: ProcessConfig, t: float, u: np.ndarray, delta: float,
+              g0: np.ndarray | None = None,
+              slope: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """One step of size delta from t; returns the new u and G at the predictor.
+
+    Without g0 the step evaluates G(t) at u, so it is the exponential
+    trapezoid.  A ladder passes g0, the G its previous step carried, and
+    slope, their divided difference over that step; the predictor then
+    adds (delta - (w1 + w2)) slope = w2 delta slope, the exponential AB2
+    extrapolation, and the step evaluates G once.  Neither input is
+    written to, and the returned G aliases nothing else.
+    """
     em, w1, w2 = _phi_weights(delta)
-    g0 = _nonlinear_term(cfg, t, u)
+    if g0 is None:
+        g0 = _nonlinear_term(cfg, t, u)
     out = em * u
     pred = (w1 + w2) * g0
+    if slope is not None:
+        pred += (delta - (w1 + w2)) * slope
     pred += out
     g1 = _nonlinear_term(cfg, t + delta, pred)
-    # em u + w1 g0 + w2 g1, summed left to right in place
-    g0 *= w1
-    out += g0
-    g1 *= w2
-    out += g1
-    return out
+    # em u + w1 g0 + w2 g1, summed left to right through the spent predictor
+    np.multiply(g0, w1, out=pred)
+    out += pred
+    np.multiply(g1, w2, out=pred)
+    out += pred
+    return out, g1
 
 
 def step_exponential(state: TrajectoryState, cfg: ProcessConfig,
@@ -256,7 +294,7 @@ def step_exponential(state: TrajectoryState, cfg: ProcessConfig,
         raise ValueError(f"step size must be positive, got {delta}")
     if state.u.grid != cfg.grid:
         raise GridMismatchError("state does not live on the configured grid")
-    u = _step_raw(cfg, state.t, state.u.values, delta)
+    u, _ = _step_raw(cfg, state.t, state.u.values, delta)
     _guard_finite(u)
     return TrajectoryState(t=state.t + delta, u=state.u.with_values(u))
 
@@ -281,15 +319,29 @@ def _delta_schedule(tau: float, t: float, dt: float) -> list[float]:
 
 
 def _integrate(u: np.ndarray, tau: float, t: float, cfg: ProcessConfig,
-               observer=None) -> np.ndarray:
-    """Step a raw (..., n) array from tau to t; every row shares the schedule."""
+               observer=None, carry: list | None = None) -> np.ndarray:
+    """Step a raw (..., n) array from tau to t; every row shares the schedule.
+
+    Without carry every step is the exponential trapezoid.  A ladder
+    passes carry, a list that is empty at a restart or holds [G, slope]
+    as the steps before left them: a restart evaluates G at u once and
+    takes a trapezoid first step, and every later step evaluates G only
+    at its predictor.  The list is left holding G and its slope at t.
+    """
     deltas = _delta_schedule(tau, t, cfg.dt)
     now = tau
     if observer is not None:
         observer(now, u.copy())
+    if carry is not None and not carry and deltas:
+        carry[:] = [_nonlinear_term(cfg, tau, u), None]
     for i, delta in enumerate(deltas, start=1):
-        u = _step_raw(cfg, now, u, delta)
+        g0, slope = carry or (None, None)
+        u, g1 = _step_raw(cfg, now, u, delta, g0, slope)
         _guard_finite(u)
+        if carry is not None:
+            slope = g1 - g0
+            slope /= delta
+            carry[:] = [g1, slope]
         now = t if i == len(deltas) else tau + i * cfg.dt
         if observer is not None:
             observer(now, u.copy())

@@ -245,6 +245,16 @@ def test_batched_endpoints_match_single_evolve(pulsed_cfg):
         assert np.array_equal(row, nf.evolve(u0, -2.0, 0.0, pulsed_cfg).values)
 
 
+def test_batched_ladder_rows_match_single_rows(pulsed_cfg):
+    # the carried loop of a ladder treats every row on its own too
+    fields = nf.sample_absorbing_ball(pulsed_cfg, 4, seed=3)
+    rows = _integrate(np.stack([u0.values for u0 in fields]), -2.0, 0.0,
+                      pulsed_cfg, carry=[])
+    for row, u0 in zip(rows, fields):
+        assert np.array_equal(row, _integrate(u0.values, -2.0, 0.0,
+                                              pulsed_cfg, carry=[]))
+
+
 def at_dt(cfg, ladder):
     """The ladder stepped at cfg.dt, as one fixed-step run."""
     return _attractor_at_step(0.0, cfg, 6, ladder, 4, cfg.dt)
@@ -325,9 +335,9 @@ def test_zero_field_ladder_steps_only_the_deepest_span(monkeypatch):
     step = dynamics._step_raw
     steps = []
 
-    def counting(cfg, t, u, delta):
+    def counting(cfg, t, u, delta, g0=None, slope=None):
         steps.append(delta)
-        return step(cfg, t, u, delta)
+        return step(cfg, t, u, delta, g0, slope)
 
     monkeypatch.setattr(dynamics, "_step_raw", counting)
     ladder = (-4.0, -8.0, -16.0)
@@ -335,6 +345,60 @@ def test_zero_field_ladder_steps_only_the_deepest_span(monkeypatch):
     assert sample.taus == ladder
     # restarting every rung would take 80 + 160 + 320
     assert len(steps) == 320
+
+
+LADDER_FIELDS = [nf.ExternalField(), nf.ExternalField("pulsed", 0.1, 1.0)]
+
+
+@pytest.mark.parametrize("field", LADDER_FIELDS, ids=["zero", "pulsed"])
+def test_ladder_evaluates_g_once_per_step_plus_once_per_restart(field, monkeypatch,
+                                                                 caplog):
+    step, term = dynamics._step_raw, dynamics._nonlinear_term
+    steps, evaluations = [], []
+
+    def counting_step(*args):
+        steps.append(args[3])
+        return step(*args)
+
+    def counting_term(*args, **kwargs):
+        evaluations.append(args[1])
+        return term(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_step_raw", counting_step)
+    monkeypatch.setattr(dynamics, "_nonlinear_term", counting_term)
+    with caplog.at_level(logging.INFO, logger="nlfield.attractor"):
+        nf.approximate_pullback_attractor(0.0, small_cfg(field=field), 6,
+                                          (-4.0, -8.0, -16.0), seed=4)
+    restarts = sum(" restarted, " in r.getMessage() for r in caplog.records)
+    # the whole step search: every ladder tried, and the reruns at twice the step
+    assert restarts >= 2 and len(steps) > 10 * restarts
+    assert len(evaluations) == len(steps) + restarts
+
+
+@pytest.mark.parametrize("field", LADDER_FIELDS, ids=["zero", "pulsed"])
+def test_each_restart_takes_a_trapezoid_first_step(field, monkeypatch):
+    integrate = attractor._integrate
+    first_steps = {"restarted": [], "continued": []}
+
+    def spying(u, tau, t, cfg, observer=None, carry=None):
+        how = "continued" if carry else "restarted"
+        states = []
+        out = integrate(u, tau, t, cfg, lambda now, v: states.append(v), carry)
+        delta = dynamics._delta_schedule(tau, t, cfg.dt)[0]
+        trapezoid, _ = dynamics._step_raw(cfg, tau, u, delta)
+        first_steps[how].append(np.array_equal(states[1], trapezoid))
+        return out
+
+    monkeypatch.setattr(attractor, "_integrate", spying)
+    nf.approximate_pullback_attractor(0.0, small_cfg(field=field), 6,
+                                      (-4.0, -8.0, -16.0), seed=4)
+    assert len(first_steps["restarted"]) >= 2
+    assert all(first_steps["restarted"])
+    # a continued rung steps on with the G and slope it carries
+    if field.family == "zero":
+        assert first_steps["continued"] and not any(first_steps["continued"])
+    else:
+        assert first_steps["continued"] == []
 
 
 def test_each_rung_logs_its_work(caplog):
@@ -394,18 +458,17 @@ def test_zero_tolerance_falls_back_to_the_fixed_dt_ladder(monkeypatch, caplog):
     assert tried[-1] == "ladder step 0.05: no estimate, accepted"
 
 
-def test_contraction_ladder_rejects_the_two_coarsest_steps(contraction_cfg, caplog):
+def test_contraction_ladder_rejects_1_6_and_accepts_0_8(contraction_cfg, caplog):
     with caplog.at_level(logging.INFO, logger="nlfield.attractor"):
         sample = nf.approximate_pullback_attractor(0.0, contraction_cfg, 8, LADDER, seed=0)
     tried = [r.getMessage() for r in caplog.records
              if r.getMessage().startswith("ladder step ")]
-    # 1.6 misses the tolerance, and 0.8 stops converged where its 1.6 rerun
-    # does not
-    assert [line.split(":")[0] for line in tried] == [
-        "ladder step 1.6", "ladder step 0.8", "ladder step 0.4"]
-    assert tried[0].endswith("halved") and tried[1].endswith("halved")
-    assert tried[2].endswith("accepted")
-    assert sample.step == 0.4
+    # 1.6 misses the tolerance at an estimate of 0.0123, and 0.8 meets it
+    # at 7.1e-05
+    assert tried == ["ladder step 1.6: estimate 0.0123, halved",
+                     "ladder step 0.8: estimate 7.1e-05, accepted"]
+    assert sample.step == 0.8
+    assert sample.step_error <= attractor.LADDER_TOL
     assert sample.converged and sample.taus == LADDER
 
 

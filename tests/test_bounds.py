@@ -425,7 +425,7 @@ def test_understated_response_lipschitz_trips_prop_lipschitz(tanh_cfg,
                                                              monkeypatch):
     # g = 5 tanh is 5-Lipschitz while the config still states l_g = 1
     monkeypatch.setattr(nf.Nonlinearity, "__call__",
-                        lambda self, s: 5.0 * np.tanh(s))
+                        lambda self, s, out=None: 5.0 * np.tanh(s))
     report = nf.verify("prop_lipschitz", tanh_cfg, samples=100, seed=0)
     assert not report.passed
     assert report.measured > report.theoretical

@@ -25,7 +25,7 @@ class ConstantResponse(nf.Nonlinearity):
                          curvature_max=0.0, deriv_at_zero=0.0)
         object.__setattr__(self, "value", value)
 
-    def __call__(self, s):
+    def __call__(self, s, out=None):
         return np.full_like(np.asarray(s, dtype=float), self.value)
 
 
@@ -204,10 +204,14 @@ def test_self_convergence_second_order(cfg_name, request, corpus_factory):
 # wrong error constant: swapping w1 and w2 in _phi_weights keeps their sum
 # and the second order, and reads 2.08e-4, 5.29e-5 and 1.34e-5.
 STEP_ERRORS = {0.4: 8.90e-5, 0.2: 2.28e-5, 0.1: 5.76e-6}
+# the same errors when the steps carry G and its slope, as a ladder's do
+# (one G evaluation per step, exponential AB2 predictor); swapped weights
+# read 1.74e-4, 4.45e-5 and 1.13e-5 there
+LADDER_STEP_ERRORS = {0.4: 5.56e-5, 0.2: 1.45e-5, 0.1: 3.75e-6}
 STEP_ERROR_SLACK = 1.5
 
 
-def step_errors():
+def step_errors(ladder=False):
     text = (Path(__file__).parent.parent / "configs" / "sweep.yaml").read_text()
     cfg = parse_config(text.replace("n_points: 4096", "n_points: 1024")).process
     assert cfg.grid.n_points == 1024
@@ -216,12 +220,17 @@ def step_errors():
     def endpoint(dt):
         return nf.evolve(u0, 0.0, 8.0, dataclasses.replace(cfg, dt=dt)).values
 
+    def ladder_endpoint(dt):
+        return nlfield.dynamics._integrate(u0.values.copy(), 0.0, 8.0,
+                                           dataclasses.replace(cfg, dt=dt), carry=[])
+
     ref = endpoint(0.003125)
-    return {h: norm_of(endpoint(h) - ref, u0) for h in STEP_ERRORS}
+    run = ladder_endpoint if ladder else endpoint
+    return {h: norm_of(run(h) - ref, u0) for h in STEP_ERRORS}
 
 
-def within_pin(errors):
-    return all(STEP_ERRORS[h] / STEP_ERROR_SLACK <= e <= STEP_ERRORS[h] * STEP_ERROR_SLACK
+def within_pin(errors, pin=STEP_ERRORS):
+    return all(pin[h] / STEP_ERROR_SLACK <= e <= pin[h] * STEP_ERROR_SLACK
                for h, e in errors.items())
 
 
@@ -229,7 +238,14 @@ def test_stepper_error_constant_is_pinned():
     assert within_pin(step_errors())
 
 
-def test_swapped_quadrature_weights_trip_the_error_pin(monkeypatch):
+def test_ladder_stepper_error_constant_is_pinned():
+    errors = step_errors(ladder=True)
+    assert within_pin(errors, LADDER_STEP_ERRORS)
+    # still second order, and below the trapezoid's constant
+    assert all(e < STEP_ERRORS[h] for h, e in errors.items())
+
+
+def swap_quadrature_weights(monkeypatch):
     phi = nlfield.dynamics._phi_weights
 
     def swapped(delta):
@@ -237,9 +253,20 @@ def test_swapped_quadrature_weights_trip_the_error_pin(monkeypatch):
         return em, w2, w1
 
     monkeypatch.setattr(nlfield.dynamics, "_phi_weights", swapped)
+
+
+def test_swapped_quadrature_weights_trip_the_error_pin(monkeypatch):
+    swap_quadrature_weights(monkeypatch)
     errors = step_errors()
     assert not within_pin(errors)
     assert all(e > STEP_ERRORS[h] * STEP_ERROR_SLACK for h, e in errors.items())
+
+
+def test_swapped_quadrature_weights_trip_the_ladder_error_pin(monkeypatch):
+    swap_quadrature_weights(monkeypatch)
+    errors = step_errors(ladder=True)
+    assert not within_pin(errors, LADDER_STEP_ERRORS)
+    assert all(e > LADDER_STEP_ERRORS[h] * STEP_ERROR_SLACK for h, e in errors.items())
 
 
 # ---------------------------------------------------------------------------
