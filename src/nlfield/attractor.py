@@ -31,6 +31,12 @@ scheme, is at most LADDER_TOL.  Otherwise h is halved, and the rejected
 run serves as the 2h run of the next try; at h = dt the ladder runs
 unchecked, as a fixed-step ladder does.
 
+The semicontinuity sweep draws the seeded family and searches the step
+once, on the unperturbed field, and runs one ladder per distinct field
+at that step: a leg whose scaled field equals the unperturbed field
+(eps = 0, or any eps on a zero field or a zero-amplitude pulse) reuses
+the unperturbed rungs.
+
 Set distances (Hausdorff, the endpoint clusters, the two-sided gap
 between rungs) come from one weighted l^p distance matrix between the
 rows of two stacks.
@@ -279,27 +285,50 @@ def _coarse_steps(cfg: ProcessConfig, span: float) -> list[float]:
     return steps
 
 
-def _sample(t: float, cfg: ProcessConfig, rungs: list[_Rung], seed: int,
-            step: float, step_error: float) -> AttractorSample:
-    gaps = tuple(r.gap for r in rungs[1:])
+def _stabilized(rungs: list[_Rung]) -> bool:
+    """_converged, warning once for a ladder that ran out of rungs."""
     converged = _converged(rungs)
     if not converged:
+        gap = rungs[-1].gap
         log.warning("tau ladder exhausted without stabilization (last gap %s)",
-                    gaps[-1] if gaps else "n/a")
+                    "n/a" if gap is None else gap)
+    return converged
+
+
+def _sample(t: float, cfg: ProcessConfig, rungs: list[_Rung], seed: int,
+            step: float, step_error: float) -> AttractorSample:
+    converged = _stabilized(rungs)
     members = tuple(WeightedField(cfg.grid, cfg.weight, u) for u in rungs[-1].kept)
     return AttractorSample(t=t, members=members, p=cfg.p,
                            taus=tuple(r.tau for r in rungs), seed=seed,
                            digest=cfg.digest(), converged=converged,
-                           rung_gaps=gaps, step=step, step_error=step_error)
+                           rung_gaps=tuple(r.gap for r in rungs[1:]),
+                           step=step, step_error=step_error)
 
 
-def _attractor_at_step(t: float, cfg: ProcessConfig, n_samples: int,
-                       tau_ladder: Sequence[float], seed: int,
-                       step: float) -> AttractorSample:
-    """The ladder at one given step, with no estimate of its error."""
-    taus = _ladder_taus(t, tau_ladder)
-    rungs = _run_ladder(_family(cfg, n_samples, seed), taus, t, cfg, step)
-    return _sample(t, cfg, rungs, seed, step, math.nan)
+def _search(family: np.ndarray, taus: list[float], t: float,
+            cfg: ProcessConfig) -> tuple[list[_Rung], float, float]:
+    """The rungs at the coarsest accepted step, the step, and its
+    Richardson estimate (NaN at dt); see the module docstring."""
+    w = quad_weights(cfg.weight, cfg.grid)
+    coarse = None  # the ladder at twice the step being tried
+    for step in _coarse_steps(cfg, t - taus[0]):
+        fine = _run_ladder(family, taus, t, cfg, step)
+        if coarse is None:
+            coarse = _run_ladder(family, taus[:len(fine)], t, cfg, 2.0 * step)
+        # a ladder over a prefix of the rungs is a prefix of the rungs run
+        coarse = coarse[:len(fine)]
+        estimate = _richardson(fine, coarse, w, cfg.p)
+        accepted = (len(coarse) == len(fine)
+                    and _converged(coarse) == _converged(fine)
+                    and estimate <= LADDER_TOL)
+        log.info("ladder step %g: estimate %.3g, %s", step, estimate,
+                 "accepted" if accepted else "halved")
+        if accepted:
+            return fine, step, estimate
+        coarse = fine
+    log.info("ladder step %g: no estimate, accepted", cfg.dt)
+    return _run_ladder(family, taus, t, cfg, cfg.dt), cfg.dt, math.nan
 
 
 def approximate_pullback_attractor(t: float, cfg: ProcessConfig,
@@ -323,27 +352,8 @@ def approximate_pullback_attractor(t: float, cfg: ProcessConfig,
     and halving on each rejection; at dt it runs unchecked.
     """
     taus = _ladder_taus(t, tau_ladder)
-    family = _family(cfg, n_samples, seed)
-    w = quad_weights(cfg.weight, cfg.grid)
-    coarse = None  # the ladder at twice the step being tried
-    for step in _coarse_steps(cfg, t - taus[0]):
-        fine = _run_ladder(family, taus, t, cfg, step)
-        if coarse is None:
-            coarse = _run_ladder(family, taus[:len(fine)], t, cfg, 2.0 * step)
-        # a ladder over a prefix of the rungs is a prefix of the rungs run
-        coarse = coarse[:len(fine)]
-        estimate = _richardson(fine, coarse, w, cfg.p)
-        accepted = (len(coarse) == len(fine)
-                    and _converged(coarse) == _converged(fine)
-                    and estimate <= LADDER_TOL)
-        log.info("ladder step %g: estimate %.3g, %s", step, estimate,
-                 "accepted" if accepted else "halved")
-        if accepted:
-            return _sample(t, cfg, fine, seed, step, estimate)
-        coarse = fine
-    log.info("ladder step %g: no estimate, accepted", cfg.dt)
-    return _sample(t, cfg, _run_ladder(family, taus, t, cfg, cfg.dt), seed,
-                   cfg.dt, math.nan)
+    rungs, step, estimate = _search(_family(cfg, n_samples, seed), taus, t, cfg)
+    return _sample(t, cfg, rungs, seed, step, estimate)
 
 
 def upper_semicontinuity_sweep(t: float, cfg0: ProcessConfig,
@@ -355,30 +365,43 @@ def upper_semicontinuity_sweep(t: float, cfg0: ProcessConfig,
 
     Each eps scales the external field to (1 - eps) of its amplitude,
     so the sup gap to the unperturbed field is eps times the field's
-    sup.  All runs share seeds, making the eps = 0 leg exactly zero.
-    The step is chosen once, on the unperturbed ladder, and every leg
-    runs at it, so the distances compare endpoints of one time grid.
-    The reported envelope is the trajectory-level exponential bound at
-    the deepest ladder horizon, an upper reference only.
+    sup.  Every leg starts from the one seeded family drawn for the
+    unperturbed ladder.  The step is chosen once, on the unperturbed
+    ladder, and every leg runs at it, so the distances compare endpoints
+    of one time grid.  A leg whose scaled field equals the unperturbed
+    one (eps = 0, or any eps on a zero field or a zero-amplitude pulse)
+    reuses the unperturbed rungs, so its distance is exactly zero; every
+    other leg runs its own ladder.  Each leg logs one line: its eps, how
+    it ran, the step, its rungs and its distance.  The reported envelope
+    is the trajectory-level exponential bound at the deepest ladder
+    horizon, an upper reference only.
     """
     from .bounds import continuity_envelope
 
-    base = approximate_pullback_attractor(t, cfg0, n_samples, tau_ladder, seed=seed)
-    horizon = t - min(base.taus)
+    taus = _ladder_taus(t, tau_ladder)
+    family = _family(cfg0, n_samples, seed)
+    base, step, _ = _search(family, taus, t, cfg0)
+    base_converged = _stabilized(base)
+    w = quad_weights(cfg0.weight, cfg0.grid)
+    horizon = t - base[-1].tau
     dists: list[float] = []
     envs: list[float] = []
     flags: list[bool] = []
     for eps in eps_list:
-        if eps == 0.0:
-            sample = base
+        field = cfg0.field.scaled(1.0 - eps)
+        if field == cfg0.field:
+            rungs, how, converged = base, "reused the unperturbed run", base_converged
         else:
-            cfg_eps = replace(cfg0, field=cfg0.field.scaled(1.0 - eps))
-            sample = _attractor_at_step(t, cfg_eps, n_samples, tau_ladder,
-                                        seed, base.step)
-        dists.append(hausdorff_semidist(sample, base, cfg0.p))
+            rungs = _run_ladder(family, taus, t, replace(cfg0, field=field), step)
+            how, converged = "ran its own ladder", _stabilized(rungs)
+        dist = float(np.max(np.min(
+            _lp_distances(rungs[-1].kept, base[-1].kept, w, cfg0.p), axis=1)))
+        log.info("sweep eps=%g: %s at step %g, %d rungs, distance %.6g",
+                 eps, how, step, len(rungs), dist)
+        dists.append(dist)
         envs.append(continuity_envelope(cfg0, eps * cfg0.field.sup, horizon)
                     + DEDUP_TOL)
-        flags.append(sample.converged and base.converged)
+        flags.append(converged and base_converged)
     return SemicontinuityCurve(t=t, epsilons=tuple(float(e) for e in eps_list),
                                distances=tuple(dists), envelopes=tuple(envs),
                                converged=tuple(flags), digest=cfg0.digest())

@@ -2,6 +2,7 @@
 
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import pytest
 import nlfield as nf
 from conftest import LADDER
 from nlfield import attractor, dynamics
-from nlfield.attractor import _attractor_at_step, _dedup, _lp_distances
+from nlfield.attractor import (_dedup, _family, _ladder_taus, _lp_distances,
+                               _run_ladder, _sample)
 from nlfield.dynamics import _integrate
 from nlfield.weighted_space import quad_weights
 
@@ -255,9 +257,16 @@ def test_batched_ladder_rows_match_single_rows(pulsed_cfg):
                                               pulsed_cfg, carry=[]))
 
 
+def at_step(cfg, ladder, step, n_samples=6, seed=4):
+    """The ladder at one given step, with no estimate of its error."""
+    rungs = _run_ladder(_family(cfg, n_samples, seed), _ladder_taus(0.0, ladder),
+                        0.0, cfg, step)
+    return _sample(0.0, cfg, rungs, seed, step, math.nan)
+
+
 def at_dt(cfg, ladder):
     """The ladder stepped at cfg.dt, as one fixed-step run."""
-    return _attractor_at_step(0.0, cfg, 6, ladder, 4, cfg.dt)
+    return at_step(cfg, ladder, cfg.dt)
 
 
 def assert_rung_gaps_are_two_sided(cfg):
@@ -487,6 +496,78 @@ def test_sweep_searches_once_and_runs_every_leg_at_its_step(caplog):
     assert legs and all(f" steps of {step} " in line for line in legs)
     assert curve.distances[-1] == 0.0
     assert curve.distances[0] > 0.0
+    # one line per leg: its eps, how it ran, the step, its rungs, its distance
+    assert [line for line in lines if line.startswith("sweep eps=")] == [
+        f"sweep eps=0.2: ran its own ladder at step {step}, {len(legs)} rungs,"
+        f" distance {curve.distances[0]:.6g}",
+        f"sweep eps=0: reused the unperturbed run at step {step}, {len(legs)} rungs,"
+        " distance 0",
+    ]
+
+
+@pytest.mark.parametrize("field", [nf.ExternalField(), nf.ExternalField("pulsed", 0.0)],
+                         ids=["zero", "zero-amplitude pulse"])
+def test_sweep_on_an_unscaled_field_runs_only_the_step_search(field, monkeypatch,
+                                                              caplog):
+    # scaling leaves these fields as they are, so every leg reuses the
+    # unperturbed run and no ladder runs outside the step search
+    search, run_ladder = attractor._search, attractor._run_ladder
+    depth, in_search = [], []
+
+    def spy_search(*args):
+        depth.append(None)
+        try:
+            return search(*args)
+        finally:
+            depth.pop()
+
+    def spy_run_ladder(*args):
+        in_search.append(bool(depth))
+        return run_ladder(*args)
+
+    monkeypatch.setattr(attractor, "_search", spy_search)
+    monkeypatch.setattr(attractor, "_run_ladder", spy_run_ladder)
+    with caplog.at_level(logging.INFO, logger="nlfield.attractor"):
+        curve = nf.upper_semicontinuity_sweep(0.0, small_cfg(field=field),
+                                              [0.4, 0.2, 0.0], 4,
+                                              (-4.0, -8.0, -16.0), seed=0)
+    assert len(in_search) >= 2 and all(in_search)
+    assert curve.distances == (0.0, 0.0, 0.0)
+    assert all(curve.converged)
+    legs = [r.getMessage() for r in caplog.records
+            if r.getMessage().startswith("sweep eps=")]
+    assert len(legs) == 3 and all(" reused the unperturbed run " in m for m in legs)
+
+
+@pytest.mark.parametrize("ladder", [(-4.0, -8.0, -16.0), (-1.0, -2.0)],
+                         ids=["converged", "every member kept"])
+def test_sweep_legs_match_fixed_step_samples(ladder):
+    # each leg is the ladder of its scaled field at the base step, from
+    # the base's seeded family, measured against the base's endpoints; a
+    # converged ladder keeps only the constant members, so the short one
+    # checks the random members too
+    cfg = small_cfg(field=nf.ExternalField("pulsed", 0.2, 1.0))
+    epsilons = [0.4, 0.2, 0.0]
+    curve = nf.upper_semicontinuity_sweep(0.0, cfg, epsilons, 4, ladder, seed=0)
+    base = nf.approximate_pullback_attractor(0.0, cfg, 4, ladder, seed=0)
+    for eps, dist, converged in zip(epsilons, curve.distances, curve.converged):
+        leg = replace(cfg, field=cfg.field.scaled(1.0 - eps))
+        sample = at_step(leg, ladder, base.step, n_samples=4, seed=0)
+        assert dist == nf.hausdorff_semidist(sample, base, cfg.p)
+        assert converged == (sample.converged and base.converged)
+    assert curve.distances[0] > curve.distances[1] > curve.distances[2] == 0.0
+
+
+@pytest.mark.parametrize("field, warnings", [
+    (nf.ExternalField(), 1), (nf.ExternalField("pulsed", 0.2, 1.0), 2)],
+    ids=["zero", "pulsed"])
+def test_each_unstabilized_sweep_ladder_warns_once(field, warnings, caplog):
+    # the unperturbed ladder warns, and so does each leg that runs its own
+    with caplog.at_level(logging.WARNING, logger="nlfield.attractor"):
+        curve = nf.upper_semicontinuity_sweep(0.0, small_cfg(field=field),
+                                              [0.2, 0.0], 4, (-0.5, -1.0), seed=0)
+    assert curve.converged == (False, False)
+    assert caplog.text.count("tau ladder exhausted without stabilization") == warnings
 
 
 # ---------------------------------------------------------------------------
