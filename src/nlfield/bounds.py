@@ -6,8 +6,9 @@ verdict signals an implementation bug, not a sharp inequality.  Checks
 that involve pointwise values restrict to interior nodes where the
 zero-extension convolution is exact; checks work on raw sample rows.
 The four corpus checks (lemma1a, lemma1a_deriv, lemma1b, prop_lipschitz)
-read one seeded draw made once per battery, and verify(name) is a battery
-of one.  The draw is one (rows, n) array whose mode sums come from a
+read one seeded draw made once per battery, and verify(name) runs one
+check as battery does, without battery's axiom checks of the response and
+the field.  The draw is one (rows, n) array whose mode sums come from a
 cos/sin block table by angle addition, within about 1e-13 of summing one
 libm cosine per node.  It is walked in blocks of _BLOCK rows, each
 transformed forward once for both J*u and J'*u; norms are taken and G is
@@ -327,13 +328,34 @@ _CAUCHY_ONLY = {"lemma1a": "K", "lemma1a_deriv": "K", "lemma1b": "rho_1",
 
 def verify(name: str, cfg: ProcessConfig, samples: int = 500,
            seed: int = 0) -> BoundReport:
-    """Run one named inequality check; deterministic for a fixed seed."""
-    return battery(cfg, [name], samples=samples, seed=seed)[0]
+    """Run one named inequality check; deterministic for a fixed seed.
+
+    The check runs alone, without battery's axiom checks, so a planted
+    defect that breaks an axiom still reaches the check's own verdict.
+    """
+    return _run_checks(cfg, [name], samples, seed)[0]
 
 
 def battery(cfg: ProcessConfig, names=None, samples: int = 500,
             seed: int = 0, h_star: float | None = None) -> list[BoundReport]:
-    """Run a selection of checks (default: all) in the order given.
+    """Check the axioms, then run a selection of checks (default: all).
+
+    The response's and the field's check_axioms run first, each on its
+    own default_rng(seed), so the checks' draws are the same as without
+    them; a violation raises ConfigError at key path "model" or "field".
+    The checks then run as _run_checks runs them.
+    """
+    for key, part in (("model", cfg.nonlinearity), ("field", cfg.field)):
+        try:
+            part.check_axioms(np.random.default_rng(seed))
+        except ValueError as e:
+            raise ConfigError(f"axiom violated: {e}", key) from e
+    return _run_checks(cfg, CHECK_NAMES if names is None else names,
+                       samples, seed, h_star)
+
+
+def _run_checks(cfg, names, samples, seed, h_star=None) -> list[BoundReport]:
+    """Run the named checks in the order given.
 
     The corpus checks share one seeded draw, made once per call.  h_star,
     when given, is the threshold h* of cfg's beta and response, already
@@ -341,7 +363,7 @@ def battery(cfg: ProcessConfig, names=None, samples: int = 500,
     A weight other than Cauchy raises ConfigError at key path "weight",
     before any draw, if a check of _CAUCHY_ONLY is asked for.
     """
-    names = list(CHECK_NAMES if names is None else names)
+    names = list(names)
     for n in names:
         if n not in CHECK_NAMES:
             raise ValueError(f"unknown check {n!r}; expected one of {CHECK_NAMES}")

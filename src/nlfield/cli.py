@@ -37,8 +37,8 @@ from .attractor import approximate_pullback_attractor, \
     upper_semicontinuity_sweep, _ladder_taus
 from .bifurcation import compute_h_star, count_roots
 from .bounds import battery
-from .dynamics import ExternalField, Nonlinearity, ProcessConfig, evolve, \
-    _delta_schedule
+from .dynamics import ExternalField, Nonlinearity, ProcessConfig, \
+    _delta_schedule, _integrate
 from .errors import ConfigError, GridTooCoarseError, NlfieldError, \
     TimeOrderError
 from .kernel import make_bump_kernel
@@ -249,7 +249,8 @@ def _cmd_simulate(exp: ExperimentConfig) -> int:
         rows.append((s, _lp_norm(vals, w, cfg.p), np.max(np.abs(vals)),
                      np.max(np.abs(_central_difference(vals, dx)[mask]))))
 
-    evolve(u0, blk["tau"], blk["t"], cfg, observer=watch)
+    # one G evaluation per step, as in a ladder restart (dynamics docstring)
+    _integrate(u0.values, blk["tau"], blk["t"], cfg, observer=watch, carry=[])
     _write_csv(os.path.join(exp.out_dir, "trajectory.csv"),
                ["t", "norm", "sup", "interior_max_slope"],
                *np.array(rows, dtype=float).T)

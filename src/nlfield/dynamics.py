@@ -35,8 +35,11 @@ whose last coefficient is w2 delta (Hochbruck & Ostermann, Acta
 Numerica 19, 2010); the corrector is the trapezoid's.  The first step
 of a run that starts afresh evaluates G at u and is a trapezoid step.
 The scheme stays second order, with an error constant about 0.63 times
-the trapezoid's.  evolve, simulate and the verify checks other than
-c1_attractor step the trapezoid.
+the trapezoid's.  simulate steps this way too, as one restart.  evolve
+and the verify checks other than c1_attractor step the trapezoid: the
+composition S(t, s) S(s, tau) = S(t, tau) at a step boundary holds only
+for it, because a carried run restarted at s takes a trapezoid step
+where the unbroken run would not.
 """
 
 from __future__ import annotations
@@ -155,6 +158,23 @@ class ExternalField:
         h = self.amplitude * 0.5 * (1.0 + math.sin(self.omega * t)) * th
         h *= th
         return h
+
+    def check_axioms(self, rng: np.random.Generator) -> None:
+        """Sampled verification of h(t, 0) = 0, sup and the s-Lipschitz
+        constant at a few times; raises on failure."""
+        n_times, n_samples, span = 8, 512, 6.0
+        s = rng.uniform(-span, span, n_samples)
+        r = rng.uniform(-span, span, n_samples)
+        zero = np.zeros(1)
+        for t in rng.uniform(-50.0, 50.0, n_times):
+            if np.any(np.abs(self(t, zero)) > 0.0):
+                raise ValueError(f"{self.family}: h(t, 0) must vanish")
+            h = self(t, s)
+            if np.max(np.abs(h)) > self.sup + 1e-12:
+                raise ValueError(f"{self.family}: |h| exceeds sup")
+            gap = np.abs(h - self(t, r))
+            if np.any(gap > self.lipschitz * np.abs(s - r) + 1e-12):
+                raise ValueError(f"{self.family}: s-Lipschitz constant violated on samples")
 
     @property
     def sup(self) -> float:
@@ -322,11 +342,13 @@ def _integrate(u: np.ndarray, tau: float, t: float, cfg: ProcessConfig,
                observer=None, carry: list | None = None) -> np.ndarray:
     """Step a raw (..., n) array from tau to t; every row shares the schedule.
 
-    Without carry every step is the exponential trapezoid.  A ladder
-    passes carry, a list that is empty at a restart or holds [G, slope]
-    as the steps before left them: a restart evaluates G at u once and
-    takes a trapezoid first step, and every later step evaluates G only
-    at its predictor.  The list is left holding G and its slope at t.
+    Without carry every step is the exponential trapezoid, as evolve
+    steps.  A ladder and simulate pass carry, a list that is empty at a
+    restart or holds [G, slope] as the steps before left them: a restart
+    evaluates G at u once and takes a trapezoid first step, and every
+    later step evaluates G only at its predictor, so N steps from a
+    restart evaluate G N + 1 times.  The list is left holding G and its
+    slope at t.  u itself is never written to.
     """
     deltas = _delta_schedule(tau, t, cfg.dt)
     now = tau

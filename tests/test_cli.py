@@ -5,6 +5,7 @@ pytest tmp directories.  Small grids (1024 nodes) keep the runs fast;
 the physics on them is checked in the module test files.
 """
 
+import dataclasses
 import json
 import logging
 import math
@@ -15,13 +16,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nlfield as nf
 import nlfield.bounds
-from nlfield import cli
+from nlfield import cli, dynamics
 from nlfield.bifurcation import compute_h_star, tanh_h_star
 from nlfield.bounds import CHECK_NAMES, BoundReport, c1_regularity_bound
 from nlfield.cli import main, parse_config
 from nlfield.errors import BlowUpError, ConfigError
-from nlfield.weighted_space import WeightedField, weighted_norm
+from nlfield.weighted_space import WeightedField, _lp_norm, quad_weights, \
+    weighted_norm
 
 
 def write_config(tmp_path, text, name="exp.yaml"):
@@ -567,6 +570,95 @@ def test_simulate_random_initial_hits_target_norm(tmp_path):
     assert main(["simulate", "--config", path]) == 0
     _, rows = read_rows(out / "trajectory.csv")
     assert float(rows[0][1]) == pytest.approx(0.7, rel=1e-12)
+
+
+PULSED = "field:\n  family: pulsed\n  amplitude: 0.2\n"
+
+
+def test_simulate_evaluates_g_once_per_step_plus_once(tmp_path, monkeypatch):
+    # G at the start for the trapezoid first step, then G at each step's
+    # predictor alone; the trapezoid would evaluate it twice per step
+    term = dynamics._nonlinear_term
+    times = []
+
+    def counting(*args, **kwargs):
+        times.append(args[1])
+        return term(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_nonlinear_term", counting)
+    out = tmp_path / "run"
+    # ten steps of 0.05 and a tail of 0.02
+    doc = SMALL.format(beta=2.0, out=out) + PULSED + "simulate:\n  t: 0.52\n"
+    assert main(["simulate", "--config", write_config(tmp_path, doc)]) == 0
+    _, rows = read_rows(out / "trajectory.csv")
+    steps = len(rows) - 1
+    assert steps == 11
+    assert len(times) == steps + 1
+    assert times[0] == 0.0 and times[-1] == pytest.approx(0.52, abs=1e-12)
+
+
+def test_simulate_steps_like_a_ladder_restart(tmp_path):
+    out = tmp_path / "run"
+    doc = (SMALL.format(beta=2.0, out=out) + PULSED
+           + "simulate:\n  t: 2.0\n  initial:\n    kind: random\n")
+    assert main(["simulate", "--config", write_config(tmp_path, doc)]) == 0
+    exp = parse_config(doc)
+    cfg = exp.process
+    u0 = cli._initial_field(exp).values
+    w = quad_weights(cfg.weight, cfg.grid)
+    carried = _lp_norm(dynamics._integrate(u0, 0.0, 2.0, cfg, carry=[]), w, cfg.p)
+    trapezoid = _lp_norm(dynamics._integrate(u0, 0.0, 2.0, cfg), w, cfg.p)
+    _, rows = read_rows(out / "trajectory.csv")
+    # 17 significant digits give the double back bit for bit
+    assert float(rows[-1][1]) == carried != trapezoid
+
+
+def test_simulate_stepper_converges_at_second_order_below_the_trapezoid():
+    # configs/bistable.yaml with its random start (seed 0, norm 1) over
+    # [0, 2], weighted l^2 endpoint errors against a dt/64 reference:
+    # carried 8.0e-5, 1.1e-5, 2.0e-6, 4.8e-7 (ratios 7.2, 5.5, 4.2, falling
+    # to second order from above), trapezoid 5.1e-4, 1.3e-4, 3.4e-5, 8.7e-6
+    text = (Path(__file__).parent.parent / "configs" / "bistable.yaml").read_text()
+    text = text.replace("    kind: constant\n    value: 0.5\n", "    kind: random\n")
+    exp = parse_config(text)
+    cfg = exp.process
+    assert exp.blocks["simulate"]["initial"]["kind"] == "random"
+    u0 = cli._initial_field(exp).values
+    w = quad_weights(cfg.weight, cfg.grid)
+    ref = dynamics._integrate(u0, 0.0, 2.0, dataclasses.replace(cfg, dt=cfg.dt / 64))
+
+    def errors(carry):
+        return [_lp_norm(dynamics._integrate(u0, 0.0, 2.0, dataclasses.replace(cfg, dt=h),
+                                             carry=[] if carry else None) - ref, w, cfg.p)
+                for h in (0.1, 0.05, 0.025, 0.0125)]
+
+    carried, trapezoid = errors(True), errors(False)
+    ratios = [a / b for a, b in zip(carried, carried[1:])]
+    assert all(r >= 3.5 for r in ratios)
+    assert ratios == sorted(ratios, reverse=True) and ratios[-1] <= 4.5
+    assert all(c < t for c, t in zip(carried, trapezoid))
+
+
+@pytest.mark.parametrize("plant, key_path, axiom", [
+    # the FOUND plant that prop_lipschitz passes (0.67 against 1.35)
+    (lambda mp: mp.setattr(nf.Nonlinearity, "tanh", classmethod(
+        lambda cls: cls("tanh", 1.0, 0.1, nf.K1_TANH, 1.0))),
+     "model", "tanh: Lipschitz constant violated on samples"),
+    # the tanh^2 factor dropped, which no check sees
+    (lambda mp: mp.setattr(nf.ExternalField, "__call__", lambda self, t, s: (
+        self.amplitude * 0.5 * (1.0 + math.sin(self.omega * t)) * np.ones_like(s))),
+     "field", "pulsed: h(t, 0) must vanish"),
+], ids=["lipschitz 0.1", "h(t,0) != 0"])
+def test_verify_exits_2_on_a_broken_axiom(plant, key_path, axiom, tmp_path,
+                                          monkeypatch, capsys):
+    out = tmp_path / "run"
+    doc = SMALL.format(beta=2.0, out=out) + PULSED + "verify:\n  samples: 4\n"
+    path = write_config(tmp_path, doc)
+    assert main(["verify", "--config", path]) == 0
+    plant(monkeypatch)
+    assert main(["verify", "--config", path, "--out", str(tmp_path / "planted")]) == 2
+    assert f"error: {key_path}: axiom violated: {axiom}" in capsys.readouterr().err
+    assert not (tmp_path / "planted").exists()
 
 
 def test_attractor_contraction_run_converges(tmp_path):

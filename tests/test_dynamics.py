@@ -91,6 +91,36 @@ def test_external_field_properties():
         nf.ExternalField("pulsed", -0.1)
 
 
+@pytest.mark.parametrize("field", [nf.ExternalField(),
+                                   nf.ExternalField("pulsed", 0.2, 1.0),
+                                   nf.ExternalField("pulsed", 0.43, 0.0),
+                                   nf.ExternalField("pulsed", 0.0, 0.9)])
+def test_external_field_check_axioms_passes_on_the_families(field):
+    field.check_axioms(np.random.default_rng(0))
+
+
+def pulse(self, t):
+    return self.amplitude * 0.5 * (1.0 + math.sin(self.omega * t))
+
+
+@pytest.mark.parametrize("call, prop, axiom", [
+    # the tanh^2 factor dropped: h(t, 0) is the pulse itself
+    (lambda self, t, s: pulse(self, t) * np.ones_like(s), None, "h\\(t, 0\\) must vanish"),
+    # a stated sup half the true one
+    (None, ("sup", lambda self: 0.5 * self.amplitude), "\\|h\\| exceeds sup"),
+    # a stated s-Lipschitz constant a tenth of the true one
+    (None, ("lipschitz", lambda self: 0.1 * self.amplitude * nf.K1_TANH),
+     "s-Lipschitz constant violated"),
+], ids=["h(t,0)", "sup", "lipschitz"])
+def test_planted_field_defects_trip_check_axioms(call, prop, axiom, monkeypatch):
+    if call is not None:
+        monkeypatch.setattr(nf.ExternalField, "__call__", call)
+    if prop is not None:
+        monkeypatch.setattr(nf.ExternalField, prop[0], property(prop[1]))
+    with pytest.raises(ValueError, match=axiom):
+        nf.ExternalField("pulsed", 0.2, 1.0).check_axioms(np.random.default_rng(0))
+
+
 def test_process_config_validation(grid, cauchy, kernel):
     g = nf.Nonlinearity.tanh()
     with pytest.raises(ValueError):
