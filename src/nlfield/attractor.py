@@ -374,7 +374,8 @@ def upper_semicontinuity_sweep(t: float, cfg0: ProcessConfig,
     other leg runs its own ladder.  Each leg logs one line: its eps, how
     it ran, the step, its rungs and its distance.  The reported envelope
     is the trajectory-level exponential bound at the deepest ladder
-    horizon, an upper reference only.
+    horizon, an upper reference only; where it is inf, one warning says
+    so for the whole sweep.
     """
     from .bounds import continuity_envelope
 
@@ -384,6 +385,11 @@ def upper_semicontinuity_sweep(t: float, cfg0: ProcessConfig,
     base_converged = _stabilized(base)
     w = quad_weights(cfg0.weight, cfg0.grid)
     horizon = t - base[-1].tau
+    # the envelope grows with the gap, so where it is vacuous at the
+    # smallest nonzero eps it is at every one: it warns once, not per leg
+    smallest = min((eps for eps in eps_list if eps > 0.0), default=0.0)
+    vacuous = math.isinf(continuity_envelope(cfg0, smallest * cfg0.field.sup,
+                                             horizon))
     dists: list[float] = []
     envs: list[float] = []
     flags: list[bool] = []
@@ -399,8 +405,8 @@ def upper_semicontinuity_sweep(t: float, cfg0: ProcessConfig,
         log.info("sweep eps=%g: %s at step %g, %d rungs, distance %.6g",
                  eps, how, step, len(rungs), dist)
         dists.append(dist)
-        envs.append(continuity_envelope(cfg0, eps * cfg0.field.sup, horizon)
-                    + DEDUP_TOL)
+        envs.append((math.inf if vacuous and eps > 0.0 else continuity_envelope(
+            cfg0, eps * cfg0.field.sup, horizon)) + DEDUP_TOL)
         flags.append(converged and base_converged)
     return SemicontinuityCurve(t=t, epsilons=tuple(float(e) for e in eps_list),
                                distances=tuple(dists), envelopes=tuple(envs),

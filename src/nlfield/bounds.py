@@ -32,7 +32,6 @@ import logging
 import math
 import time
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -273,10 +272,8 @@ def _check_w_bound(cfg, samples, seed):
     return _report("w_bound", a, max(sups), TOL_QUADRATURE, cfg, samples, seed)
 
 
-def _check_c1_attractor(cfg, samples, seed, h_star=None):
-    if h_star is None:
-        h_star = compute_h_star(cfg.beta, cfg.nonlinearity)
-    bound = c1_regularity_bound(cfg, h_star)
+def _check_c1_attractor(cfg, samples, seed):
+    bound = c1_regularity_bound(cfg, compute_h_star(cfg.beta, cfg.nonlinearity))
     sample = approximate_pullback_attractor(
         0.0, cfg, n_samples=min(samples, 8),
         tau_ladder=[-4.0, -8.0, -16.0, -32.0], seed=seed)
@@ -337,7 +334,7 @@ def verify(name: str, cfg: ProcessConfig, samples: int = 500,
 
 
 def battery(cfg: ProcessConfig, names=None, samples: int = 500,
-            seed: int = 0, h_star: float | None = None) -> list[BoundReport]:
+            seed: int = 0) -> list[BoundReport]:
     """Check the axioms, then run a selection of checks (default: all).
 
     The response's and the field's check_axioms run first, each on its
@@ -351,17 +348,16 @@ def battery(cfg: ProcessConfig, names=None, samples: int = 500,
         except ValueError as e:
             raise ConfigError(f"axiom violated: {e}", key) from e
     return _run_checks(cfg, CHECK_NAMES if names is None else names,
-                       samples, seed, h_star)
+                       samples, seed)
 
 
-def _run_checks(cfg, names, samples, seed, h_star=None) -> list[BoundReport]:
+def _run_checks(cfg, names, samples, seed) -> list[BoundReport]:
     """Run the named checks in the order given.
 
-    The corpus checks share one seeded draw, made once per call.  h_star,
-    when given, is the threshold h* of cfg's beta and response, already
-    computed by the caller; c1_attractor computes it only when it is None.
-    A weight other than Cauchy raises ConfigError at key path "weight",
-    before any draw, if a check of _CAUCHY_ONLY is asked for.
+    The corpus checks share one seeded draw, made once per call, and
+    c1_attractor computes the confirmed h* of cfg's beta and response for
+    its bound.  A weight other than Cauchy raises ConfigError at key path
+    "weight", before any draw, if a check of _CAUCHY_ONLY is asked for.
     """
     names = list(names)
     for n in names:
@@ -376,8 +372,6 @@ def _run_checks(cfg, names, samples, seed, h_star=None) -> list[BoundReport]:
             f"checks from {', '.join(others)}", "weight")
     worst = _corpus_worst(cfg, samples, seed) \
         if any(n in _CORPUS_BOUNDS for n in names) else {}
-    checks = dict(_CHECKS, c1_attractor=partial(_check_c1_attractor,
-                                                h_star=h_star))
     return [_report(n, _CORPUS_BOUNDS[n](cfg), worst[n], TOL_QUADRATURE,
                     cfg, samples, seed) if n in worst
-            else checks[n](cfg, samples, seed) for n in names]
+            else _CHECKS[n](cfg, samples, seed) for n in names]

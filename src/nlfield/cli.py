@@ -35,7 +35,7 @@ import yaml
 from . import __version__
 from .attractor import approximate_pullback_attractor, \
     upper_semicontinuity_sweep, _ladder_taus
-from .bifurcation import compute_h_star, count_roots
+from .bifurcation import _fold_peak, compute_h_star, count_roots
 from .bounds import battery
 from .dynamics import ExternalField, Nonlinearity, ProcessConfig, \
     _delta_schedule, _integrate
@@ -74,8 +74,6 @@ class ExperimentConfig:
     # the validated document with schema defaults; each subcommand reads
     # its own block by key
     blocks: dict
-    # h* as computed by the amplitude guard of a pulsed config, else None
-    h_star: float | None = None
 
 
 def _apply_defaults(node: dict, schema_node: dict, path: str):
@@ -141,9 +139,11 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     except ValueError as e:
         raise ConfigError(str(e), "field.amplitude")
 
-    h_star = None
     if field.family != "zero":
-        h_star = compute_h_star(data["beta"], g)
+        # the fold height, which compute_h_star returns as h* wherever it
+        # confirms a bistable regime; its two confirming scans run only
+        # where h* is printed or bounds a check
+        h_star = _fold_peak(data["beta"], g)
         if 0.0 < h_star <= field.sup:
             raise ConfigError(
                 f"field amplitude {field.sup} is not below the bistability "
@@ -165,7 +165,7 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
             raise ConfigError(str(e), f"{name}.tau_ladder")
 
     return ExperimentConfig(process=process, seed=data["seed"],
-                            out_dir=data["output"], blocks=data, h_star=h_star)
+                            out_dir=data["output"], blocks=data)
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +292,7 @@ def _cmd_attractor(exp: ExperimentConfig) -> int:
 
 def _cmd_hstar(exp: ExperimentConfig) -> int:
     cfg = exp.process
-    h_star = exp.h_star
-    if h_star is None:
-        h_star = compute_h_star(cfg.beta, cfg.nonlinearity)
+    h_star = compute_h_star(cfg.beta, cfg.nonlinearity)
     ladder = exp.blocks["hstar"].get("h_ladder")
     if ladder is None:
         if h_star > 0.0:
@@ -312,7 +310,7 @@ def _cmd_hstar(exp: ExperimentConfig) -> int:
 def _cmd_verify(exp: ExperimentConfig) -> int:
     blk = exp.blocks["verify"]
     reports = battery(exp.process, names=blk.get("checks"),
-                      samples=blk["samples"], seed=exp.seed, h_star=exp.h_star)
+                      samples=blk["samples"], seed=exp.seed)
     ratios = [r.measured / r.theoretical if r.theoretical else math.nan
               for r in reports]
     _write_csv(os.path.join(exp.out_dir, "verify.csv"),

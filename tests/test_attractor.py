@@ -590,15 +590,22 @@ def test_sweep_converged_flags(sweep_curve):
 
 
 def test_sweep_on_gaussian_weight_has_no_finite_envelope(caplog):
-    # the gaussian weight has no finite K, so the continuity envelope is
-    # inf at every nonzero gap; a zero gap stays 0 below the dedup tolerance
-    cfg = small_cfg(weight=nf.WeightFunction.gaussian(),
-                    field=nf.ExternalField("pulsed", 0.2, 1.0))
-    with caplog.at_level(logging.WARNING, logger="nlfield.bounds"):
-        curve = nf.upper_semicontinuity_sweep(0.0, cfg, [0.2, 0.1, 0.0], 4,
-                                              (-4.0, -8.0, -16.0), seed=0)
-    assert curve.envelopes[:2] == (math.inf, math.inf)
-    assert curve.envelopes[2] - attractor.DEDUP_TOL == 0.0
-    assert curve.distances[2] == 0.0
-    assert all(curve.converged)
-    assert caplog.text.count("gaussian weight has no finite K") == 2
+    # the gaussian weight has no finite K, and the Cauchy weight's rate at
+    # beta 2 (29.45) overflows exp past horizon 24, so either way the
+    # continuity envelope is inf at every nonzero gap, with one warning per
+    # sweep, not one per leg; a zero gap stays 0 below the dedup tolerance
+    field = nf.ExternalField("pulsed", 0.2, 1.0)
+    for weight, ladder, warning in (
+            (nf.WeightFunction.gaussian(), (-4.0, -8.0, -16.0),
+             "gaussian weight has no finite K"),
+            (nf.WeightFunction.cauchy(), (-25.0, -26.0), "overflows at horizon 26")):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="nlfield.bounds"):
+            curve = nf.upper_semicontinuity_sweep(0.0, small_cfg(weight=weight, field=field),
+                                                  [0.2, 0.1, 0.0], 4, ladder, seed=0)
+        assert curve.envelopes[:2] == (math.inf, math.inf)
+        assert curve.envelopes[2] - attractor.DEDUP_TOL == 0.0
+        assert curve.distances[2] == 0.0
+        assert all(curve.converged)
+        assert caplog.text.count(warning) == 1
+        assert caplog.text.count("vacuous") == 1

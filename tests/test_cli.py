@@ -18,8 +18,8 @@ import pytest
 
 import nlfield as nf
 import nlfield.bounds
-from nlfield import cli, dynamics
-from nlfield.bifurcation import compute_h_star, tanh_h_star
+from nlfield import bifurcation, cli, dynamics
+from nlfield.bifurcation import compute_h_star, count_roots, tanh_h_star
 from nlfield.bounds import CHECK_NAMES, BoundReport, c1_regularity_bound
 from nlfield.cli import main, parse_config
 from nlfield.errors import BlowUpError, ConfigError
@@ -132,7 +132,7 @@ def test_non_mapping_documents_rejected():
         parse_config("beta: [unclosed\n")
 
 
-def test_field_amplitude_must_stay_below_threshold():
+def test_field_amplitude_must_stay_below_threshold(tmp_path, capsys):
     doc = "beta: 2.0\nfield:\n  family: pulsed\n  amplitude: 0.3\n"
     with pytest.raises(ConfigError, match="threshold") as err:
         parse_config(doc)
@@ -141,6 +141,39 @@ def test_field_amplitude_must_stay_below_threshold():
     parse_config(doc.replace("0.3", "0.2"))
     # weak-gain regime has no threshold to enforce
     parse_config(doc.replace("beta: 2.0", "beta: 0.9"))
+    # the guard's fold height is compute_h_star's h* to the bit: an
+    # amplitude at h* exits 2, the next double below it parses
+    h_star = compute_h_star(2.0, nf.Nonlinearity.tanh())
+    at = doc.replace("0.3", repr(h_star)) + f"output: {tmp_path / 'run'}\n"
+    assert main(["simulate", "--config", write_config(tmp_path, at)]) == 2
+    assert capsys.readouterr().err.startswith("error: field.amplitude: ")
+    parse_config(doc.replace("0.3", repr(math.nextafter(h_star, 0.0))))
+
+
+def test_amplitude_guard_runs_no_scan(tmp_path, monkeypatch):
+    # the guard reads the fold height; the two scans that confirm it as h*
+    # run only where h* is printed or bounds a check
+    scans = []
+
+    def counting(beta, h, g):
+        scans.append(h)
+        return count_roots(beta, h, g)
+
+    def uncalled(beta, g):
+        raise AssertionError("h* computed outside hstar and c1_attractor")
+
+    monkeypatch.setattr(bifurcation, "count_roots", counting)
+    monkeypatch.setattr(cli, "count_roots", counting)
+    sweep = Path(__file__).parent.parent / "configs" / "sweep.yaml"
+    exp = parse_config(sweep.read_text(encoding="utf-8"))
+    assert exp.process.field.family == "pulsed" and scans == []
+
+    monkeypatch.setattr(cli, "compute_h_star", uncalled)
+    monkeypatch.setattr(nlfield.bounds, "compute_h_star", uncalled)
+    doc = (SMALL.format(beta=2.0, out=tmp_path / "run")
+           + "field:\n  family: pulsed\n  amplitude: 0.2\nsimulate:\n  t: 0.5\n")
+    assert main(["simulate", "--config", write_config(tmp_path, doc)]) == 0
+    assert scans == []
 
 
 def test_end_time_before_start_rejected():
@@ -374,7 +407,8 @@ def test_hstar_custom_ladder(tmp_path):
 
 def test_hstar_on_pulsed_config_computes_threshold_once(tmp_path, capsys,
                                                        monkeypatch):
-    # the amplitude guard's h* is the one the command prints
+    # the amplitude guard reads the fold height; the command alone
+    # computes the confirmed h* it prints
     calls = []
 
     def counting(beta, g):
@@ -395,7 +429,8 @@ def test_hstar_on_pulsed_config_computes_threshold_once(tmp_path, capsys,
 
 def test_verify_on_pulsed_config_computes_threshold_once(tmp_path,
                                                          monkeypatch):
-    # the amplitude guard's h* is the one c1_attractor bounds with
+    # the amplitude guard reads the fold height; c1_attractor alone
+    # computes the confirmed h* it bounds with
     calls = []
 
     def counting(beta, g):
@@ -413,6 +448,22 @@ def test_verify_on_pulsed_config_computes_threshold_once(tmp_path,
     _, rows = read_rows(out / "verify.csv")
     assert float(rows[0][1]) == c1_regularity_bound(
         parse_config(doc).process, 0.26641998767677594)
+
+
+@pytest.mark.parametrize("command", ["hstar", "verify"])
+def test_misplaced_fold_exits_2(tmp_path, capsys, monkeypatch, command):
+    # a fold height 1% too high leaves one root just below it: the guard
+    # passes amplitude 0.2, and the scans that hstar and c1_attractor run
+    # reject the fold with NotBistableError, exit 2
+    true_peak = bifurcation._fold_peak
+    monkeypatch.setattr(bifurcation, "_fold_peak",
+                        lambda beta, g: 1.01 * true_peak(beta, g))
+    doc = (SMALL.format(beta=2.0, out=tmp_path / "run")
+           + "field:\n  family: pulsed\n  amplitude: 0.2\n"
+             "verify:\n  checks: [c1_attractor]\n  samples: 4\n")
+    assert main([command, "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not confirmed" in err
 
 
 ZERO_MODEL = SMALL + "model: zero\n"
@@ -433,7 +484,6 @@ def test_pulsed_field_on_zero_model_is_not_capped(tmp_path, capsys):
     out = tmp_path / "run"
     doc = (ZERO_MODEL.format(beta=2.0, out=out)
            + "field:\n  family: pulsed\n  amplitude: 0.5\n")
-    assert parse_config(doc).h_star == 0.0
     assert main(["hstar", "--config", write_config(tmp_path, doc)]) == 0
     assert "h_star = 0\n" in capsys.readouterr().out
 
@@ -766,7 +816,7 @@ def test_verify_flags_gronwall_continuity_as_vacuous(tmp_path, caplog):
 def test_verify_without_checks_asks_for_every_check(tmp_path, monkeypatch):
     asked = []
 
-    def recording(cfg, names=None, samples=500, seed=0, h_star=None):
+    def recording(cfg, names=None, samples=500, seed=0):
         asked.append((names, samples, seed))
         return []
 
@@ -886,7 +936,7 @@ def test_sweep_shallow_ladder_reports_failure(tmp_path, caplog):
 
 
 def test_package_error_inside_a_command_exits_2(tmp_path, monkeypatch, capsys):
-    def blow_up(cfg, names=None, samples=500, seed=0, h_star=None):
+    def blow_up(cfg, names=None, samples=500, seed=0):
         raise BlowUpError("state left the finite range at t = 0.5")
 
     monkeypatch.setattr(cli, "battery", blow_up)
