@@ -2,7 +2,9 @@
 
 One YAML document (validated against the shipped JSON schema, unknown
 keys rejected, schema defaults filled in) drives five subcommands; each
-reads its own block of the document by key:
+reads its own block of the document by key.  The package checks the
+schema's keyword subset itself (_schema_errors), with the messages and
+key paths of a Draft 2020-12 validator whose "integer" excludes floats:
 
     simulate    integrate one trajectory, record norms and snapshots
     attractor   approximate the pullback attractor at a time t
@@ -23,12 +25,12 @@ import functools
 import json
 import logging
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass
 from importlib import resources
 
-import jsonschema
 import numpy as np
 import yaml
 
@@ -43,7 +45,7 @@ from .errors import ConfigError, GridTooCoarseError, NlfieldError, \
     TimeOrderError
 from .kernel import make_bump_kernel
 from .weighted_space import Grid1D, WeightedField, WeightFunction, \
-    _central_difference, _lp_norm, quad_weights, weighted_norm
+    _lp_norm, quad_weights, weighted_norm
 
 log = logging.getLogger(__name__)
 
@@ -51,19 +53,111 @@ log = logging.getLogger(__name__)
 # too wide to catch a defect; verify names it in a warning
 VACUOUS_RATIO = 1e-3
 
-# the stock "integer" admits a YAML float such as 4096.0, which every
-# integer key's consumer (array sizes, seeds) rejects with a TypeError
-_Validator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool)))
-
 
 @functools.cache
 def _schema() -> dict:
     ref = resources.files("nlfield").joinpath("schema/config_schema.json")
     with ref.open(encoding="utf-8") as f:
         return json.load(f)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+# "integer" admits no YAML float such as 4096.0, which every integer key's
+# consumer (array sizes, seeds) rejects with a TypeError
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "number": _is_number,
+    "integer": lambda x: isinstance(x, int) and not isinstance(x, bool),
+}
+
+
+def _type(node, rule, schema, path):
+    if not _TYPES[rule](node):
+        yield path, f"{node!r} is not of type {rule!r}"
+
+
+def _enum(node, rule, schema, path):
+    if node not in rule:
+        yield path, f"{node!r} is not one of {rule!r}"
+
+
+def _bound(fails, relation):
+    def check(node, rule, schema, path):
+        if _is_number(node) and fails(node, rule):
+            yield path, f"{node!r} is {relation} {rule!r}"
+    return check
+
+
+def _min_items(node, rule, schema, path):
+    if isinstance(node, list) and len(node) < rule:
+        yield path, f"{node!r} " + ("should be non-empty" if rule == 1
+                                    else "is too short")
+
+
+def _items(node, rule, schema, path):
+    if isinstance(node, list):
+        for i, item in enumerate(node):
+            yield from _schema_errors(item, rule, path + (i,))
+
+
+def _properties(node, rule, schema, path):
+    if isinstance(node, dict):
+        for key, sub in rule.items():
+            if key in node:
+                yield from _schema_errors(node[key], sub, path + (key,))
+
+
+def _additional_properties(node, rule, schema, path):
+    # false on every object of the schema (the tests check), so rule is
+    # not read
+    if isinstance(node, dict):
+        extras = sorted((k for k in node if k not in schema.get("properties", {})),
+                        key=str)
+        if extras:
+            yield path, ("Additional properties are not allowed ("
+                         + ", ".join(map(repr, extras))
+                         + (" was" if len(extras) == 1 else " were")
+                         + " unexpected)")
+
+
+def _required(node, rule, schema, path):
+    if isinstance(node, dict):
+        for key in rule:
+            if key not in node:
+                yield path, f"{key!r} is a required property"
+
+
+# the keywords config_schema.json uses; any other key of a schema node
+# ("description", "default", ...) states nothing to check
+_KEYWORDS = {
+    "type": _type,
+    "enum": _enum,
+    "minimum": _bound(operator.lt, "less than the minimum of"),
+    "exclusiveMinimum": _bound(operator.le, "less than or equal to the minimum of"),
+    "maximum": _bound(operator.gt, "greater than the maximum of"),
+    "minItems": _min_items,
+    "items": _items,
+    "properties": _properties,
+    "additionalProperties": _additional_properties,
+    "required": _required,
+}
+
+
+def _schema_errors(node, schema: dict, path: tuple = ()):
+    """Yield (key path, message) for each way node breaks schema.
+
+    A schema node's keywords are visited in the node's own order, so that
+    two errors on one path come out in the order jsonschema gives them.
+    """
+    for key, rule in schema.items():
+        check = _KEYWORDS.get(key)
+        if check is not None:
+            yield from check(node, rule, schema, path)
 
 
 @dataclass(frozen=True)
@@ -116,11 +210,10 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError("top level must be a mapping")
     data.update(overrides or {})
 
-    validator = _Validator(_schema())
-    errors = sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path))
+    errors = sorted(_schema_errors(data, _schema()), key=lambda e: e[0])
     if errors:
-        e = errors[0]
-        raise ConfigError(e.message, ".".join(str(q) for q in e.absolute_path))
+        path, message = errors[0]
+        raise ConfigError(message, ".".join(map(str, path)))
     _check_finite(data)
 
     _apply_defaults(data, _schema(), "")
@@ -235,8 +328,10 @@ def _cmd_simulate(exp: ExperimentConfig) -> int:
     blk = exp.blocks["simulate"]
     u0 = _initial_field(exp)
     w = quad_weights(cfg.weight, cfg.grid)
-    dx = cfg.grid.spacing
-    mask = cfg.grid.interior_mask()
+    # the interior is one run of nodes [lo, hi) clear of both ends, so its
+    # centred differences need no one-sided end values
+    lo, hi = np.flatnonzero(cfg.grid.interior_mask())[[0, -1]] + (0, 1)
+    two_dx = 2.0 * cfg.grid.spacing
     rows = []
     # snapshots: equally spaced over the observer calls (tau and each step)
     calls = len(_delta_schedule(blk["tau"], blk["t"], cfg.dt)) + 1
@@ -246,8 +341,12 @@ def _cmd_simulate(exp: ExperimentConfig) -> int:
     def watch(s, vals):
         if len(rows) in picks:
             fields.append((s, vals))
-        rows.append((s, _lp_norm(vals, w, cfg.p), np.max(np.abs(vals)),
-                     np.max(np.abs(_central_difference(vals, dx)[mask]))))
+        # max |v| is the larger of max v and -min v, and dividing by 2 dx
+        # after taking it rounds alike; abs turns a -0.0 max into the 0.0
+        # that np.abs gives
+        d = vals[lo + 1:hi + 1] - vals[lo - 1:hi - 1]
+        rows.append((s, _lp_norm(vals, w, cfg.p), abs(max(vals.max(), -vals.min())),
+                     abs(max(d.max(), -d.min())) / two_dx))
 
     # one G evaluation per step, as in a ladder restart (dynamics docstring)
     _integrate(u0.values, blk["tau"], blk["t"], cfg, observer=watch, carry=[])

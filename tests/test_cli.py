@@ -431,23 +431,32 @@ def test_verify_on_pulsed_config_computes_threshold_once(tmp_path,
                                                          monkeypatch):
     # the amplitude guard reads the fold height; c1_attractor alone
     # computes the confirmed h* it bounds with
-    calls = []
+    calls, returned, bounded = [], [], []
 
     def counting(beta, g):
         calls.append(beta)
-        return compute_h_star(beta, g)
+        returned.append(compute_h_star(beta, g))
+        return returned[-1]
+
+    def spy_bound(cfg, h_star):
+        bounded.append(h_star)
+        return c1_regularity_bound(cfg, h_star)
 
     monkeypatch.setattr(cli, "compute_h_star", counting)
     monkeypatch.setattr(nlfield.bounds, "compute_h_star", counting)
+    monkeypatch.setattr(nlfield.bounds, "c1_regularity_bound", spy_bound)
     out = tmp_path / "run"
     doc = (SMALL.format(beta=2.0, out=out)
            + "field:\n  family: pulsed\n  amplitude: 0.2\n"
              "verify:\n  checks: [c1_attractor]\n  samples: 4\n")
     assert main(["verify", "--config", write_config(tmp_path, doc)]) == 0
     assert calls == [2.0]
+    # the bound takes the confirmed h* itself, not a neighbouring double
+    # that rounds to the same bound
+    assert [h.hex() for h in bounded] == [h.hex() for h in returned]
     _, rows = read_rows(out / "verify.csv")
     assert float(rows[0][1]) == c1_regularity_bound(
-        parse_config(doc).process, 0.26641998767677594)
+        parse_config(doc).process, returned[0])
 
 
 @pytest.mark.parametrize("command", ["hstar", "verify"])
@@ -545,6 +554,63 @@ def test_simulate_rows_match_their_snapshots(tmp_path):
                     float(np.max(np.abs(u))), float(np.max(np.abs(slope))))
         assert tuple(float(v) for v in row) == expected
         assert slope.any()
+
+
+def test_simulate_slope_covers_the_interior_and_no_more(tmp_path, monkeypatch):
+    # two observed fields with a step just inside each end of the interior
+    # stencil, the left one taller in the first and the right one in the
+    # second, and spikes one node further out: a slope range that gains
+    # or drops a node at either end misreads one of the rows
+    doc = SMALL.format(beta=2.0, out=tmp_path / "run")
+    cfg = parse_config(doc).process
+    mask = cfg.grid.interior_mask()
+    idx = np.flatnonzero(mask)
+    lo, hi = idx[0], idx[-1] + 1
+    u = np.zeros(cfg.grid.n_points)
+    u[[lo - 2, lo - 1, hi, hi + 1]] = -100.0, 3.0, -2.0, 50.0
+    v = u.copy()
+    v[lo - 1] = 1.0
+
+    def two_fields(u0, tau, t, cfg, observer, carry):
+        observer(tau, u)
+        observer(t, v)
+        return v
+
+    monkeypatch.setattr(cli, "_integrate", two_fields)
+    assert main(["simulate", "--config", write_config(tmp_path, doc)]) == 0
+    _, rows = read_rows(tmp_path / "run" / "trajectory.csv")
+    expected = []
+    for f in (u, v):
+        slope = np.gradient(f, cfg.grid.spacing, edge_order=1)[mask]
+        expected.append([np.max(np.abs(f)), np.max(np.abs(slope))])
+    assert [[float(c) for c in row[2:]] for row in rows] == expected
+    two_dx = 2.0 * cfg.grid.spacing
+    assert expected == [[100.0, 3.0 / two_dx], [100.0, 2.0 / two_dx]]
+
+
+@pytest.mark.parametrize("half_length,n_points", [
+    (4, 81), (4, 100), (50.0, 1009), (50.0, 4090), (50.0, 4096), (7.3, 151)])
+def test_simulate_interior_is_one_run_clear_of_both_ends(half_length, n_points):
+    # simulate takes the interior slope from the neighbours of the nodes
+    # lo..hi-1 of the mask's index range, so the mask must be exactly that
+    # range and leave both end nodes out
+    grid = parse_config(f"beta: 2.0\nhalf_length: {half_length}\n"
+                        f"n_points: {n_points}\n").process.grid
+    idx = np.flatnonzero(grid.interior_mask())
+    lo, hi = idx[0], idx[-1] + 1
+    assert idx.tolist() == list(range(lo, hi))
+    assert lo >= 1 and hi <= n_points - 1
+
+
+def test_simulate_negative_zero_start_reads_zero(tmp_path):
+    # np.abs reads -0.0 as 0; the observer's max and -min must print the
+    # same "0", not "-0"
+    out = tmp_path / "run"
+    doc = (ZERO_MODEL.format(beta=2.0, out=out)
+           + "simulate:\n  t: 0.1\n  initial:\n    value: -0.0\n")
+    assert main(["simulate", "--config", write_config(tmp_path, doc)]) == 0
+    _, rows = read_rows(out / "trajectory.csv")
+    assert [row[2:] for row in rows] == [["0", "0"]] * 3
 
 
 def test_write_csv_cells_match_per_cell_format(tmp_path):
