@@ -14,14 +14,13 @@ use Grid1D.interior_mask when asserting against continuum identities.
 
 convolve_direct is the quadratic-cost reference sum (the oracle the
 fast path is tested against).  Every other convolution in the package,
-convolve_fast, the nonlinear term of the dynamics and the J * u and
-J' * u of the corpus checks, goes through one FFT expression: a forward
-transform of the rows (_forward), products with the cached spectra, an
-inverse transform cropped to the grid (_inverse), and the subtraction
-of the wrap-around at the cuts (_unwrap).  _fft_convolve gives J * u;
-_fft_convolve_both gives J * u for every row and J' * u for a leading
-slice of them from a single forward transform, so a row that needs both
-is transformed forward once.  J' * u is taken nowhere else.
+convolve_fast, the nonlinear term of the dynamics and the operator
+checks of bounds, goes through one FFT expression, _fft_convolve: a
+forward transform of the rows (_forward), the product with a cached
+spectrum, an inverse transform cropped to the grid (_inverse), and the
+subtraction of the wrap-around at the cuts (_unwrap).  It takes J * u,
+or J' * u with the derivative spectrum and its edge matrices; J' * u is
+taken only by the lemma1a_deriv check.
 
 The transform length is the grid's own 5-smooth length L, the smallest
 length >= n with no prime factor above 5 (numpy's FFT is several times
@@ -189,23 +188,14 @@ def _unwrap(kernel: Kernel, out: np.ndarray, values: np.ndarray,
     return out
 
 
-def _fft_convolve(kernel: Kernel, values: np.ndarray) -> np.ndarray:
-    """J * values along the last axis of a (..., n) array."""
-    out = _inverse(kernel, _forward(kernel, values) * kernel._spectrum)
-    return _unwrap(kernel, out, values, kernel._edges)
-
-
-def _fft_convolve_both(kernel: Kernel, values: np.ndarray,
-                       deriv_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """J * values for every row of a (rows, n) array, and J' * values for
-    its first deriv_rows rows, from one forward transform of the rows."""
-    forward = _forward(kernel, values)
-    conv = _unwrap(kernel, _inverse(kernel, forward * kernel._spectrum),
-                   values, kernel._edges)
-    if not deriv_rows:
-        return conv, conv[:0]
-    deriv = _inverse(kernel, forward[:deriv_rows] * kernel._deriv_spectrum)
-    return conv, _unwrap(kernel, deriv, values[:deriv_rows], kernel._deriv_edges)
+def _fft_convolve(kernel: Kernel, values: np.ndarray,
+                  derivative: bool = False) -> np.ndarray:
+    """J * values, or J' * values when derivative, along the last axis of
+    a (..., n) array."""
+    spectrum, edges = ((kernel._deriv_spectrum, kernel._deriv_edges) if derivative
+                       else (kernel._spectrum, kernel._edges))
+    out = _inverse(kernel, _forward(kernel, values) * spectrum)
+    return _unwrap(kernel, out, values, edges)
 
 
 def convolve_fast(kernel: Kernel, u: WeightedField) -> WeightedField:

@@ -7,13 +7,17 @@ semicontinuity sweep, the check battery) come from the session fixtures
 in conftest.py, so this file adds little runtime on top of the module
 tests.
 
-Two claims are expected to fail, and both are marked xfail rather than
+Three claims are expected to fail, and each is marked xfail rather than
 silently loosened:
 
   * claim 2's same-constant norm bound for the derivative kernel at
-    p = 3: the derivative kernel has mass 1.657, not 1, and its peak
-    spectral response 1.4702 genuinely exceeds 3^(1/3) = 1.4422 (the
-    mass-corrected bound is asserted instead);
+    p = 3: the derivative kernel has mass 1.657, not 1, and the power
+    method reaches 1.50 > 3^(1/3) = 1.4422 (the mass-corrected bound is
+    asserted instead);
+  * claim 3's stated pointwise constant ||J||_inf 2 pi = 5.206: a field
+    concentrated at the first interior node, x = -48.97, attains 71.34
+    (the Hoelder bound on the kernel window, 101.17, is asserted
+    instead);
   * claim 6's threshold anchor literal 0.2664327, which disagrees with
     both independent computation routes by about 1.3e-5, far outside its
     own 1e-6 tolerance, while the routes agree with each other to 1e-16.
@@ -55,49 +59,71 @@ def test_criterion_01_convolution_oracle(grid, cauchy, kernel, corpus_factory):
 
 
 def test_criterion_02_convolution_norm_bound(tanh_cfg):
-    # ||J*u|| <= 3^(1/p) ||u|| + 1e-9 over 500 fields, p in {2, 3}, with
-    # the same constant claimed for the derivative kernel
+    # ||J*u|| <= 3^(1/p) ||u|| + 1e-9, p in {2, 3}, with the same constant
+    # claimed for the derivative kernel; each norm by the power method
     reports = {}
     for p in (2.0, 3.0):
         cfg = dataclasses.replace(tanh_cfg, p=p)
         for name in ("lemma1a", "lemma1a_deriv"):
-            r = nf.verify(name, cfg, samples=500, seed=0)
-            assert r.theoretical == pytest.approx(3.0 ** (1.0 / p), rel=1e-12)
-            reports[(name, p)] = r
+            reports[(name, p)] = nf.verify(name, cfg, samples=500, seed=0)
 
     # the plain kernel holds at both exponents, the derivative kernel at
     # p = 2; these are theorems (unit kernel mass, Jensen) and must pass
     for key in (("lemma1a", 2.0), ("lemma1a", 3.0), ("lemma1a_deriv", 2.0)):
-        assert reports[key].passed
-        assert reports[key].measured <= reports[key].theoretical + 1e-9
+        r = reports[key]
+        assert r.theoretical == pytest.approx(3.0 ** (1.0 / key[1]), rel=1e-12)
+        assert r.passed
+        assert r.measured <= r.theoretical + 1e-9
 
     # the derivative kernel always satisfies the mass-corrected bound
-    # 3^(1/p) ||J'||_1 (Young's step without the unit-mass shortcut)
+    # 3^(1/p) ||J'||_1 (Young's step without the unit-mass shortcut),
+    # which its check uses at p != 2
     deriv3 = reports[("lemma1a_deriv", 3.0)]
     corrected = 3.0 ** (1.0 / 3.0) * tanh_cfg.kernel.deriv_norm_l1
-    assert deriv3.measured <= corrected + 1e-9
+    assert deriv3.theoretical == pytest.approx(corrected, rel=1e-12)
+    assert deriv3.passed
 
-    if not deriv3.passed:
+    stated = 3.0 ** (1.0 / 3.0)
+    if deriv3.measured > stated + 1e-9:
         print(f"derivative-kernel norm bound: FAIL at p = 3  measured "
-              f"{deriv3.measured:.6f} vs same-constant claim "
-              f"{deriv3.theoretical:.6f} (mass-corrected bound "
-              f"{corrected:.4f} holds; spectral sup of the derivative "
-              f"kernel is 1.4702)")
+              f"{deriv3.measured:.6f} vs same-constant claim {stated:.6f} "
+              f"(mass-corrected bound {corrected:.4f} holds)")
         pytest.xfail(
             "the same-constant claim fails for the derivative kernel at "
-            "p = 3: its mass is 1.657, not 1, and wave packets at the "
-            "peak response frequency reach ratio 1.4702 > 3^(1/3) = "
-            "1.4422; the mass-corrected bound is verified instead")
-    assert deriv3.passed
+            "p = 3: its mass is 1.657, not 1, and the power method reaches "
+            f"{deriv3.measured:.4f} > 3^(1/3) = 1.4422; the mass-corrected "
+            "bound is verified instead")
+    assert deriv3.measured <= stated + 1e-9
 
 
 def test_criterion_03_pointwise_interior_bound(tanh_cfg):
-    # interior |J*u| <= ||J||_inf (2 pi) ||u||_{2,rho} + 1e-9 on 500 fields
+    # interior |J*u| <= C ||u||_{2,rho}: the sup over u is attained, and
+    # the corrected claim is that it exceeds the stated ||J||_inf 2 pi and
+    # lies under the Hoelder bound on the kernel window, which the check
+    # uses
     r = nf.verify("lemma1b", tanh_cfg, samples=500, seed=0)
-    assert r.theoretical == pytest.approx(
-        tanh_cfg.kernel.norm_sup * 2.0 * math.pi, rel=1e-10)
-    assert r.measured <= r.theoretical + 1e-9
     assert r.passed
+    assert tanh_cfg.kernel.norm_sup * 2.0 * math.pi < r.measured <= r.theoretical
+    assert r.measured == pytest.approx(71.3405, abs=1e-4)
+    assert r.theoretical == pytest.approx(101.1712, abs=1e-4)
+
+
+def test_criterion_03_stated_pointwise_constant(tanh_cfg):
+    # the stated constant ||J||_inf / rho_1 = ||J||_inf 2 pi, claimed on the
+    # whole interior; rho_1 = min_{|y|<=1} rho holds only near the origin
+    r = nf.verify("lemma1b", tanh_cfg, samples=500, seed=0)
+    stated = tanh_cfg.kernel.norm_sup * 2.0 * math.pi
+    assert stated == pytest.approx(5.2061, abs=1e-4)
+    if r.measured > stated + 1e-9:
+        print(f"pointwise interior bound: FAIL  exact value {r.measured:.4f} "
+              f"at the first interior node vs stated {stated:.4f} "
+              f"(Hoelder bound {r.theoretical:.4f} holds)")
+        pytest.xfail(
+            "the stated constant ||J||_inf 2 pi = 5.206 fails on the "
+            "interior: at x = -48.97 a field attains 71.34, since rho there "
+            "is far below rho_1; the Hoelder bound 101.17 is verified "
+            "instead")
+    assert r.measured <= stated + 1e-9
 
 
 def test_criterion_04_rhs_lipschitz(pulsed_cfg):

@@ -5,6 +5,7 @@ import json
 import logging
 import math
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +14,14 @@ import nlfield as nf
 import nlfield.bounds
 import nlfield.dynamics
 import nlfield.kernel
-from nlfield.bounds import _BLOCK, CHECK_NAMES, _field_corpus, _scaled_to_norm
-from nlfield.dynamics import _nonlinear_term
-from nlfield.kernel import _fft_convolve, _fft_convolve_both
+from nlfield.bounds import CHECK_NAMES, _field_corpus, _power_method, \
+    _scaled_to_norm
+from nlfield.cli import parse_config
+from nlfield.kernel import _fft_convolve
 from nlfield.weighted_space import _lp_norm, quad_weights
 
-CORPUS_CHECKS = ["lemma1a", "lemma1a_deriv", "lemma1b", "prop_lipschitz"]
+OPERATOR_CHECKS = ["lemma1a", "lemma1a_deriv", "lemma1b", "prop_lipschitz"]
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 # ---------------------------------------------------------------------------
@@ -120,14 +123,19 @@ def test_battery_all_pass_on_reference_config(battery_reports):
         assert r.measured >= 0.0
 
 
-def test_battery_specific_anchors(battery_reports, kernel):
+def test_battery_specific_anchors(battery_reports, grid, cauchy, kernel):
     by_name = {r.name: r for r in battery_reports}
     # convolution norm checks are anchored at the cauchy admissibility constant
     assert by_name["lemma1a"].theoretical == pytest.approx(math.sqrt(3.0), rel=1e-12)
     assert by_name["lemma1a_deriv"].theoretical == pytest.approx(math.sqrt(3.0), rel=1e-12)
-    # interior pointwise bound: sup of kernel over the weight floor
+    # interior pointwise bound: Hoelder on the kernel window at p = 2,
+    # ||J||_inf max_i (sum_{|j-i|<=m} dx / rho_j)^(1/2)
+    m = kernel.half_width
+    rho = cauchy(grid.nodes)
+    window = max(float(np.sum(1.0 / rho[i - m:i + m + 1])) * grid.spacing
+                 for i in np.flatnonzero(grid.interior_mask()))
     assert by_name["lemma1b"].theoretical == pytest.approx(
-        kernel.norm_sup * 2.0 * math.pi, rel=1e-12)
+        kernel.norm_sup * math.sqrt(window), rel=1e-12)
     assert by_name["absorbing"].theoretical == 1.0
     assert by_name["w_bound"].theoretical == 1.0
     assert by_name["c1_attractor"].theoretical == pytest.approx(13.50, abs=0.01)
@@ -208,144 +216,113 @@ def test_gronwall_twin_field_gap_is_at_most_h_gap(tanh_cfg, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the shared corpus of the four corpus checks
+# the operator checks
 # ---------------------------------------------------------------------------
 
-def redrawn_corpus_worst(cfg, samples, seed):
-    """Reference: each corpus check re-seeds and redraws its own rows."""
-    w = quad_weights(cfg.weight, cfg.grid)
-    mask = cfg.grid.interior_mask()
-    measures = {
-        "lemma1a": lambda u: _lp_norm(_fft_convolve(cfg.kernel, u), w, cfg.p),
-        "lemma1a_deriv": lambda u: _lp_norm(
-            _fft_convolve_both(cfg.kernel, u[None], 1)[1][0], w, cfg.p),
-        "lemma1b": lambda u: float(np.max(np.abs(_fft_convolve(cfg.kernel, u)[mask]))),
+def small_cfg(cauchy, p):
+    grid = nf.Grid1D(5.0, 128)
+    return nf.ProcessConfig(beta=2.0, p=p, grid=grid, weight=cauchy,
+                            kernel=nf.make_bump_kernel(grid),
+                            nonlinearity=nf.Nonlinearity.tanh(),
+                            field=nf.ExternalField(), dt=0.05)
+
+
+def dense_operators(cfg):
+    """name -> (apply, dense matrix, Young's bound at cfg.p) of J, J' and
+    -I + beta J, the matrices built column by column from convolve_direct."""
+    k, n = cfg.kernel, cfg.grid.n_points
+    deriv = dataclasses.replace(k, samples=k.deriv_samples)
+    eye = np.eye(n)
+    J, D = (np.column_stack([nf.convolve_direct(kern, nf.WeightedField(
+        cfg.grid, cfg.weight, e)).values for e in eye]) for kern in (k, deriv))
+    young = 3.0 ** (1.0 / cfg.p)
+    return {
+        "J": (lambda v: _fft_convolve(k, v), J, young * k.norm_l1),
+        "J'": (lambda v: _fft_convolve(k, v, derivative=True), D,
+               young * k.deriv_norm_l1),
+        "-I + beta J": (lambda v: cfg.beta * _fft_convolve(k, v) - v,
+                        cfg.beta * J - eye, 1.0 + cfg.beta * young * k.norm_l1),
     }
-    worst = {}
-    for name, measure in measures.items():
-        corpus = _field_corpus(cfg, samples, np.random.default_rng(seed))
-        worst[name] = max(measure(u) / _lp_norm(u, w, cfg.p) for u in corpus)
-    rng = np.random.default_rng(seed)
-    corpus = _field_corpus(cfg, 2 * samples, rng)
-    ratios = []
-    for u, v in zip(corpus[::2], corpus[1::2]):
-        t = rng.uniform(0.0, 10.0)
-        diff = (-u + _nonlinear_term(cfg, t, u)) - (-v + _nonlinear_term(cfg, t, v))
-        ratios.append(_lp_norm(diff, w, cfg.p) / _lp_norm(u - v, w, cfg.p))
-    worst["prop_lipschitz"] = max(ratios)
-    return worst
 
 
-@pytest.mark.parametrize("p,beta,weight,amplitude", [
-    (2.0, 2.0, "cauchy", 0.0),
-    (3.0, 3.0, "cauchy", 0.2),
-    (2.5, 2.0, "gaussian", 0.1),
+@pytest.mark.parametrize("name", ["J", "J'", "-I + beta J"])
+def test_power_method_reaches_the_dense_norm_at_p2(cauchy, name):
+    # on L^2_w the norm of A is the largest singular value of W^(1/2) A W^(-1/2)
+    cfg = small_cfg(cauchy, 2.0)
+    apply, matrix, _ = dense_operators(cfg)[name]
+    root = np.sqrt(quad_weights(cfg.weight, cfg.grid))
+    exact = np.linalg.norm(root[:, None] * matrix / root, 2)
+    estimate, x = _power_method(cfg, 0, apply)
+    assert 0.99 * exact <= estimate <= exact * (1.0 + 1e-12)
+    assert _lp_norm(x, quad_weights(cfg.weight, cfg.grid), 2.0) == \
+        pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["J", "J'", "-I + beta J"])
+def test_power_method_beats_random_fields_under_young_at_p3(cauchy, name):
+    cfg = small_cfg(cauchy, 3.0)
+    apply, matrix, young = dense_operators(cfg)[name]
+    w = quad_weights(cfg.weight, cfg.grid)
+    fields = _field_corpus(cfg, 200, np.random.default_rng(0))
+    worst = max(_lp_norm(matrix @ u, w, 3.0) / _lp_norm(u, w, 3.0) for u in fields)
+    estimate, _ = _power_method(cfg, 0, apply)
+    assert worst <= estimate <= young
+
+
+def test_power_method_stopped_after_one_step_reads_lower(tanh_cfg, monkeypatch):
+    # planted defect: one iteration in place of the module's count
+    full = nf.verify("lemma1a", tanh_cfg, seed=0).measured
+    monkeypatch.setattr(nlfield.bounds, "_POWER_ITERATIONS", 1)
+    assert nf.verify("lemma1a", tanh_cfg, seed=0).measured < 0.9 * full
+
+
+def closed_form_lemma1b(cfg):
+    """Reference: each interior node's Hoelder dual norm of its kernel row,
+    (sum_j |J_{i-j} dx|^q w_j^(1-q))^(1/q), node by node."""
+    q = cfg.p / (cfg.p - 1.0)
+    w = quad_weights(cfg.weight, cfg.grid)
+    a = np.abs(cfg.kernel.samples * cfg.grid.spacing) ** q
+    m = cfg.kernel.half_width
+    nodes = np.flatnonzero(cfg.grid.interior_mask())
+    values = [float(a @ w[i - m:i + m + 1] ** (1.0 - q)) ** (1.0 / q) for i in nodes]
+    return nodes, np.array(values)
+
+
+@pytest.mark.parametrize("config,node,value", [
+    ("bistable.yaml", 42, 71.3405),
+    ("edge_p3.yaml", 11, 17.0509),
 ])
-def test_shared_corpus_matches_per_check_redraw(grid, kernel, p, beta, weight,
-                                                amplitude):
-    field = nf.ExternalField("pulsed", amplitude, 1.0) if amplitude \
-        else nf.ExternalField()
-    cfg = nf.ProcessConfig(beta=beta, p=p, grid=grid,
-                           weight=nf.WeightFunction(weight), kernel=kernel,
-                           nonlinearity=nf.Nonlinearity.tanh(), field=field,
-                           dt=0.05)
-    # an odd count leaves the last pair with one lemma row; the others put
-    # the lemma/prop boundary mid-block, on a block edge, and in a corpus
-    # of one pair
-    for samples in (1, _BLOCK // 2, _BLOCK, 30, 31, 2 * _BLOCK + 5):
-        expected = redrawn_corpus_worst(cfg, samples, 7)
-        if weight == "cauchy":
-            reports = nf.battery(cfg, CORPUS_CHECKS, samples=samples, seed=7)
-            worst = {r.name: r.measured for r in reports}
-        else:
-            # the battery rejects this weight, but the walk uses no
-            # constant, so its ratios still match the redraw bit for bit
-            worst = nlfield.bounds._corpus_worst(cfg, samples, 7)
-        assert worst == expected
+def test_lemma1b_is_attained_at_the_first_interior_node(config, node, value):
+    cfg = parse_config((CONFIGS / config).read_text()).process
+    nodes, values = closed_form_lemma1b(cfg)
+    assert nodes[np.argmax(values)] == nodes[0] == node
+    report = nf.verify("lemma1b", cfg, seed=0)
+    assert report.measured == pytest.approx(values.max(), rel=1e-12)
+    assert report.measured == pytest.approx(value, abs=1e-4)
 
 
-def libm_corpus(x, count, rng):
-    """Reference rows: each mode summed through one cosine per node."""
-    rows = []
-    for _ in range(count):
-        u = np.zeros_like(x)
-        for _ in range(5):
-            k = rng.uniform(0.05, 2.5)
-            u += rng.normal(scale=0.3) * np.cos(k * x + rng.uniform(0, 2 * np.pi))
-        u += rng.normal(scale=0.1, size=x.shape)
-        rows.append(u)
-    return np.array(rows)
-
-
-def row_table_corpus(x, dx, count, rng):
-    """Reference rows: each row's angle-addition table built on its own."""
-    n = x.size
-    b = math.isqrt(n - 1) + 1
-    heads = x[::b]
-    steps = dx * np.arange(b)
-    rows = np.empty((count, n))
-    for row in rows:
-        k, amp, phase = np.array([[rng.uniform(0.05, 2.5), rng.normal(scale=0.3),
-                                   rng.uniform(0, 2 * np.pi)] for _ in range(5)]).T
-        theta = np.multiply.outer(heads, k) + phase
-        psi = np.multiply.outer(k, steps)
-        table = np.hstack([amp * np.cos(theta), -amp * np.sin(theta)])
-        row[:] = (table @ np.vstack([np.cos(psi), np.sin(psi)])).ravel()[:n]
-        row += rng.normal(scale=0.1, size=n)
-    return rows
+def libm_row(x, rng):
+    """Reference row: each mode summed through one cosine per node."""
+    u = np.zeros_like(x)
+    for _ in range(5):
+        k = rng.uniform(0.05, 2.5)
+        u += rng.normal(scale=0.3) * np.cos(k * x + rng.uniform(0, 2 * np.pi))
+    return u + rng.normal(scale=0.1, size=x.shape)
 
 
 @pytest.mark.parametrize("n", [4096, 1009])
 def test_field_corpus_matches_libm_sum_and_draw_order(cauchy, n):
-    # 1009 is prime, so the last block of the cos/sin table is cropped; 40
-    # rows end in a part block of the batched table, which must give the
-    # bits of the row-by-row table
     grid = nf.Grid1D(50.0, n)
     cfg = nf.ProcessConfig(beta=2.0, p=2.0, grid=grid, weight=cauchy,
                            kernel=nf.make_bump_kernel(grid),
                            nonlinearity=nf.Nonlinearity.tanh(),
                            field=nf.ExternalField(), dt=0.05)
-    ref_rng, row_rng, rng = (np.random.default_rng(11) for _ in range(3))
-    expected = libm_corpus(grid.nodes, 40, ref_rng)
-    by_row = row_table_corpus(grid.nodes, grid.spacing, 40, row_rng)
-    corpus = _field_corpus(cfg, 40, rng)
-    assert corpus.shape == (40, n)
-    np.testing.assert_allclose(corpus, expected, rtol=0, atol=1e-12)
-    assert np.array_equal(corpus, by_row)
-    assert rng.uniform() == ref_rng.uniform() == row_rng.uniform()
+    ref_rng, rng = np.random.default_rng(11), np.random.default_rng(11)
+    assert np.array_equal(_field_corpus(cfg, 1, rng)[0], libm_row(grid.nodes, ref_rng))
+    assert rng.uniform() == ref_rng.uniform()
 
 
-def test_corpus_pass_convolves_each_row_once(tanh_cfg, monkeypatch):
-    # one forward transform of every row; back: J*u of every row, which G
-    # reuses, and J'*u of the first `samples` rows; none inside dynamics.
-    # At 11 samples the second block holds no lemma row, and an unclamped
-    # block[:samples - first] would transform a 34th row back.
-    def counting(name, transform):
-        def counted(kernel, values):
-            rows[name] += len(values)
-            calls[name] += 1
-            return transform(kernel, values)
-        return counted
-
-    def in_dynamics(kernel, values):
-        rows["dynamics"] += len(values)
-        return _fft_convolve(kernel, values)
-
-    monkeypatch.setattr(nlfield.kernel, "_forward",
-                        counting("forward", nlfield.kernel._forward))
-    monkeypatch.setattr(nlfield.kernel, "_inverse",
-                        counting("inverse", nlfield.kernel._inverse))
-    monkeypatch.setattr(nlfield.dynamics, "_fft_convolve", in_dynamics)
-    for samples in (10, 11, 2 * _BLOCK + 5):
-        rows = {"forward": 0, "inverse": 0, "dynamics": 0}
-        calls = {"forward": 0, "inverse": 0}
-        nf.battery(tanh_cfg, CORPUS_CHECKS, samples=samples, seed=0)
-        assert rows == {"forward": 2 * samples, "inverse": 3 * samples,
-                        "dynamics": 0}
-        assert calls["forward"] == math.ceil(2 * samples / _BLOCK)
-
-
-@pytest.mark.parametrize("name", CORPUS_CHECKS)
+@pytest.mark.parametrize("name", OPERATOR_CHECKS)
 def test_verify_is_a_battery_of_one(name, tanh_cfg, battery_reports):
     by_name = {r.name: r for r in battery_reports}
     assert nf.verify(name, tanh_cfg, 500, 0) == by_name[name]
@@ -365,13 +342,18 @@ def corpus_draws(monkeypatch):
 
 
 def test_corpus_checks_draw_once_per_battery(tanh_cfg, corpus_draws):
-    nf.battery(tanh_cfg, CORPUS_CHECKS, samples=12, seed=0)
-    assert corpus_draws == [24]
+    # the operator checks draw no field; each trajectory check draws its
+    # one start row
+    nf.battery(tanh_cfg, OPERATOR_CHECKS, samples=12, seed=0)
+    assert corpus_draws == []
+    nf.battery(tanh_cfg, ["absorbing", "w_bound", "gronwall_continuity"],
+               samples=12, seed=0)
+    assert corpus_draws == [1, 1, 1]
 
 
 def test_battery_rejects_unknown_name_before_any_draw(tanh_cfg, corpus_draws):
     with pytest.raises(ValueError, match="nope"):
-        nf.battery(tanh_cfg, ["lemma1a", "nope"], samples=12, seed=0)
+        nf.battery(tanh_cfg, ["absorbing", "nope"], samples=12, seed=0)
     assert corpus_draws == []
 
 
@@ -404,37 +386,38 @@ def test_battery_reports_in_the_order_given(tanh_cfg):
 
 
 # ---------------------------------------------------------------------------
-# planted defects: each must trip the shared pass
+# planted defects: each must trip a named check
 # ---------------------------------------------------------------------------
 
 def test_convolution_without_dx_trips_the_lemma_checks(tanh_cfg, monkeypatch):
+    # G convolves on the same path, so prop_lipschitz trips with them
     inverse = nlfield.kernel._inverse
 
     def no_dx(kernel, product):
         return inverse(kernel, product) / kernel.grid.spacing
 
     monkeypatch.setattr(nlfield.kernel, "_inverse", no_dx)
-    reports = nf.battery(tanh_cfg, CORPUS_CHECKS, samples=100, seed=0)
-    assert [r.name for r in reports if not r.passed] == \
-        ["lemma1a", "lemma1a_deriv", "lemma1b"]
+    reports = nf.battery(tanh_cfg, OPERATOR_CHECKS, seed=0)
+    assert [r.name for r in reports if not r.passed] == OPERATOR_CHECKS
     for r in reports[:3]:
         assert r.measured > 10.0 * r.theoretical
 
 
 def test_understated_response_lipschitz_trips_prop_lipschitz(tanh_cfg,
                                                              monkeypatch):
-    # g = 5 tanh is 5-Lipschitz while the config still states l_g = 1
+    # g = 5 tanh is 5-Lipschitz while the config still states l_g = 1 and
+    # g'(0) = 1: along the maximiser of -I + 2 J it reads 2.016, along
+    # that of J 9.072 > 4.464
     monkeypatch.setattr(nf.Nonlinearity, "__call__",
                         lambda self, s, out=None: 5.0 * np.tanh(s))
-    report = nf.verify("prop_lipschitz", tanh_cfg, samples=100, seed=0)
+    report = nf.verify("prop_lipschitz", tanh_cfg, seed=0)
     assert not report.passed
-    assert report.measured > report.theoretical
+    assert report.measured == pytest.approx(9.072, abs=1e-3)
 
 
 def test_kernel_heavier_than_its_stated_norms_trips_the_lemma_checks(tanh_cfg):
     # samples, both spectra and their edge matrices x1.5 while norm_l1 and
-    # norm_sup still state the unit-mass kernel; lemma1a alone would pass
-    # it (ratio 0.861)
+    # norm_sup still state the unit-mass kernel; lemma1a passes it at 1.511
     k = tanh_cfg.kernel
     heavy = dataclasses.replace(
         k, samples=1.5 * k.samples,
@@ -442,12 +425,29 @@ def test_kernel_heavier_than_its_stated_norms_trips_the_lemma_checks(tanh_cfg):
         _edges=tuple(1.5 * e for e in k._edges),
         _deriv_edges=tuple(1.5 * e for e in k._deriv_edges))
     cfg = dataclasses.replace(tanh_cfg, kernel=heavy)
-    reports = nf.battery(cfg, CORPUS_CHECKS, samples=200, seed=0)
-    assert [r.name for r in reports if not r.passed] == ["lemma1a_deriv", "lemma1b"]
+    reports = {r.name: r for r in nf.battery(cfg, OPERATOR_CHECKS, seed=0)}
+    assert [r.name for r in reports.values() if not r.passed] == \
+        ["lemma1a_deriv", "lemma1b"]
+    assert reports["lemma1a_deriv"].measured == pytest.approx(2.2556, abs=1e-4)
+    assert reports["lemma1b"].measured == pytest.approx(107.0108, abs=1e-4)
+    assert reports["lemma1b"].theoretical == pytest.approx(101.1712, abs=1e-4)
 
 
 def test_understated_weight_constant_trips_lemma1a_deriv(tanh_cfg, monkeypatch):
-    # K = 1 in place of the Cauchy weight's 3; lemma1a passes it at 0.994
+    # K = 1 in place of the Cauchy weight's 3: the norm of J is 1.0071, and
+    # 0.967 at 5 power-method steps, so the step count is guarded here too
     monkeypatch.setattr(nlfield.bounds, "CAUCHY_K", 1.0)
-    reports = nf.battery(tanh_cfg, CORPUS_CHECKS, samples=200, seed=0)
-    assert [r.name for r in reports if not r.passed] == ["lemma1a_deriv"]
+    reports = nf.battery(tanh_cfg, OPERATOR_CHECKS, seed=0)
+    assert [r.name for r in reports if not r.passed] == ["lemma1a", "lemma1a_deriv"]
+
+
+def test_interior_mask_one_node_wider_moves_lemma1b(tanh_cfg, monkeypatch):
+    # the exact value sits on the mask's first interior node, so a mask
+    # widened by one node at each cut reads the next node out
+    assert nf.verify("lemma1b", tanh_cfg, seed=0).measured == \
+        pytest.approx(71.3405, abs=1e-4)
+    monkeypatch.setattr(
+        nf.Grid1D, "interior_mask", lambda self, margin=1.0:
+        np.abs(self.nodes) <= self.half_length - margin + 0.5 * self.spacing)
+    assert nf.verify("lemma1b", tanh_cfg, seed=0).measured == \
+        pytest.approx(71.3761, abs=1e-4)

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 import nlfield as nf
-from nlfield.kernel import _fft_convolve, _fft_convolve_both, _next_5smooth
+from nlfield.kernel import _fft_convolve, _next_5smooth
 
 # grid sizes for the transform-length tests, each with the 5-smooth length
 # L it transforms at and its wrap band width r = max(m - (L - n), 0): n is
@@ -32,8 +32,8 @@ def bump_center_oracle():
 
 
 def _deriv_convolve(kernel, u):
-    """J' * u of one row, on the path the corpus pass takes it."""
-    return _fft_convolve_both(kernel, u[None], 1)[1][0]
+    """J' * u, on the path the lemma1a_deriv check takes it."""
+    return _fft_convolve(kernel, u, derivative=True)
 
 
 # ---------------------------------------------------------------------------
@@ -296,17 +296,11 @@ def test_batched_rows_equal_single_row_calls(n):
 
 @pytest.mark.parametrize("n", WRAP_NS)
 def test_both_products_split_like_their_own_calls(n):
-    # the corpus pass takes J' * u for a leading slice of a block's rows:
-    # every J row is the J-only call's, and every J' row is bitwise its
-    # own one-row call, whatever the slice length
+    # J * u and J' * u of a (rows, n) batch: every row, of either product,
+    # is bitwise its own one-row call
     kernel = nf.make_bump_kernel(nf.Grid1D(50.0, n))
     rows = np.random.default_rng(n).normal(size=(5, n))
-    conv = _fft_convolve(kernel, rows)
-    full = _fft_convolve_both(kernel, rows, len(rows))[1]
-    for d in range(len(rows) + 1):
-        both, deriv = _fft_convolve_both(kernel, rows, d)
-        assert np.array_equal(both, conv)
-        assert deriv.shape == (d, n)
-        assert np.array_equal(deriv, full[:d])
-    for row, out in zip(rows, full):
-        assert np.array_equal(out, _deriv_convolve(kernel, row))
+    for derivative in (False, True):
+        batch = _fft_convolve(kernel, rows, derivative=derivative)
+        for row, out in zip(rows, batch):
+            assert np.array_equal(out, _fft_convolve(kernel, row, derivative=derivative))
