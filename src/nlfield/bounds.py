@@ -8,7 +8,11 @@ the zero-extension convolution is exact; checks work on raw sample rows.
 
 lemma1a, lemma1a_deriv and prop_lipschitz bound operator norms from
 below by the p-norm power method (Boyd 1974; Higham, Numer. Math. 62,
-1992); lemma1b's sup is attained exactly.  A stated constant shown false
+1992), run as one stacked iteration per battery or verify over the
+operators they read: J (lemma1a, and prop_lipschitz again, so J is
+iterated once), J' (lemma1a_deriv) and -I + beta g'(0) J
+(prop_lipschitz).  Each row equals its own single run bit for bit.
+lemma1b's sup is attained exactly.  A stated constant shown false
 gives way to the provable bound, so a failed verdict still means a bug:
 lemma1b's ||J||_inf / rho_1 (5.206, where a field attains 71.34 on the
 bistable config) and lemma1a_deriv's K^(1/p) at p != 2.  The trajectory
@@ -104,30 +108,85 @@ def _field_corpus(cfg: ProcessConfig, count: int,
     return out
 
 
-def _dual(v: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
-    """sign(v) (|v| / ||v||_p)^(p-1): unit in L^q_w, 1/p + 1/q = 1, and
-    paired with v to ||v||_p under <u, v> = sum_i w_i u_i v_i."""
-    return np.sign(v) * (np.abs(v) / _lp_norm(v, w, p)) ** (p - 1.0)
+def _dual(v: np.ndarray, p: float, norm: float) -> np.ndarray:
+    """sign(v) (|v| / ||v||_p)^(p-1), with norm = ||v||_p: unit in L^q_w,
+    1/p + 1/q = 1, and paired with v to ||v||_p under
+    <u, v> = sum_i w_i u_i v_i."""
+    return np.sign(v) * (np.abs(v) / norm) ** (p - 1.0)
+
+
+def _power_stack(cfg: ProcessConfig, seed: int, apply,
+                 rows: int) -> tuple[list[float], np.ndarray]:
+    """Lower bounds of the norms on L^p_w of a stack of grid matrices
+    A_r, A_r^T = +-A_r, and the (rows, n) unit fields after the last step.
+
+    apply(x) is the (rows, n) stack of A_r x_r.  The weighted adjoint is
+    W^-1 A^T W, so a step is x -> dual_q(W^-1 A W dual_p(A x)); the sign
+    of A^T only flips x.  Every row starts from the one standard normal
+    draw of default_rng(seed), and every ||A x|| of a unit x is a lower
+    bound, so each row's best is returned.  Norms are taken row by row,
+    1-D, so each row equals its own single run bit for bit.
+    """
+    w, p = quad_weights(cfg.weight, cfg.grid), cfg.p
+    q = p / (p - 1.0)
+    start = np.random.default_rng(seed).standard_normal(cfg.grid.n_points)
+    start /= _lp_norm(start, w, p)
+    x = np.tile(start, (rows, 1))
+    best = [0.0] * rows
+    for _ in range(_POWER_ITERATIONS):
+        y = apply(x)
+        for r, row in enumerate(y):
+            norm = float(_lp_norm(row, w, p))
+            best[r] = max(best[r], norm)
+            row[:] = w * _dual(row, p, norm)
+        x = apply(y)
+        for row in x:
+            row /= w
+            row[:] = _dual(row, q, _lp_norm(row, w, q))
+    return best, x
 
 
 def _power_method(cfg: ProcessConfig, seed: int, apply) -> tuple[float, np.ndarray]:
-    """Lower bound of the norm on L^p_w of a grid matrix A, A^T = +-A, and
-    the unit field after the last step.
+    """_power_stack of one operator; apply(v) is A v on one field.
 
-    apply(v) is A v.  The weighted adjoint is W^-1 A^T W, so a step is
-    x -> dual_q(W^-1 A W dual_p(A x)); the sign of A^T only flips x.  It
-    starts from a standard normal row of default_rng(seed), and every
-    ||A x|| of a unit x is a lower bound, so the best one is returned.
+    The checks run _operator_norms instead: one stack of the operators
+    they read, with J iterated once for lemma1a and prop_lipschitz.
     """
-    w, p = quad_weights(cfg.weight, cfg.grid), cfg.p
-    x = np.random.default_rng(seed).standard_normal(cfg.grid.n_points)
-    x /= _lp_norm(x, w, p)
-    best = 0.0
-    for _ in range(_POWER_ITERATIONS):
-        y = apply(x)
-        best = max(best, float(_lp_norm(y, w, p)))
-        x = _dual(apply(w * _dual(y, w, p)) / w, w, p / (p - 1.0))
-    return best, x
+    best, x = _power_stack(cfg, seed, lambda v: apply(v[0])[None], 1)
+    return best[0], x[0]
+
+
+# the power-method rows of each operator check; prop_lipschitz reads J's
+# row with lemma1a's
+_POWER_ROWS = {"lemma1a": ("J",), "lemma1a_deriv": ("J'",),
+               "prop_lipschitz": ("-I + beta J", "J")}
+
+
+def _operator_norms(cfg: ProcessConfig, seed: int,
+                    names) -> dict[str, tuple[float, np.ndarray]]:
+    """row -> (norm, maximiser) of each operator the named checks read,
+    from one _power_stack; J and -I + beta g'(0) J share one FFT per
+    apply, J' takes the derivative one."""
+    rows = list(dict.fromkeys(r for n in names for r in _POWER_ROWS.get(n, ())))
+    if not rows:
+        return {}
+    slope = cfg.beta * float(cfg.nonlinearity.deriv(0.0))
+    deriv = [i for i, r in enumerate(rows) if r == "J'"]
+    plain = [i for i, r in enumerate(rows) if r != "J'"]
+    shifted = [i for i, r in enumerate(rows) if r == "-I + beta J"]
+
+    def apply(x):
+        y = np.empty_like(x)
+        if plain:
+            y[plain] = _fft_convolve(cfg.kernel, x[plain])
+        if deriv:
+            y[deriv] = _fft_convolve(cfg.kernel, x[deriv], derivative=True)
+        for i in shifted:
+            y[i] = slope * y[i] - x[i]
+        return y
+
+    best, x = _power_stack(cfg, seed, apply, len(rows))
+    return {r: (best[i], x[i]) for i, r in enumerate(rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -189,20 +248,17 @@ def c1_regularity_bound(cfg: ProcessConfig, h_star: float) -> float:
 # named checks
 # ---------------------------------------------------------------------------
 
-def _check_lemma1a(cfg, samples, seed):
-    measured, _ = _power_method(cfg, seed, lambda v: _fft_convolve(cfg.kernel, v))
-    return _report("lemma1a", CAUCHY_K ** (1.0 / cfg.p), measured,
+def _check_lemma1a(cfg, samples, seed, norms):
+    return _report("lemma1a", CAUCHY_K ** (1.0 / cfg.p), norms["J"][0],
                    TOL_QUADRATURE, cfg, samples, seed)
 
 
-def _check_lemma1a_deriv(cfg, samples, seed):
+def _check_lemma1a_deriv(cfg, samples, seed, norms):
     # the stated K^(1/p) holds at p = 2; elsewhere Young's keeps ||J'||_1
     bound = CAUCHY_K ** (1.0 / cfg.p)
     if cfg.p != 2.0:
         bound *= cfg.kernel.deriv_norm_l1
-    measured, _ = _power_method(
-        cfg, seed, lambda v: _fft_convolve(cfg.kernel, v, derivative=True))
-    return _report("lemma1a_deriv", bound, measured, TOL_QUADRATURE,
+    return _report("lemma1a_deriv", bound, norms["J'"][0], TOL_QUADRATURE,
                    cfg, samples, seed)
 
 
@@ -230,19 +286,17 @@ def _check_lemma1b(cfg, samples, seed):
     return _report("lemma1b", bound, measured, TOL_QUADRATURE, cfg, samples, seed)
 
 
-def _check_prop_lipschitz(cfg, samples, seed):
+def _check_prop_lipschitz(cfg, samples, seed, norms):
     """Ratio of F(u) = -u + G(0, u) on real pairs (0, delta v) through G.
 
     v maximises DF(0) = -I + beta g'(0) J (d_u h(t, 0) = 0 for both field
     families), then J, along which a G steeper than the stated g'(0)
     shows; delta v has sup norm _PAIR_SUP.
     """
-    slope = cfg.beta * float(cfg.nonlinearity.deriv(0.0))
     w = quad_weights(cfg.weight, cfg.grid)
     worst = 0.0
-    for apply in (lambda v: slope * _fft_convolve(cfg.kernel, v) - v,
-                  lambda v: _fft_convolve(cfg.kernel, v)):
-        _, v = _power_method(cfg, seed, apply)
+    for row in _POWER_ROWS["prop_lipschitz"]:
+        v = norms[row][1]
         pair = np.stack([v * (_PAIR_SUP / np.max(np.abs(v))), np.zeros_like(v)])
         f = -pair + _nonlinear_term(cfg, 0.0, pair)
         diff = f[0] - f[1]
@@ -318,7 +372,8 @@ def _check_gronwall(cfg, samples, seed):
                    cfg, samples, seed)
 
 
-# name -> check(cfg, samples, seed)
+# name -> check(cfg, samples, seed), and the checks of _POWER_ROWS take
+# _operator_norms' rows as a fourth argument
 _CHECKS = {
     "lemma1a": _check_lemma1a,
     "lemma1a_deriv": _check_lemma1a_deriv,
@@ -367,10 +422,11 @@ def battery(cfg: ProcessConfig, names=None, samples: int = 500,
 def _run_checks(cfg, names, samples, seed) -> list[BoundReport]:
     """Run the named checks in the order given.
 
-    c1_attractor computes the confirmed h* of cfg's beta and response for
-    its bound.  A weight other than Cauchy raises ConfigError at key path
-    "weight", before any check runs, if a check of _CAUCHY_ONLY is asked
-    for.
+    The power-method rows of the named operator checks run first, once,
+    as one _operator_norms stack.  c1_attractor computes the confirmed h*
+    of cfg's beta and response for its bound.  A weight other than Cauchy
+    raises ConfigError at key path "weight", before any check runs, if a
+    check of _CAUCHY_ONLY is asked for.
     """
     names = list(names)
     for n in names:
@@ -383,4 +439,6 @@ def _run_checks(cfg, names, samples, seed) -> list[BoundReport]:
             f"the {cfg.weight.kind} weight has no finite K, so the cauchy "
             f"weight's constants of {', '.join(needs)} do not hold; list "
             f"checks from {', '.join(others)}", "weight")
-    return [_CHECKS[n](cfg, samples, seed) for n in names]
+    norms = _operator_norms(cfg, seed, names)
+    return [_CHECKS[n](cfg, samples, seed, norms) if n in _POWER_ROWS
+            else _CHECKS[n](cfg, samples, seed) for n in names]

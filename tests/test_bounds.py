@@ -276,6 +276,95 @@ def test_power_method_stopped_after_one_step_reads_lower(tanh_cfg, monkeypatch):
     assert nf.verify("lemma1a", tanh_cfg, seed=0).measured < 0.9 * full
 
 
+def single_applies(cfg):
+    """name -> the one-field apply of J, J' and -I + beta g'(0) J."""
+    k, slope = cfg.kernel, cfg.beta * float(cfg.nonlinearity.deriv(0.0))
+    return {
+        "J": lambda v: _fft_convolve(k, v),
+        "J'": lambda v: _fft_convolve(k, v, derivative=True),
+        "-I + beta J": lambda v: slope * _fft_convolve(k, v) - v,
+    }
+
+
+@pytest.mark.parametrize("half_length,n,p", [
+    (5.0, 128, 2.0), (5.0, 128, 3.0),
+    (50.0, 4090, 2.0),  # transforms at 4096: a wrap band of 34 of 40 nodes
+], ids=["small-p2", "small-p3", "n4090-p2"])
+def test_stacked_power_rows_match_their_single_runs(cauchy, half_length, n, p):
+    grid = nf.Grid1D(half_length, n)
+    cfg = nf.ProcessConfig(beta=2.0, p=p, grid=grid, weight=cauchy,
+                           kernel=nf.make_bump_kernel(grid),
+                           nonlinearity=nf.Nonlinearity.tanh(),
+                           field=nf.ExternalField(), dt=0.05)
+    stacked = nlfield.bounds._operator_norms(cfg, 0, OPERATOR_CHECKS)
+    applies = single_applies(cfg)
+    assert list(stacked) == ["J", "J'", "-I + beta J"]
+    for name, (best, x) in stacked.items():
+        single_best, single_x = _power_method(cfg, 0, applies[name])
+        assert best == single_best, name
+        assert np.array_equal(x, single_x), name
+
+
+@pytest.fixture
+def convolved_shapes(monkeypatch):
+    """Shapes of the arrays nlfield.bounds hands to _fft_convolve; G's
+    convolutions in prop_lipschitz go through nlfield.dynamics and are
+    not seen."""
+    shapes = []
+
+    def spying(kernel, values, derivative=False):
+        shapes.append(values.shape)
+        return _fft_convolve(kernel, values, derivative)
+
+    monkeypatch.setattr(nlfield.bounds, "_fft_convolve", spying)
+    return shapes
+
+
+def rows_per_apply(shapes):
+    """Rows the power iteration transforms per apply, two applies a step;
+    lemma1b's one 1-D row is left out."""
+    rows = sum(s[0] for s in shapes if len(s) == 2)
+    return rows / (2 * nlfield.bounds._POWER_ITERATIONS)
+
+
+def test_power_iteration_transforms_each_operator_once(tanh_cfg, convolved_shapes):
+    # J and -I + beta J share one transform per apply, J' takes its own;
+    # four single runs, J twice among them, would transform 4 rows
+    nf.battery(tanh_cfg, OPERATOR_CHECKS, seed=0)
+    n, steps = tanh_cfg.grid.n_points, nlfield.bounds._POWER_ITERATIONS
+    assert set(convolved_shapes) == {(n,), (1, n), (2, n)}
+    assert convolved_shapes.count((2, n)) == convolved_shapes.count((1, n)) == 2 * steps
+    assert convolved_shapes.count((n,)) == 1
+    assert rows_per_apply(convolved_shapes) == 3
+
+
+@pytest.mark.parametrize("name,rows", [
+    ("lemma1a", 1), ("lemma1a_deriv", 1), ("prop_lipschitz", 2), ("lemma1b", 0),
+])
+def test_verify_iterates_only_the_rows_its_check_reads(name, rows, tanh_cfg,
+                                                       convolved_shapes):
+    nf.verify(name, tanh_cfg, seed=0)
+    assert rows_per_apply(convolved_shapes) == rows
+
+
+def test_second_j_run_trips_the_row_count(tanh_cfg, convolved_shapes, monkeypatch):
+    # planted defect: prop_lipschitz reads a J row of its own, so J is
+    # iterated twice; its verdict is unchanged, only the work shows it
+    monkeypatch.setitem(nlfield.bounds._POWER_ROWS, "prop_lipschitz",
+                        ("-I + beta J", "J again"))
+    reports = nf.battery(tanh_cfg, OPERATOR_CHECKS, seed=0)
+    assert all(r.passed for r in reports)
+    assert rows_per_apply(convolved_shapes) == 4
+
+
+def test_power_rows_are_not_kept_between_batteries(tanh_cfg, monkeypatch):
+    # a battery that reused an earlier battery's rows would read the
+    # 60-step norm again after the step count drops to 1
+    full = nf.battery(tanh_cfg, ["lemma1a"], seed=0)[0].measured
+    monkeypatch.setattr(nlfield.bounds, "_POWER_ITERATIONS", 1)
+    assert nf.battery(tanh_cfg, ["lemma1a"], seed=0)[0].measured < 0.9 * full
+
+
 def closed_form_lemma1b(cfg):
     """Reference: each interior node's Hoelder dual norm of its kernel row,
     (sum_j |J_{i-j} dx|^q w_j^(1-q))^(1/q), node by node."""

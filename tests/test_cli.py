@@ -262,14 +262,20 @@ def test_integral_float_at_integer_key_exits_2(command, doc, key_path, value,
 # command's float() raises OverflowError on it
 BIG = "1" + "0" * 400
 NON_FINITE = [
-    ("beta: 2.0\nsimulate:\n  t: .inf\n", "simulate.t"),
-    ("beta: 2.0\nattractor:\n  t: .inf\n", "attractor.t"),
-    ("beta: 2.0\nattractor:\n  tau_ladder: [.nan]\n", "attractor.tau_ladder.0"),
+    pytest.param("beta: 2.0\nsimulate:\n  t: .inf\n", "simulate.t",
+                 id="simulate.t-inf"),
+    pytest.param("beta: 2.0\nattractor:\n  t: .inf\n", "attractor.t",
+                 id="attractor.t-inf"),
+    pytest.param("beta: 2.0\nattractor:\n  tau_ladder: [.nan]\n",
+                 "attractor.tau_ladder.0", id="attractor.tau_ladder.0-nan"),
     ("beta: .nan\n", "beta"),
     ("beta: .inf\n", "beta"),
-    ("beta: 2.0\nfield:\n  omega: .nan\n", "field.omega"),
-    ("beta: 2.0\nsweep:\n  epsilons: [.nan]\n", "sweep.epsilons.0"),
-    ("beta: 0.5\nfield:\n  family: pulsed\n  amplitude: .inf\n", "field.amplitude"),
+    pytest.param("beta: 2.0\nfield:\n  omega: .nan\n", "field.omega",
+                 id="field.omega-nan"),
+    pytest.param("beta: 2.0\nsweep:\n  epsilons: [.nan]\n", "sweep.epsilons.0",
+                 id="sweep.epsilons.0-nan"),
+    pytest.param("beta: 0.5\nfield:\n  family: pulsed\n  amplitude: .inf\n",
+                 "field.amplitude", id="field.amplitude-inf"),
     pytest.param(f"beta: {BIG}\n", "beta", id="beta-1e400"),
     pytest.param(f"beta: 2.0\np: {BIG}\n", "p", id="p-1e400"),
     pytest.param(f"beta: 2.0\nhalf_length: {BIG}\n", "half_length",
