@@ -1,8 +1,14 @@
 """Explicit constants of the theory and measured verdicts against them.
 
-Each named check produces a BoundReport pairing a theoretical constant
-with a deterministic measurement.  The bounds are loose by design; a
-failed verdict signals an implementation bug, not a sharp inequality.
+Each named check pairs a theoretical constant with a deterministic
+measurement.  Every check takes (cfg, samples, seed, norms), norms being
+the _operator_norms rows, and returns (theoretical, measured, tolerance);
+c1_attractor adds whether its ladder converged.  _run_checks alone turns
+these into BoundReports: passed is measured <= theoretical + tolerance,
+and converged where a check returns it.  A measurement that is not
+finite is an error, not a verdict: it raises BlowUpError naming the
+check.  The bounds are loose by design; a failed verdict signals an
+implementation bug, not a sharp inequality.
 Checks that involve pointwise values restrict to interior nodes where
 the zero-extension convolution is exact; checks work on raw sample rows.
 
@@ -41,9 +47,8 @@ import numpy as np
 
 from .attractor import absorbing_entry_time, approximate_pullback_attractor
 from .bifurcation import compute_h_star
-from .dynamics import ExternalField, ProcessConfig, evolve, _guard_finite, \
-    _nonlinear_term
-from .errors import ConfigError
+from .dynamics import ExternalField, ProcessConfig, evolve, _nonlinear_term
+from .errors import BlowUpError, ConfigError
 from .kernel import _fft_convolve
 from .weighted_space import WEIGHT_CAUCHY, WeightedField, _lp_norm, \
     finite_difference, quad_weights
@@ -78,16 +83,6 @@ class BoundReport:
     digest: str
     samples: int
     seed: int
-
-
-def _report(name, theoretical, measured, tolerance, cfg, samples, seed,
-            forced_fail: bool = False) -> BoundReport:
-    passed = bool(measured <= theoretical + tolerance) and not forced_fail
-    return BoundReport(name=name, theoretical=float(theoretical),
-                       measured=float(measured),
-                       margin=float(theoretical - measured), passed=passed,
-                       tolerance=tolerance, digest=cfg.digest(),
-                       samples=samples, seed=seed)
 
 
 def _field_corpus(cfg: ProcessConfig, count: int,
@@ -144,16 +139,6 @@ def _power_stack(cfg: ProcessConfig, seed: int, apply,
             row /= w
             row[:] = _dual(row, q, _lp_norm(row, w, q))
     return best, x
-
-
-def _power_method(cfg: ProcessConfig, seed: int, apply) -> tuple[float, np.ndarray]:
-    """_power_stack of one operator; apply(v) is A v on one field.
-
-    The checks run _operator_norms instead: one stack of the operators
-    they read, with J iterated once for lemma1a and prop_lipschitz.
-    """
-    best, x = _power_stack(cfg, seed, lambda v: apply(v[0])[None], 1)
-    return best[0], x[0]
 
 
 # the power-method rows of each operator check; prop_lipschitz reads J's
@@ -249,8 +234,7 @@ def c1_regularity_bound(cfg: ProcessConfig, h_star: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _check_lemma1a(cfg, samples, seed, norms):
-    return _report("lemma1a", CAUCHY_K ** (1.0 / cfg.p), norms["J"][0],
-                   TOL_QUADRATURE, cfg, samples, seed)
+    return CAUCHY_K ** (1.0 / cfg.p), norms["J"][0], TOL_QUADRATURE
 
 
 def _check_lemma1a_deriv(cfg, samples, seed, norms):
@@ -258,11 +242,10 @@ def _check_lemma1a_deriv(cfg, samples, seed, norms):
     bound = CAUCHY_K ** (1.0 / cfg.p)
     if cfg.p != 2.0:
         bound *= cfg.kernel.deriv_norm_l1
-    return _report("lemma1a_deriv", bound, norms["J'"][0], TOL_QUADRATURE,
-                   cfg, samples, seed)
+    return bound, norms["J'"][0], TOL_QUADRATURE
 
 
-def _check_lemma1b(cfg, samples, seed):
+def _check_lemma1b(cfg, samples, seed, norms):
     """max_i sup_u |J*u(x_i)| / ||u|| over interior nodes, attained.
 
     By Hoelder it is S_i^(1/q), S_i = sum_j a_j^q w_j^(1-q) with
@@ -283,7 +266,7 @@ def _check_lemma1b(cfg, samples, seed):
     measured = abs(_fft_convolve(kernel, u)[i]) / _lp_norm(u, w, cfg.p)
     window_sums = np.convolve(dual, np.ones_like(taps), "same")
     bound = kernel.norm_sup * grid.spacing * float(np.max(window_sums[mask])) ** (1.0 / q)
-    return _report("lemma1b", bound, measured, TOL_QUADRATURE, cfg, samples, seed)
+    return bound, measured, TOL_QUADRATURE
 
 
 def _check_prop_lipschitz(cfg, samples, seed, norms):
@@ -291,35 +274,34 @@ def _check_prop_lipschitz(cfg, samples, seed, norms):
 
     v maximises DF(0) = -I + beta g'(0) J (d_u h(t, 0) = 0 for both field
     families), then J, along which a G steeper than the stated g'(0)
-    shows; delta v has sup norm _PAIR_SUP.
+    shows; delta v has sup norm _PAIR_SUP.  Past p 54 or so |.|^p
+    underflows on delta v, and the 0/0 ratio is NaN: np.max keeps it,
+    where max(0.0, nan) would read 0.
     """
     w = quad_weights(cfg.weight, cfg.grid)
-    worst = 0.0
+    ratios = []
     for row in _POWER_ROWS["prop_lipschitz"]:
         v = norms[row][1]
         pair = np.stack([v * (_PAIR_SUP / np.max(np.abs(v))), np.zeros_like(v)])
         f = -pair + _nonlinear_term(cfg, 0.0, pair)
-        diff = f[0] - f[1]
-        # without the guard a NaN ratio would vanish in max
-        _guard_finite(diff)
-        worst = max(worst, _lp_norm(diff, w, cfg.p) / _lp_norm(pair[0], w, cfg.p))
-    return _report("prop_lipschitz", lipschitz_constant_f(cfg), worst,
-                   TOL_QUADRATURE, cfg, samples, seed)
+        ratios.append(_lp_norm(f[0] - f[1], w, cfg.p) / _lp_norm(pair[0], w, cfg.p))
+    return lipschitz_constant_f(cfg), np.max(ratios), TOL_QUADRATURE
 
 
-def _scaled_to_norm(cfg, rng, target: float) -> WeightedField:
-    u = _field_corpus(cfg, 1, rng)[0]
+def _start(cfg, seed, target: float) -> WeightedField:
+    """The one start row of a trajectory check: row 0 of _field_corpus
+    on default_rng(seed), scaled to norm target in L^p_w."""
+    u = _field_corpus(cfg, 1, np.random.default_rng(seed))[0]
     norm = _lp_norm(u, quad_weights(cfg.weight, cfg.grid), cfg.p)
     return WeightedField(cfg.grid, cfg.weight, u * (target / norm))
 
 
-def _check_absorbing(cfg, samples, seed):
-    rng = np.random.default_rng(seed)
+def _check_absorbing(cfg, samples, seed, norms):
     a = cfg.nonlinearity.sup_abs
     w = quad_weights(cfg.weight, cfg.grid)
     t_obs, radius, eps = 0.0, 10.0, 0.1
     tau = absorbing_entry_time(t_obs, radius, eps)
-    u0 = _scaled_to_norm(cfg, rng, radius)
+    u0 = _start(cfg, seed, radius)
 
     excess = []
 
@@ -328,21 +310,19 @@ def _check_absorbing(cfg, samples, seed):
         excess.append(_lp_norm(vals, w, cfg.p) - decay)
 
     evolve(u0, tau, t_obs, cfg, observer=watch)
-    return _report("absorbing", a, max(excess), TOL_TRAJECTORY,
-                   cfg, samples, seed)
+    return a, max(excess), TOL_TRAJECTORY
 
 
-def _check_w_bound(cfg, samples, seed):
-    rng = np.random.default_rng(seed)
+def _check_w_bound(cfg, samples, seed, norms):
     a = cfg.nonlinearity.sup_abs
-    u0 = _scaled_to_norm(cfg, rng, a + 0.1)
+    u0 = _start(cfg, seed, a + 0.1)
     sups = []  # of w(s) = u(s) - v(s), with v(s) = exp(-s) u0 in closed form
     evolve(u0, 0.0, 8.0, cfg, observer=lambda s, vals: sups.append(
         float(np.max(np.abs(vals - math.exp(-s) * u0.values)))))
-    return _report("w_bound", a, max(sups), TOL_QUADRATURE, cfg, samples, seed)
+    return a, max(sups), TOL_QUADRATURE
 
 
-def _check_c1_attractor(cfg, samples, seed):
+def _check_c1_attractor(cfg, samples, seed, norms):
     bound = c1_regularity_bound(cfg, compute_h_star(cfg.beta, cfg.nonlinearity))
     sample = approximate_pullback_attractor(
         0.0, cfg, n_samples=min(samples, 8),
@@ -351,12 +331,10 @@ def _check_c1_attractor(cfg, samples, seed):
     worst = 0.0
     for m in sample.members:
         worst = max(worst, float(np.max(np.abs(finite_difference(m).values[mask]))))
-    return _report("c1_attractor", bound, worst, TOL_TRAJECTORY,
-                   cfg, samples, seed, forced_fail=not sample.converged)
+    return bound, worst, TOL_TRAJECTORY, sample.converged
 
 
-def _check_gronwall(cfg, samples, seed):
-    rng = np.random.default_rng(seed)
+def _check_gronwall(cfg, samples, seed, norms):
     h_gap, horizon = 0.02, 1.0
     if cfg.field.sup > h_gap:
         twin = replace(cfg, field=cfg.field.scaled(1.0 - h_gap / cfg.field.sup))
@@ -364,16 +342,15 @@ def _check_gronwall(cfg, samples, seed):
         twin = replace(cfg, field=ExternalField("pulsed", cfg.field.sup + h_gap,
                                                 omega=cfg.field.omega))
     envelope = continuity_envelope(cfg, h_gap, horizon)
-    u0 = _scaled_to_norm(cfg, rng, cfg.nonlinearity.sup_abs)
+    u0 = _start(cfg, seed, cfg.nonlinearity.sup_abs)
     ua = evolve(u0, 0.0, horizon, cfg)
     ub = evolve(u0, 0.0, horizon, twin)
     measured = _lp_norm(ua.values - ub.values, quad_weights(cfg.weight, cfg.grid), cfg.p)
-    return _report("gronwall_continuity", envelope, measured, TOL_TRAJECTORY,
-                   cfg, samples, seed)
+    return envelope, measured, TOL_TRAJECTORY
 
 
-# name -> check(cfg, samples, seed), and the checks of _POWER_ROWS take
-# _operator_norms' rows as a fourth argument
+# name -> check(cfg, samples, seed, norms) -> (theoretical, measured,
+# tolerance[, converged]), norms being _operator_norms' rows
 _CHECKS = {
     "lemma1a": _check_lemma1a,
     "lemma1a_deriv": _check_lemma1a_deriv,
@@ -420,13 +397,14 @@ def battery(cfg: ProcessConfig, names=None, samples: int = 500,
 
 
 def _run_checks(cfg, names, samples, seed) -> list[BoundReport]:
-    """Run the named checks in the order given.
+    """Run the named checks in the order given and build their reports.
 
     The power-method rows of the named operator checks run first, once,
     as one _operator_norms stack.  c1_attractor computes the confirmed h*
     of cfg's beta and response for its bound.  A weight other than Cauchy
     raises ConfigError at key path "weight", before any check runs, if a
-    check of _CAUCHY_ONLY is asked for.
+    check of _CAUCHY_ONLY is asked for.  A measurement that is not
+    finite raises BlowUpError naming its check.
     """
     names = list(names)
     for n in names:
@@ -440,5 +418,15 @@ def _run_checks(cfg, names, samples, seed) -> list[BoundReport]:
             f"weight's constants of {', '.join(needs)} do not hold; list "
             f"checks from {', '.join(others)}", "weight")
     norms = _operator_norms(cfg, seed, names)
-    return [_CHECKS[n](cfg, samples, seed, norms) if n in _POWER_ROWS
-            else _CHECKS[n](cfg, samples, seed) for n in names]
+    reports = []
+    for n in names:
+        theoretical, measured, tolerance, *converged = \
+            _CHECKS[n](cfg, samples, seed, norms)
+        if not math.isfinite(measured):
+            raise BlowUpError(f"{n}: the measurement is {measured}, not finite")
+        reports.append(BoundReport(
+            name=n, theoretical=float(theoretical), measured=float(measured),
+            margin=float(theoretical - measured),
+            passed=bool(measured <= theoretical + tolerance) and all(converged),
+            tolerance=tolerance, digest=cfg.digest(), samples=samples, seed=seed))
+    return reports

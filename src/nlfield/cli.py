@@ -52,6 +52,9 @@ log = logging.getLogger(__name__)
 # a check whose measured/theoretical falls below this passes by a margin
 # too wide to catch a defect; verify names it in a warning
 VACUOUS_RATIO = 1e-3
+# the most steps of dt a simulate, attractor or sweep span may take: the
+# step schedule is a list of that length
+_MAX_STEPS = 10 ** 8
 
 
 @functools.cache
@@ -250,12 +253,20 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     sim = data["simulate"]
     if sim["t"] < sim["tau"]:
         raise ConfigError("end time precedes start time", "simulate.t")
+    spans = {"simulate.t": sim["t"] - sim["tau"]}
     for name in ("attractor", "sweep"):
         blk = data[name]
         try:
-            _ladder_taus(blk["t"], blk["tau_ladder"])
+            taus = _ladder_taus(blk["t"], blk["tau_ladder"])
         except (ValueError, TimeOrderError) as e:
             raise ConfigError(str(e), f"{name}.tau_ladder")
+        spans[f"{name}.tau_ladder"] = blk["t"] - min(taus)
+    dt = data["dt"]
+    for key, span in spans.items():
+        if span > _MAX_STEPS * dt:
+            raise ConfigError(
+                f"a span of {span:g} needs {span / dt:.3g} steps of dt "
+                f"{dt:g}, more than {_MAX_STEPS:.0e}", key)
 
     return ExperimentConfig(process=process, seed=data["seed"],
                             out_dir=data["output"], blocks=data)

@@ -14,8 +14,7 @@ import nlfield as nf
 import nlfield.bounds
 import nlfield.dynamics
 import nlfield.kernel
-from nlfield.bounds import CHECK_NAMES, _field_corpus, _power_method, \
-    _scaled_to_norm
+from nlfield.bounds import CHECK_NAMES, _field_corpus, _power_stack, _start
 from nlfield.cli import parse_config
 from nlfield.kernel import _fft_convolve
 from nlfield.weighted_space import _lp_norm, quad_weights
@@ -177,7 +176,7 @@ def test_w_bound_matches_split_stepping_loop(cauchy):
                            nonlinearity=nf.Nonlinearity.tanh(),
                            field=nf.ExternalField("pulsed", 0.2, 1.0), dt=0.05)
     seed = 3
-    u0 = _scaled_to_norm(cfg, np.random.default_rng(seed), 1.1)
+    u0 = _start(cfg, seed, 1.1)
     state, v, worst = nf.TrajectoryState(0.0, u0), u0.values, 0.0
     for _ in range(160):  # the check's horizon 8 in steps of 0.05
         state = nf.step_exponential(state, cfg)
@@ -227,6 +226,16 @@ def small_cfg(cauchy, p):
                             field=nf.ExternalField(), dt=0.05)
 
 
+@pytest.mark.parametrize("p", [54.0, 60.0])
+def test_prop_lipschitz_past_p54_is_an_error_not_a_verdict(cauchy, p):
+    # |.|^p underflows on the 1e-6 perturbation from p about 54 on, so a
+    # ratio is inf or 0/0; a 0/0 must not vanish in a max and read 0
+    with pytest.raises(nf.BlowUpError, match="prop_lipschitz"):
+        nf.verify("prop_lipschitz", small_cfg(cauchy, p), seed=0)
+    report = nf.verify("prop_lipschitz", small_cfg(cauchy, 50.0), seed=0)
+    assert report.measured == pytest.approx(2.6131, abs=1e-4) and report.passed
+
+
 def dense_operators(cfg):
     """name -> (apply, dense matrix, Young's bound at cfg.p) of J, J' and
     -I + beta J, the matrices built column by column from convolve_direct."""
@@ -252,7 +261,7 @@ def test_power_method_reaches_the_dense_norm_at_p2(cauchy, name):
     apply, matrix, _ = dense_operators(cfg)[name]
     root = np.sqrt(quad_weights(cfg.weight, cfg.grid))
     exact = np.linalg.norm(root[:, None] * matrix / root, 2)
-    estimate, x = _power_method(cfg, 0, apply)
+    (estimate,), (x,) = _power_stack(cfg, 0, apply, 1)
     assert 0.99 * exact <= estimate <= exact * (1.0 + 1e-12)
     assert _lp_norm(x, quad_weights(cfg.weight, cfg.grid), 2.0) == \
         pytest.approx(1.0, rel=1e-12)
@@ -265,7 +274,7 @@ def test_power_method_beats_random_fields_under_young_at_p3(cauchy, name):
     w = quad_weights(cfg.weight, cfg.grid)
     fields = _field_corpus(cfg, 200, np.random.default_rng(0))
     worst = max(_lp_norm(matrix @ u, w, 3.0) / _lp_norm(u, w, 3.0) for u in fields)
-    estimate, _ = _power_method(cfg, 0, apply)
+    (estimate,), _ = _power_stack(cfg, 0, apply, 1)
     assert worst <= estimate <= young
 
 
@@ -300,7 +309,7 @@ def test_stacked_power_rows_match_their_single_runs(cauchy, half_length, n, p):
     applies = single_applies(cfg)
     assert list(stacked) == ["J", "J'", "-I + beta J"]
     for name, (best, x) in stacked.items():
-        single_best, single_x = _power_method(cfg, 0, applies[name])
+        (single_best,), (single_x,) = _power_stack(cfg, 0, applies[name], 1)
         assert best == single_best, name
         assert np.array_equal(x, single_x), name
 

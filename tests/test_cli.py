@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import nlfield as nf
+import nlfield.attractor
 import nlfield.bounds
 from nlfield import bifurcation, cli, dynamics
 from nlfield.bifurcation import compute_h_star, count_roots, tanh_h_star
@@ -292,6 +293,31 @@ def test_non_finite_numbers_rejected_with_key_path(doc, key_path, tmp_path, caps
     path = write_config(tmp_path, doc)
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert f"error: {key_path}: must be a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc,key_path", [
+    ("simulate: {t: 1.0e+300}\n", "simulate.t"),
+    ("attractor: {tau_ladder: [-1.0e+300]}\n", "attractor.tau_ladder"),
+    ("sweep: {tau_ladder: [-1.0e+300]}\n", "sweep.tau_ladder"),
+    ("dt: 1.0e-300\n", "simulate.t"),  # simulate's default span 10 first
+], ids=["simulate", "attractor", "sweep", "dt"])
+def test_span_too_long_to_schedule_exits_2(doc, key_path, tmp_path, capsys):
+    # the step schedule is a list of dt steps; past 1e8 of them the run
+    # is rejected at parse time, before [dt] * n overflows
+    path = write_config(tmp_path, "beta: 2.0\nn_points: 1024\n" + doc)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key_path}: a span of ")
+    assert " steps of dt " in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_span_of_exactly_max_steps_is_accepted():
+    # 5e6 / 0.05 is 1e8 steps, the most a span may take; parsed, not run
+    assert parse_config("beta: 2.0\nsimulate: {t: 5.0e+6}\n").blocks[
+        "simulate"]["t"] == 5.0e6
+    with pytest.raises(ConfigError, match="steps of dt"):
+        parse_config("beta: 2.0\nsimulate: {t: 5.000001e+6}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -910,6 +936,31 @@ def test_verify_failed_check_writes_false(tmp_path, monkeypatch):
     _, rows = read_rows(out / "verify.csv")
     assert rows[0][4] == "false"
     assert float(rows[0][2]) > float(rows[0][1])
+
+
+def test_c1_attractor_fails_when_its_ladder_does_not_converge(tmp_path, monkeypatch):
+    # planted defect: DEDUP_TOL 0, so no rung gap is ever below it; the
+    # slope 0.0109 is far under its bound 13.50, so only the ladder's
+    # convergence fails the check
+    monkeypatch.setattr(nlfield.attractor, "DEDUP_TOL", 0.0)
+    out = tmp_path / "run"
+    doc = (f"beta: 2.0\noutput: {out}\n"
+           "verify:\n  checks: [c1_attractor]\n  samples: 8\n")
+    assert main(["verify", "--config", write_config(tmp_path, doc)]) == 1
+    _, [row] = read_rows(out / "verify.csv")
+    assert row[0] == "c1_attractor" and row[4] == "false"
+    assert float(row[1]) == pytest.approx(13.4958, abs=1e-4)
+    assert float(row[2]) == pytest.approx(0.010947, abs=1e-6)
+
+
+def test_verify_exits_2_on_a_non_finite_measurement(tmp_path, capsys):
+    # prop_lipschitz at p 60 reads 0/0; a NaN is an error, not a verdict
+    out = tmp_path / "run"
+    doc = (f"beta: 2.0\np: 60\nhalf_length: 5.0\nn_points: 128\noutput: {out}\n"
+           "verify:\n  checks: [prop_lipschitz]\n")
+    assert main(["verify", "--config", write_config(tmp_path, doc)]) == 2
+    assert "error: prop_lipschitz: the measurement is nan" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_on_gaussian_weight_must_list_its_checks(tmp_path, capsys):
