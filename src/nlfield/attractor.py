@@ -51,7 +51,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dynamics import ProcessConfig, _delta_schedule, _integrate
+from .dynamics import ProcessConfig, _integrate, _step_schedule
 from .errors import EmptySetError, TimeOrderError
 from .weighted_space import WeightedField, _lp_norm, quad_weights
 
@@ -186,13 +186,12 @@ def hausdorff_semidist(a, b, p: float | None = None) -> float:
 
 
 def _continues(tau: float, prev_tau: float, t: float, cfg: ProcessConfig) -> bool:
-    # stepping the previous rung's endpoints over [tau, prev_tau] repeats the
-    # restart bit for bit when no step reads the time and the restart's steps
-    # are the previous rung's steps followed by those of the added span
-    return (cfg.field.family == "zero"
-            and _delta_schedule(tau, t, cfg.dt)
-            == (_delta_schedule(prev_tau, t, cfg.dt)
-                + _delta_schedule(tau, prev_tau, cfg.dt)))
+    # on a zero field, where no step reads the time, the previous rung's endpoints stepped over
+    # [tau, prev_tau] equal a restart bit for bit if it takes that rung's steps (all dt) first
+    prev, prev_tail = _step_schedule(prev_tau, t, cfg.dt)
+    added, tail = _step_schedule(tau, prev_tau, cfg.dt)
+    return (cfg.field.family == "zero" and not prev_tail
+            and _step_schedule(tau, t, cfg.dt) == (prev + added, tail))
 
 
 def _dedup(rows: np.ndarray, w: np.ndarray, p: float, tol: float) -> np.ndarray:
@@ -247,7 +246,7 @@ def _run_ladder(family: np.ndarray, taus: list[float], t: float,
         endpoints = _dedup(carried, w, cfg.p, DEDUP_TOL)
         gap = _two_sided(endpoints, rungs[-1].kept, w, cfg.p) if rungs else None
         log.info("rung tau=%g: %d steps of %g %s, %d of %d members kept, gap %s",
-                 tau, len(_delta_schedule(tau, stop, step)), step, how,
+                 tau, _step_schedule(tau, stop, step)[0], step, how,
                  len(endpoints), len(carried), "n/a" if gap is None else f"{gap:.6g}")
         rungs.append(_Rung(tau, endpoints, gap))
         if gap is not None and gap < DEDUP_TOL:

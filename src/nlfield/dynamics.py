@@ -19,8 +19,11 @@ delta.  Pure decay (g = 0) is exact to rounding.
 One loop applies this step to a raw (..., n) array, so a single field
 and a stack of ensemble members (a pullback ladder rung) take the same
 steps; the phi weights do not depend on the state, and the stack is
-stepped as one batched array.  The time after step i is tau + i dt, and
-the last step lands on t exactly.
+stepped as one batched array.  The schedule from tau to t is two numbers,
+(steps, tail): each step takes dt but the last, which takes tail when it
+is not 0.0.  The time after step i is tau + i dt, and the last step lands
+on t exactly.  A backwards span, or one of more than MAX_STEPS steps of
+dt, raises TimeOrderError before any step is taken.
 
 A pullback ladder, whose outputs carry no time grid, runs the same loop
 with one G evaluation per step, the PEC mode of the same predictor and
@@ -56,6 +59,8 @@ from .weighted_space import Grid1D, WeightedField, WeightFunction
 
 # max |d^2/ds^2 tanh(s)| = max |d/ds tanh(s)^2| = 4 / (3 sqrt(3)), at tanh = 1/sqrt(3)
 K1_TANH = 4.0 / (3.0 * math.sqrt(3.0))
+
+MAX_STEPS = 10 ** 8
 
 NONLINEARITY_FAMILIES = ("tanh", "zero")
 FIELD_FAMILIES = ("zero", "pulsed")
@@ -324,23 +329,27 @@ def _guard_finite(vals: np.ndarray) -> None:
         raise BlowUpError("integration produced non-finite values")
 
 
-def _delta_schedule(tau: float, t: float, dt: float) -> list[float]:
+def _step_schedule(tau: float, t: float, dt: float) -> tuple[int, float]:
+    # (steps, tail) as the module docstring states; steps counts the tail
     span = t - tau
     if span < -1e-12:
         raise TimeOrderError(f"cannot evolve backwards: tau={tau}, t={t}")
+    if span > MAX_STEPS * dt:
+        raise TimeOrderError(f"a span of {span:g} needs {span / dt:.3g} steps of dt "
+                             f"{dt:g}, more than {MAX_STEPS:.0e}")
     if span <= 1e-12:
-        return []
-    n_full = int(math.floor(span / dt + 1e-9))
-    deltas = [dt] * n_full
-    rem = span - n_full * dt
-    if rem > 1e-9 * max(1.0, dt):
-        deltas.append(rem)
-    return deltas
+        return 0, 0.0
+    steps = int(math.floor(span / dt + 1e-9))
+    tail = span - steps * dt
+    if tail > 1e-9 * max(1.0, dt):
+        return steps + 1, tail
+    return steps, 0.0
 
 
 def _integrate(u: np.ndarray, tau: float, t: float, cfg: ProcessConfig,
                observer=None, carry: list | None = None) -> np.ndarray:
-    """Step a raw (..., n) array from tau to t; every row shares the schedule.
+    """Step a raw (..., n) array from tau to t; every row shares the schedule,
+    the (steps, tail) of _step_schedule, which bounds every span.
 
     Without carry every step is the exponential trapezoid, as evolve
     steps.  A ladder and simulate pass carry, a list that is empty at a
@@ -350,13 +359,14 @@ def _integrate(u: np.ndarray, tau: float, t: float, cfg: ProcessConfig,
     restart evaluate G N + 1 times.  The list is left holding G and its
     slope at t.  u itself is never written to.
     """
-    deltas = _delta_schedule(tau, t, cfg.dt)
+    steps, tail = _step_schedule(tau, t, cfg.dt)
     now = tau
     if observer is not None:
         observer(now, u.copy())
-    if carry is not None and not carry and deltas:
+    if carry is not None and not carry and steps:
         carry[:] = [_nonlinear_term(cfg, tau, u), None]
-    for i, delta in enumerate(deltas, start=1):
+    for i in range(1, steps + 1):
+        delta = tail if i == steps and tail else cfg.dt
         g0, slope = carry or (None, None)
         u, g1 = _step_raw(cfg, now, u, delta, g0, slope)
         _guard_finite(u)
@@ -364,7 +374,7 @@ def _integrate(u: np.ndarray, tau: float, t: float, cfg: ProcessConfig,
             slope = g1 - g0
             slope /= delta
             carry[:] = [g1, slope]
-        now = t if i == len(deltas) else tau + i * cfg.dt
+        now = t if i == steps else tau + i * cfg.dt
         if observer is not None:
             observer(now, u.copy())
     return u

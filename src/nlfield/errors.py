@@ -22,7 +22,7 @@ class GridTooCoarseError(NlfieldError):
 
 
 class TimeOrderError(NlfieldError):
-    """Evolution requested backwards in time (t < tau)."""
+    """Evolution requested backwards (t < tau), or over more than MAX_STEPS steps."""
 
 
 class BlowUpError(NlfieldError):

@@ -17,6 +17,23 @@ import nlfield as nf
 LADDER = (-4.0, -8.0, -16.0, -32.0)
 
 
+def list_schedule(tau, t, dt):
+    """The steps from tau to t as the list of every step size: full steps
+    of dt plus one shortened tail.  The reference rule for the package's
+    (steps, tail) schedule."""
+    span = t - tau
+    if span < -1e-12:
+        raise nf.TimeOrderError(f"cannot evolve backwards: tau={tau}, t={t}")
+    if span <= 1e-12:
+        return []
+    n_full = int(math.floor(span / dt + 1e-9))
+    deltas = [dt] * n_full
+    rem = span - n_full * dt
+    if rem > 1e-9 * max(1.0, dt):
+        deltas.append(rem)
+    return deltas
+
+
 @pytest.fixture(scope="session")
 def cauchy():
     return nf.WeightFunction.cauchy()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import nlfield as nf
-from conftest import LADDER
+from conftest import LADDER, list_schedule
 from nlfield import attractor, dynamics
 from nlfield.attractor import (_dedup, _family, _ladder_taus, _lp_distances,
                                _run_ladder, _sample)
@@ -340,6 +340,35 @@ def test_tail_step_rungs_match_restarts(monkeypatch):
     assert assert_rungs_match_restarts(monkeypatch, small_cfg(), ladder) == ladder
 
 
+CONTINUE_TAUS = (-4.0, -4.03, -6.283185307179586, -8.0, -8.07, -12.566370614359172,
+                 -16.0, -16.4, -32.0)
+
+
+@pytest.mark.parametrize("step", [0.05, 0.0625, 0.1, 0.4, 0.8])
+def test_continues_follows_the_list_rule(step):
+    # continuing is allowed exactly where the restart's list of steps is the
+    # previous rung's list followed by the added span's
+    cfg = replace(small_cfg(), dt=step)
+    verdicts = []
+    for t in (0.0, 0.01, 1.3):
+        for i, prev_tau in enumerate(CONTINUE_TAUS):
+            for tau in CONTINUE_TAUS[i + 1:]:
+                rule = (list_schedule(tau, t, step) == list_schedule(prev_tau, t, step)
+                        + list_schedule(tau, prev_tau, step))
+                assert attractor._continues(tau, prev_tau, t, cfg) == rule, (t, prev_tau, tau)
+                verdicts.append(rule)
+    assert any(verdicts) and not all(verdicts)
+    pulsed = replace(cfg, field=nf.ExternalField("pulsed", 0.1, 1.0))
+    assert not attractor._continues(-8.0, -4.0, 0.0, pulsed)
+    # the one exception: at t 1e4 the rungs -4.03 and 1e-13 below it have
+    # the same span, so the list rule continues over no steps where a tail
+    # ended the previous rung; restarting gives the same bytes
+    tau, prev_tau, t = -4.03 - 1e-13, -4.03, 1e4
+    assert list_schedule(tau, prev_tau, step) == []
+    assert list_schedule(tau, t, step) == list_schedule(prev_tau, t, step)
+    assert not attractor._continues(tau, prev_tau, t, cfg)
+
+
 def test_zero_field_ladder_steps_only_the_deepest_span(monkeypatch):
     step = dynamics._step_raw
     steps = []
@@ -393,7 +422,8 @@ def test_each_restart_takes_a_trapezoid_first_step(field, monkeypatch):
         how = "continued" if carry else "restarted"
         states = []
         out = integrate(u, tau, t, cfg, lambda now, v: states.append(v), carry)
-        delta = dynamics._delta_schedule(tau, t, cfg.dt)[0]
+        steps, tail = dynamics._step_schedule(tau, t, cfg.dt)
+        delta = tail if steps == 1 and tail else cfg.dt
         trapezoid, _ = dynamics._step_raw(cfg, tau, u, delta)
         first_steps[how].append(np.array_equal(states[1], trapezoid))
         return out

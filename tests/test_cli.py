@@ -302,8 +302,8 @@ def test_non_finite_numbers_rejected_with_key_path(doc, key_path, tmp_path, caps
     ("dt: 1.0e-300\n", "simulate.t"),  # simulate's default span 10 first
 ], ids=["simulate", "attractor", "sweep", "dt"])
 def test_span_too_long_to_schedule_exits_2(doc, key_path, tmp_path, capsys):
-    # the step schedule is a list of dt steps; past 1e8 of them the run
-    # is rejected at parse time, before [dt] * n overflows
+    # past 1e8 steps of dt the step schedule refuses a span; parse_config
+    # asks it for each stated span, so the run stops before it starts
     path = write_config(tmp_path, "beta: 2.0\nn_points: 1024\n" + doc)
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
@@ -318,6 +318,28 @@ def test_span_of_exactly_max_steps_is_accepted():
         "simulate"]["t"] == 5.0e6
     with pytest.raises(ConfigError, match="steps of dt"):
         parse_config("beta: 2.0\nsimulate: {t: 5.000001e+6}\n")
+
+
+@pytest.mark.parametrize("check,span", [
+    ("absorbing", 4.60517), ("w_bound", 8), ("gronwall_continuity", 1),
+])
+def test_verify_span_too_long_to_schedule_exits_2(check, span, tmp_path, capsys,
+                                                   monkeypatch):
+    # every stated span is short enough; the check's own span is not
+    def refuse(*args):
+        raise AssertionError("a step was taken")
+
+    # with the limit dropped the first step fails at once, instead of looping
+    monkeypatch.setattr(dynamics, "_step_raw", refuse)
+    doc = ("beta: 2.0\nn_points: 1024\ndt: 1.0e-300\nsimulate: {tau: 0, t: 0}\n"
+           "attractor: {tau_ladder: [-1.0e-295]}\nsweep: {tau_ladder: [-1.0e-295]}\n"
+           f"verify: {{checks: [{check}]}}\n")
+    path = write_config(tmp_path, doc)
+    assert main(["verify", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: a span of {span:g} needs {span / 1e-300:.3g} steps "
+                        "of dt 1e-300, more than 1e+08\n")
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,9 @@ import pytest
 
 import nlfield as nf
 import nlfield.dynamics
+from conftest import list_schedule
 from nlfield.cli import parse_config
+from nlfield.dynamics import MAX_STEPS, _integrate
 from nlfield.weighted_space import quad_weights
 
 
@@ -350,6 +353,91 @@ def test_evolve_time_from_step_index(cauchy):
         nf.evolve(u, tau, t, cfg, observer=lambda s, vals: times.append(s))
         assert all(s == tau + i * cfg.dt for i, s in enumerate(times[:-1]))
         assert times[-1] == t
+
+
+def schedule_cfg(cauchy):
+    # a pulsed field, so that every step reads the time it starts from
+    grid = nf.Grid1D(10.0, 256)
+    return nf.ProcessConfig(beta=2.0, p=2.0, grid=grid, weight=cauchy,
+                            kernel=nf.make_bump_kernel(grid),
+                            nonlinearity=nf.Nonlinearity.tanh(),
+                            field=nf.ExternalField("pulsed", 0.2, 1.0), dt=0.05)
+
+
+SCHEDULE_SPANS = [
+    pytest.param(0.0, 4.0, id="whole-4"),
+    pytest.param(-32.0, 0.0, id="whole-32"),
+    pytest.param(-1.3, 0.2, id="whole-inexact"),
+    pytest.param(0.0, 4.03, id="4.03"),
+    pytest.param(-8.07, 0.0, id="8.07"),
+    pytest.param(0.0, 4.0 + 2e-9, id="tail-above-1e-9"),
+    pytest.param(0.0, 4.0 + 5e-10, id="tail-below-1e-9"),
+    pytest.param(0.0, 4.0 - 1e-12, id="just-short-of-whole"),
+    pytest.param(0.3, 0.3, id="zero"),
+    pytest.param(0.3, 0.3 + 1e-13, id="below-1e-12"),
+]
+
+
+@pytest.mark.parametrize("carry", [None, []], ids=["trapezoid", "carried"])
+@pytest.mark.parametrize("tau,t", SCHEDULE_SPANS)
+def test_schedule_takes_the_steps_of_the_list_rule(tau, t, carry, cauchy, monkeypatch):
+    cfg = schedule_cfg(cauchy)
+    step = nlfield.dynamics._step_raw
+    taken = []
+
+    def spying(cfg, now, u, delta, g0=None, slope=None):
+        taken.append((now, delta))
+        return step(cfg, now, u, delta, g0, slope)
+
+    monkeypatch.setattr(nlfield.dynamics, "_step_raw", spying)
+    times = []
+    _integrate(np.full(cfg.grid.n_points, 0.5), tau, t, cfg,
+               lambda s, vals: times.append(s), carry)
+    deltas = list_schedule(tau, t, cfg.dt)
+    # the list rule's observer times: tau + i dt, and t after the last step
+    expected = ([tau] + [tau + i * cfg.dt for i in range(1, len(deltas))]
+                + ([t] if deltas else []))
+    assert [delta for _, delta in taken] == deltas
+    assert [now for now, _ in taken] == expected[:-1]
+    assert times == expected
+
+
+def test_evolve_refuses_more_than_max_steps(tanh_cfg, corpus_factory, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a step was taken")
+
+    # with the limit dropped the first step fails at once, instead of looping
+    monkeypatch.setattr(nlfield.dynamics, "_step_raw", refuse)
+    u = corpus_factory(tanh_cfg.grid, tanh_cfg.weight, 1, seed=26)[0]
+    seen = []
+    with pytest.raises(nf.TimeOrderError, match="needs 1e\\+09 steps of dt 0.05"):
+        nf.evolve(u, 0.0, 1e9 * tanh_cfg.dt, tanh_cfg, lambda s, vals: seen.append(s))
+    assert seen == []
+    # a span of exactly MAX_STEPS steps passes the schedule
+    with pytest.raises(AssertionError, match="a step was taken"):
+        nf.evolve(u, 0.0, MAX_STEPS * tanh_cfg.dt, tanh_cfg)
+
+
+def test_a_long_span_takes_no_memory_per_step(cauchy):
+    cfg = schedule_cfg(cauchy)
+    u = np.full(cfg.grid.n_points, 0.5)
+
+    class Stop(Exception):
+        pass
+
+    def stop_after_one_step(s, vals):
+        if s > 0.0:
+            raise Stop
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(Stop):
+            _integrate(u, 0.0, 1e7 * cfg.dt, cfg, stop_after_one_step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a list of the 1e7 step sizes alone takes 80 MB
+    assert peak < 2**20
 
 
 def test_evolve_contracts_to_zero_for_small_gain(contraction_cfg, corpus_factory):
