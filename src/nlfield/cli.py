@@ -38,7 +38,7 @@ from . import __version__
 from .attractor import approximate_pullback_attractor, \
     upper_semicontinuity_sweep, _ladder_taus
 from .bifurcation import _fold_peak, compute_h_star, count_roots
-from .bounds import battery
+from .bounds import battery, _C1_MEMBERS
 from .dynamics import ExternalField, Nonlinearity, ProcessConfig, \
     _integrate, _step_schedule
 from .errors import ConfigError, GridTooCoarseError, NlfieldError, \
@@ -217,6 +217,9 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     _check_finite(data)
 
     _apply_defaults(data, _schema(), "")
+    if "samples" in data["verify"]:
+        log.warning("verify.samples is not read: every check is deterministic"
+                    " and c1_attractor evolves a fixed %d members", _C1_MEMBERS)
 
     weight = WeightFunction(data["weight"])
     grid = Grid1D(data["half_length"], data["n_points"])
@@ -413,8 +416,7 @@ def _cmd_hstar(exp: ExperimentConfig) -> int:
 
 def _cmd_verify(exp: ExperimentConfig) -> int:
     blk = exp.blocks["verify"]
-    reports = battery(exp.process, names=blk.get("checks"),
-                      samples=blk["samples"], seed=exp.seed)
+    reports = battery(exp.process, names=blk.get("checks"), seed=exp.seed)
     ratios = [r.measured / r.theoretical if r.theoretical else math.nan
               for r in reports]
     _write_csv(os.path.join(exp.out_dir, "verify.csv"),

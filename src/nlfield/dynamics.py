@@ -245,15 +245,9 @@ class TrajectoryState:
 # right-hand side and stepping
 # ---------------------------------------------------------------------------
 
-def _nonlinear_term(cfg: ProcessConfig, t: float, u_vals: np.ndarray,
-                    conv: np.ndarray | None = None) -> np.ndarray:
-    """G(t) = g(beta (J*u) + beta h(t, u)) on raw samples.
-
-    conv, when given, is J*u already computed by the caller.
-    """
-    if conv is None:
-        conv = _fft_convolve(cfg.kernel, u_vals)
-    arg = cfg.beta * conv
+def _nonlinear_term(cfg: ProcessConfig, t: float, u_vals: np.ndarray) -> np.ndarray:
+    """G(t) = g(beta (J*u) + beta h(t, u)) on raw samples."""
+    arg = cfg.beta * _fft_convolve(cfg.kernel, u_vals)
     # the field returns a fresh array (or 0.0, which turns a -0.0 argument
     # into +0.0), so beta h is formed in place
     h = cfg.field(t, u_vals)

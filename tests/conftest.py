@@ -145,4 +145,4 @@ def sweep_curve(pulsed_cfg):
 
 @pytest.fixture(scope="session")
 def battery_reports(tanh_cfg):
-    return nf.battery(tanh_cfg, samples=500, seed=0)
+    return nf.battery(tanh_cfg, seed=0)

@@ -65,7 +65,7 @@ def test_criterion_02_convolution_norm_bound(tanh_cfg):
     for p in (2.0, 3.0):
         cfg = dataclasses.replace(tanh_cfg, p=p)
         for name in ("lemma1a", "lemma1a_deriv"):
-            reports[(name, p)] = nf.verify(name, cfg, samples=500, seed=0)
+            reports[(name, p)] = nf.verify(name, cfg, seed=0)
 
     # the plain kernel holds at both exponents, the derivative kernel at
     # p = 2; these are theorems (unit kernel mass, Jensen) and must pass
@@ -101,7 +101,7 @@ def test_criterion_03_pointwise_interior_bound(tanh_cfg):
     # the corrected claim is that it exceeds the stated ||J||_inf 2 pi and
     # lies under the Hoelder bound on the kernel window, which the check
     # uses
-    r = nf.verify("lemma1b", tanh_cfg, samples=500, seed=0)
+    r = nf.verify("lemma1b", tanh_cfg, seed=0)
     assert r.passed
     assert tanh_cfg.kernel.norm_sup * 2.0 * math.pi < r.measured <= r.theoretical
     assert r.measured == pytest.approx(71.3405, abs=1e-4)
@@ -111,7 +111,7 @@ def test_criterion_03_pointwise_interior_bound(tanh_cfg):
 def test_criterion_03_stated_pointwise_constant(tanh_cfg):
     # the stated constant ||J||_inf / rho_1 = ||J||_inf 2 pi, claimed on the
     # whole interior; rho_1 = min_{|y|<=1} rho holds only near the origin
-    r = nf.verify("lemma1b", tanh_cfg, samples=500, seed=0)
+    r = nf.verify("lemma1b", tanh_cfg, seed=0)
     stated = tanh_cfg.kernel.norm_sup * 2.0 * math.pi
     assert stated == pytest.approx(5.2061, abs=1e-4)
     if r.measured > stated + 1e-9:
@@ -128,7 +128,7 @@ def test_criterion_03_stated_pointwise_constant(tanh_cfg):
 
 def test_criterion_04_rhs_lipschitz(pulsed_cfg):
     # ratio over 200 pairs stays below 1 + l_g beta 3^(1/p) + beta l_h
-    r = nf.verify("prop_lipschitz", pulsed_cfg, samples=200, seed=0)
+    r = nf.verify("prop_lipschitz", pulsed_cfg, seed=0)
     stated = 1.0 + 2.0 * math.sqrt(3.0) + 2.0 * 0.2 * nf.K1_TANH
     assert r.theoretical == pytest.approx(stated, rel=1e-12)
     assert r.passed
@@ -290,7 +290,7 @@ def test_criterion_10_member_slope_bound(tanh_cfg, bistable_attractor):
 def test_criterion_11_process_continuity(pulsed_cfg):
     # twin runs whose fields differ by 0.02 in sup over horizon 1.0
     h_gap, horizon = 0.02, 1.0
-    r = nf.verify("gronwall_continuity", pulsed_cfg, samples=1, seed=0)
+    r = nf.verify("gronwall_continuity", pulsed_cfg, seed=0)
     assert r.theoretical == pytest.approx(
         nf.continuity_envelope(pulsed_cfg, h_gap, horizon), rel=1e-12)
     assert r.passed
@@ -319,7 +319,7 @@ def test_criterion_12_upper_semicontinuity(sweep_curve, pulsed_cfg):
 
 def test_criterion_13_battery_determinism(tmp_path):
     config = tmp_path / "exp.yaml"
-    config.write_text("beta: 2.0\nn_points: 1024\nverify:\n  samples: 200\n")
+    config.write_text("beta: 2.0\nn_points: 1024\n")
     bodies = []
     for name in ("a", "b"):
         out = tmp_path / name

@@ -141,11 +141,28 @@ def test_battery_specific_anchors(battery_reports, grid, cauchy, kernel):
 
 
 def test_verify_deterministic(tanh_cfg):
-    a = nf.verify("lemma1a", tanh_cfg, samples=50, seed=7)
-    b = nf.verify("lemma1a", tanh_cfg, samples=50, seed=7)
+    a = nf.verify("lemma1a", tanh_cfg, seed=7)
+    b = nf.verify("lemma1a", tanh_cfg, seed=7)
     assert a == b
-    c = nf.verify("lemma1a", tanh_cfg, samples=50, seed=8)
+    c = nf.verify("lemma1a", tanh_cfg, seed=8)
     assert c.measured != a.measured
+
+
+def test_verify_and_battery_take_seed_by_keyword_only(tanh_cfg):
+    # a positional third argument was the corpus size; it must not become
+    # a seed unnoticed
+    with pytest.raises(TypeError):
+        nf.verify("lemma1a", tanh_cfg, 500)
+    with pytest.raises(TypeError):
+        nf.battery(tanh_cfg, ["lemma1a"], 500)
+    assert "samples" not in {f.name for f in dataclasses.fields(nf.BoundReport)}
+
+
+def test_c1_attractor_members_are_the_attractor_default():
+    ref = resources.files("nlfield").joinpath("schema/config_schema.json")
+    schema = json.loads(ref.read_text(encoding="utf-8"))
+    default = schema["properties"]["attractor"]["properties"]["n_samples"]["default"]
+    assert nlfield.bounds._C1_MEMBERS == default
 
 
 def test_verify_unknown_name(tanh_cfg):
@@ -154,10 +171,10 @@ def test_verify_unknown_name(tanh_cfg):
 
 
 def test_battery_subset_selection(tanh_cfg):
-    reports = nf.battery(tanh_cfg, names=["lemma1b", "prop_lipschitz"], samples=40, seed=2)
+    reports = nf.battery(tanh_cfg, names=["lemma1b", "prop_lipschitz"], seed=2)
     assert [r.name for r in reports] == ["lemma1b", "prop_lipschitz"]
     assert all(r.passed for r in reports)
-    assert all(r.samples == 40 and r.seed == 2 for r in reports)
+    assert all(r.seed == 2 for r in reports)
 
 
 def test_check_table_matches_schema_enum():
@@ -182,7 +199,7 @@ def test_w_bound_matches_split_stepping_loop(cauchy):
         state = nf.step_exponential(state, cfg)
         v = math.exp(-cfg.dt) * v
         worst = max(worst, float(np.max(np.abs(state.u.values - v))))
-    report = nf.verify("w_bound", cfg, samples=1, seed=seed)
+    report = nf.verify("w_bound", cfg, seed=seed)
     assert worst > 0.1
     assert report.measured == pytest.approx(worst, rel=0, abs=1e-12)
 
@@ -191,7 +208,7 @@ def test_prop_lipschitz_trips_on_non_finite_field(tanh_cfg, monkeypatch):
     # planted defect: a field that returns NaN must not vanish into max()
     monkeypatch.setattr(nf.ExternalField, "__call__", lambda self, t, s: math.nan)
     with pytest.raises(nf.BlowUpError):
-        nf.verify("prop_lipschitz", tanh_cfg, samples=4, seed=0)
+        nf.verify("prop_lipschitz", tanh_cfg, seed=0)
 
 
 def test_gronwall_twin_field_gap_is_at_most_h_gap(tanh_cfg, monkeypatch):
@@ -206,7 +223,7 @@ def test_gronwall_twin_field_gap_is_at_most_h_gap(tanh_cfg, monkeypatch):
         return nlfield.dynamics.evolve(u0, tau, t, cfg, **kwargs)
 
     monkeypatch.setattr(nlfield.bounds, "evolve", recording)
-    nf.verify("gronwall_continuity", base, samples=1, seed=0)
+    nf.verify("gronwall_continuity", base, seed=0)
     assert fields[0] == base.field
     # tanh(20)^2 rounds to 1, so h(t, 20) is the sup over s at time t
     gap = max(abs(fields[1](t, 20.0) - fields[0](t, 20.0))
@@ -423,7 +440,7 @@ def test_field_corpus_matches_libm_sum_and_draw_order(cauchy, n):
 @pytest.mark.parametrize("name", OPERATOR_CHECKS)
 def test_verify_is_a_battery_of_one(name, tanh_cfg, battery_reports):
     by_name = {r.name: r for r in battery_reports}
-    assert nf.verify(name, tanh_cfg, 500, 0) == by_name[name]
+    assert nf.verify(name, tanh_cfg, seed=0) == by_name[name]
 
 
 @pytest.fixture
@@ -442,16 +459,15 @@ def corpus_draws(monkeypatch):
 def test_corpus_checks_draw_once_per_battery(tanh_cfg, corpus_draws):
     # the operator checks draw no field; each trajectory check draws its
     # one start row
-    nf.battery(tanh_cfg, OPERATOR_CHECKS, samples=12, seed=0)
+    nf.battery(tanh_cfg, OPERATOR_CHECKS, seed=0)
     assert corpus_draws == []
-    nf.battery(tanh_cfg, ["absorbing", "w_bound", "gronwall_continuity"],
-               samples=12, seed=0)
+    nf.battery(tanh_cfg, ["absorbing", "w_bound", "gronwall_continuity"], seed=0)
     assert corpus_draws == [1, 1, 1]
 
 
 def test_battery_rejects_unknown_name_before_any_draw(tanh_cfg, corpus_draws):
     with pytest.raises(ValueError, match="nope"):
-        nf.battery(tanh_cfg, ["absorbing", "nope"], samples=12, seed=0)
+        nf.battery(tanh_cfg, ["absorbing", "nope"], seed=0)
     assert corpus_draws == []
 
 
@@ -466,20 +482,20 @@ def test_battery_rejects_gaussian_weight_before_any_draw(names, tanh_cfg,
     # so a check whose constant uses K or rho_1 has no bound to measure
     cfg = dataclasses.replace(tanh_cfg, weight=gaussian)
     with pytest.raises(nf.ConfigError, match="no finite K") as err:
-        nf.battery(cfg, names, samples=12, seed=0)
+        nf.battery(cfg, names, seed=0)
     assert err.value.key_path == "weight"
     assert corpus_draws == []
 
 
 def test_battery_of_no_checks_is_empty(tanh_cfg, corpus_draws):
     # only names=None selects every check
-    assert nf.battery(tanh_cfg, [], samples=12, seed=0) == []
+    assert nf.battery(tanh_cfg, [], seed=0) == []
     assert corpus_draws == []
 
 
 def test_battery_reports_in_the_order_given(tanh_cfg):
     names = ["prop_lipschitz", "absorbing", "lemma1b", "lemma1a"]
-    reports = nf.battery(tanh_cfg, names, samples=12, seed=0)
+    reports = nf.battery(tanh_cfg, names, seed=0)
     assert [r.name for r in reports] == names
 
 

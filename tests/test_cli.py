@@ -9,6 +9,9 @@ import dataclasses
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 import textwrap
 import tracemalloc
 from pathlib import Path
@@ -67,7 +70,6 @@ def test_minimal_config_gets_schema_defaults(caplog):
     # an absent checks list stays absent: battery reads None as every check
     # in CHECK_NAMES order (test_verify_without_checks_asks_for_every_check)
     assert "checks" not in exp.blocks["verify"]
-    assert exp.blocks["verify"]["samples"] == 500
     assert exp.blocks["sweep"]["epsilons"] == [0.4, 0.2, 0.1, 0.05, 0.0]
     assert "h_ladder" not in exp.blocks["hstar"]
     # every filled-in default is echoed with its key path
@@ -502,7 +504,7 @@ def test_verify_on_pulsed_config_computes_threshold_once(tmp_path,
     out = tmp_path / "run"
     doc = (SMALL.format(beta=2.0, out=out)
            + "field:\n  family: pulsed\n  amplitude: 0.2\n"
-             "verify:\n  checks: [c1_attractor]\n  samples: 4\n")
+             "verify:\n  checks: [c1_attractor]\n")
     assert main(["verify", "--config", write_config(tmp_path, doc)]) == 0
     assert calls == [2.0]
     # the bound takes the confirmed h* itself, not a neighbouring double
@@ -523,7 +525,7 @@ def test_misplaced_fold_exits_2(tmp_path, capsys, monkeypatch, command):
                         lambda beta, g: 1.01 * true_peak(beta, g))
     doc = (SMALL.format(beta=2.0, out=tmp_path / "run")
            + "field:\n  family: pulsed\n  amplitude: 0.2\n"
-             "verify:\n  checks: [c1_attractor]\n  samples: 4\n")
+             "verify:\n  checks: [c1_attractor]\n")
     assert main([command, "--config", write_config(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "not confirmed" in err
@@ -822,7 +824,7 @@ def test_simulate_stepper_converges_at_second_order_below_the_trapezoid():
 def test_verify_exits_2_on_a_broken_axiom(plant, key_path, axiom, tmp_path,
                                           monkeypatch, capsys):
     out = tmp_path / "run"
-    doc = SMALL.format(beta=2.0, out=out) + PULSED + "verify:\n  samples: 4\n"
+    doc = SMALL.format(beta=2.0, out=out) + PULSED
     path = write_config(tmp_path, doc)
     assert main(["verify", "--config", path]) == 0
     plant(monkeypatch)
@@ -874,7 +876,7 @@ def test_attractor_shallow_ladder_reports_failure(tmp_path, caplog):
 def test_verify_subset_passes(tmp_path, caplog):
     out = tmp_path / "run"
     doc = (SMALL.format(beta=2.0, out=out)
-           + "verify:\n  checks: [lemma1a, prop_lipschitz]\n  samples: 60\n")
+           + "verify:\n  checks: [lemma1a, prop_lipschitz]\n")
     path = write_config(tmp_path, doc)
     with caplog.at_level(logging.INFO):
         assert main(["verify", "--config", path]) == 0
@@ -898,7 +900,7 @@ def test_verify_ratio_column_flags_vacuous_checks(tmp_path, caplog,
     # measured/theoretical lands last; below VACUOUS_RATIO one warning
     # names the check, a stated 0 reads NaN, and no verdict changes
     reports = [BoundReport(name, theoretical, measured, theoretical - measured,
-                           True, 0.0, "d", 60, 0)
+                           True, 0.0, "d", 0)
                for name, theoretical, measured in (("lemma1a", 2.0, 1.5),
                                                    ("gronwall_continuity", 0.02, 1e-7),
                                                    ("absorbing", 0.0, 0.0))]
@@ -919,7 +921,7 @@ def test_verify_ratio_column_flags_vacuous_checks(tmp_path, caplog,
 def test_verify_flags_gronwall_continuity_as_vacuous(tmp_path, caplog):
     out = tmp_path / "run"
     doc = (SMALL.format(beta=2.0, out=out)
-           + "verify:\n  checks: [lemma1a, gronwall_continuity]\n  samples: 60\n")
+           + "verify:\n  checks: [lemma1a, gronwall_continuity]\n")
     with caplog.at_level(logging.WARNING, logger="nlfield.cli"):
         assert main(["verify", "--config", write_config(tmp_path, doc)]) == 0
     _, rows = read_rows(out / "verify.csv")
@@ -933,16 +935,16 @@ def test_verify_flags_gronwall_continuity_as_vacuous(tmp_path, caplog):
 def test_verify_without_checks_asks_for_every_check(tmp_path, monkeypatch):
     asked = []
 
-    def recording(cfg, names=None, samples=500, seed=0):
-        asked.append((names, samples, seed))
+    def recording(cfg, names=None, *, seed=0):
+        asked.append((names, seed))
         return []
 
     monkeypatch.setattr(cli, "battery", recording)
     out = tmp_path / "run"
-    doc = SMALL.format(beta=2.0, out=out) + "verify:\n  samples: 60\n"
+    doc = SMALL.format(beta=2.0, out=out)
     assert main(["verify", "--config", write_config(tmp_path, doc)]) == 0
-    [(names, samples, seed)] = asked
-    assert (samples, seed) == (60, 0)
+    [(names, seed)] = asked
+    assert seed == 0
     assert names is None or list(names) == list(CHECK_NAMES)
 
 
@@ -952,7 +954,7 @@ def test_verify_failed_check_writes_false(tmp_path, monkeypatch):
     monkeypatch.setattr(nlfield.bounds, "CAUCHY_K", 1.0)
     out = tmp_path / "run"
     doc = (SMALL.format(beta=2.0, out=out)
-           + "verify:\n  checks: [lemma1a]\n  samples: 200\n")
+           + "verify:\n  checks: [lemma1a]\n")
     path = write_config(tmp_path, doc)
     assert main(["verify", "--config", path]) == 1
     _, rows = read_rows(out / "verify.csv")
@@ -967,7 +969,7 @@ def test_c1_attractor_fails_when_its_ladder_does_not_converge(tmp_path, monkeypa
     monkeypatch.setattr(nlfield.attractor, "DEDUP_TOL", 0.0)
     out = tmp_path / "run"
     doc = (f"beta: 2.0\noutput: {out}\n"
-           "verify:\n  checks: [c1_attractor]\n  samples: 8\n")
+           "verify:\n  checks: [c1_attractor]\n")
     assert main(["verify", "--config", write_config(tmp_path, doc)]) == 1
     _, [row] = read_rows(out / "verify.csv")
     assert row[0] == "c1_attractor" and row[4] == "false"
@@ -985,16 +987,72 @@ def test_verify_exits_2_on_a_non_finite_measurement(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_verify_samples_key_is_not_read(tmp_path, caplog):
+    # verify.samples still parses, for older configs, but changes no byte of
+    # verify.csv: c1_attractor evolves its fixed members at samples 4 too
+    doc = "beta: 2.0\nn_points: 1024\nverify:\n  checks: [lemma1b, c1_attractor]\n"
+    bodies = []
+    for name, extra in (("plain", ""), ("samples", "  samples: 4\n")):
+        caplog.clear()
+        path = write_config(tmp_path, doc + extra, f"{name}.yaml")
+        with caplog.at_level(logging.WARNING, logger="nlfield.cli"):
+            assert main(["verify", "--config", path,
+                         "--out", str(tmp_path / name)]) == 0
+        bodies.append((tmp_path / name / "verify.csv").read_bytes())
+        warnings = [r.getMessage() for r in caplog.records
+                    if "verify.samples" in r.getMessage()]
+        assert len(warnings) == (1 if extra else 0)
+    assert bodies[0] == bodies[1]
+    assert "is not read" in warnings[0]
+
+
+@pytest.mark.parametrize("extra, check", [
+    ("p: 1.01\nhalf_length: 20.0\n", "lemma1b"),
+    ("beta: 100.0\nhalf_length: 20.0\n", "gronwall_continuity"),
+    ("beta: 100.0\nhalf_length: 20.0\n", "lemma1a, gronwall_continuity"),
+], ids=["lemma1b p 1.01", "gronwall beta 100", "lemma1a+gronwall beta 100"])
+def test_verify_exits_2_on_a_non_finite_bound(extra, check, tmp_path, capsys):
+    # w^(1 - q) overflows at p 1.01, and the envelope's exponential at
+    # beta 100: an infinite bound admits any measurement, so it is an
+    # error, not a pass
+    out = tmp_path / "run"
+    doc = (f"beta: 2.0\nn_points: 1024\noutput: {out}\n{extra}"
+           f"verify:\n  checks: [{check}]\n")
+    assert main(["verify", "--config", write_config(tmp_path, doc)]) == 2
+    name = check.split(", ")[-1]
+    assert f"error: {name}: the bound is inf, not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, check", [
+    ("p: 60\nhalf_length: 5.0\nn_points: 128\n", "prop_lipschitz"),
+    ("p: 1.01\n", "lemma1a, lemma1a_deriv, lemma1b, prop_lipschitz"),
+], ids=["p 60", "p 1.01"])
+def test_verify_stderr_carries_no_numpy_warning(extra, check, tmp_path):
+    # the finite guard reports a non-finite value by its check; numpy's
+    # RuntimeWarnings with their source lines would only precede it
+    doc = f"beta: 2.0\n{extra}verify:\n  checks: [{check}]\n"
+    path = write_config(tmp_path, doc)
+    src = Path(nlfield.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "nlfield.cli", "verify",
+         "--config", path, "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 2
+    assert "the measurement is nan, not finite" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
 def test_verify_on_gaussian_weight_must_list_its_checks(tmp_path, capsys):
     # the default checks include those built on the Cauchy weight's K and
     # rho_1, which the gaussian weight lacks
     out = tmp_path / "run"
-    doc = SMALL.format(beta=2.0, out=out) + "weight: gaussian\nverify:\n  samples: 4\n"
+    doc = SMALL.format(beta=2.0, out=out) + "weight: gaussian\n"
     assert main(["verify", "--config", write_config(tmp_path, doc)]) == 2
     assert "error: weight: the gaussian weight has no finite K" \
         in capsys.readouterr().err
     assert not (out / "verify.csv").exists()
-    doc += "  checks: [absorbing, w_bound, c1_attractor]\n"
+    doc += "verify:\n  checks: [absorbing, w_bound, c1_attractor]\n"
     assert main(["verify", "--config", write_config(tmp_path, doc)]) == 0
     _, rows = read_rows(out / "verify.csv")
     assert [(r[0], r[4]) for r in rows] == [
@@ -1003,7 +1061,7 @@ def test_verify_on_gaussian_weight_must_list_its_checks(tmp_path, capsys):
 
 def test_rejected_run_removes_only_the_empty_directory_it_made(tmp_path):
     out = tmp_path / "made" / "run"
-    doc = SMALL.format(beta=2.0, out=out) + "weight: gaussian\nverify:\n  samples: 4\n"
+    doc = SMALL.format(beta=2.0, out=out) + "weight: gaussian\n"
     path = write_config(tmp_path, doc)
     assert main(["verify", "--config", path]) == 2
     assert not out.exists() and out.parent.is_dir()
@@ -1030,7 +1088,7 @@ def test_c1_attractor_on_zero_model_has_zero_bound(tmp_path):
 def test_verify_seed_override_lands_in_csv(tmp_path):
     out = tmp_path / "run"
     doc = (SMALL.format(beta=2.0, out=out)
-           + "verify:\n  checks: [lemma1a]\n  samples: 20\n")
+           + "verify:\n  checks: [lemma1a]\n")
     path = write_config(tmp_path, doc)
     assert main(["verify", "--config", path, "--seed", "7"]) == 0
     _, rows = read_rows(out / "verify.csv")
@@ -1080,7 +1138,7 @@ def test_sweep_shallow_ladder_reports_failure(tmp_path, caplog):
 
 
 def test_package_error_inside_a_command_exits_2(tmp_path, monkeypatch, capsys):
-    def blow_up(cfg, names=None, samples=500, seed=0):
+    def blow_up(cfg, names=None, *, seed=0):
         raise BlowUpError("state left the finite range at t = 0.5")
 
     monkeypatch.setattr(cli, "battery", blow_up)
@@ -1092,7 +1150,7 @@ def test_package_error_inside_a_command_exits_2(tmp_path, monkeypatch, capsys):
 
 def test_verify_reruns_are_byte_identical(tmp_path):
     doc = ("beta: 2.0\nn_points: 1024\n"
-           "verify:\n  checks: [lemma1a, lemma1b]\n  samples: 40\n")
+           "verify:\n  checks: [lemma1a, lemma1b]\n")
     path = write_config(tmp_path, doc)
     outs = []
     for name in ("a", "b"):
