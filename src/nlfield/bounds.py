@@ -24,7 +24,12 @@ lemma1b's sup is attained exactly.  A stated constant shown false
 gives way to the provable bound, so a failed verdict still means a bug:
 lemma1b's ||J||_inf / rho_1 (5.206, where a field attains 71.34 on the
 bistable config) and lemma1a_deriv's K^(1/p) at p != 2.  The trajectory
-checks each evolve one seeded row of _field_corpus, and c1_attractor
+checks (absorbing, w_bound, gronwall_continuity) each step one seeded
+row of _field_corpus over unbroken spans, carrying G and its slope as
+simulate does, so a span of N steps evaluates G N + 1 times; their
+bounds hold exactly on that scheme, since its corrector
+exp(-delta) u + w1 G + w2 G~ is a convex combination with |G| <= a, and
+w_bound keeps its quadrature tolerance.  c1_attractor evolves
 _C1_MEMBERS members.
 
 The constants built on the weight are the Cauchy weight's: K = 3 bounds
@@ -49,11 +54,10 @@ import numpy as np
 
 from .attractor import absorbing_entry_time, approximate_pullback_attractor
 from .bifurcation import compute_h_star
-from .dynamics import ExternalField, ProcessConfig, evolve, _nonlinear_term
+from .dynamics import ExternalField, ProcessConfig, _integrate, _nonlinear_term
 from .errors import BlowUpError, ConfigError
 from .kernel import _fft_convolve
-from .weighted_space import WEIGHT_CAUCHY, WeightedField, _lp_norm, \
-    finite_difference, quad_weights
+from .weighted_space import WEIGHT_CAUCHY, _lp_norm, finite_difference, quad_weights
 
 log = logging.getLogger(__name__)
 
@@ -291,12 +295,11 @@ def _check_prop_lipschitz(cfg, seed, norms):
     return lipschitz_constant_f(cfg), np.max(ratios), TOL_QUADRATURE
 
 
-def _start(cfg, seed, target: float) -> WeightedField:
+def _start(cfg, seed, target: float) -> np.ndarray:
     """The one start row of a trajectory check: row 0 of _field_corpus
     on default_rng(seed), scaled to norm target in L^p_w."""
     u = _field_corpus(cfg, 1, np.random.default_rng(seed))[0]
-    norm = _lp_norm(u, quad_weights(cfg.weight, cfg.grid), cfg.p)
-    return WeightedField(cfg.grid, cfg.weight, u * (target / norm))
+    return u * (target / _lp_norm(u, quad_weights(cfg.weight, cfg.grid), cfg.p))
 
 
 def _check_absorbing(cfg, seed, norms):
@@ -312,7 +315,7 @@ def _check_absorbing(cfg, seed, norms):
         decay = math.exp(-(s - tau)) * radius
         excess.append(_lp_norm(vals, w, cfg.p) - decay)
 
-    evolve(u0, tau, t_obs, cfg, observer=watch)
+    _integrate(u0, tau, t_obs, cfg, observer=watch, carry=[])
     return a, max(excess), TOL_TRAJECTORY
 
 
@@ -320,8 +323,8 @@ def _check_w_bound(cfg, seed, norms):
     a = cfg.nonlinearity.sup_abs
     u0 = _start(cfg, seed, a + 0.1)
     sups = []  # of w(s) = u(s) - v(s), with v(s) = exp(-s) u0 in closed form
-    evolve(u0, 0.0, 8.0, cfg, observer=lambda s, vals: sups.append(
-        float(np.max(np.abs(vals - math.exp(-s) * u0.values)))))
+    _integrate(u0, 0.0, 8.0, cfg, carry=[], observer=lambda s, vals: sups.append(
+        float(np.max(np.abs(vals - math.exp(-s) * u0)))))
     return a, max(sups), TOL_QUADRATURE
 
 
@@ -346,9 +349,9 @@ def _check_gronwall(cfg, seed, norms):
                                                 omega=cfg.field.omega))
     envelope = continuity_envelope(cfg, h_gap, horizon)
     u0 = _start(cfg, seed, cfg.nonlinearity.sup_abs)
-    ua = evolve(u0, 0.0, horizon, cfg)
-    ub = evolve(u0, 0.0, horizon, twin)
-    measured = _lp_norm(ua.values - ub.values, quad_weights(cfg.weight, cfg.grid), cfg.p)
+    ua = _integrate(u0, 0.0, horizon, cfg, carry=[])
+    ub = _integrate(u0, 0.0, horizon, twin, carry=[])
+    measured = _lp_norm(ua - ub, quad_weights(cfg.weight, cfg.grid), cfg.p)
     return envelope, measured, TOL_TRAJECTORY
 
 

@@ -38,11 +38,14 @@ whose last coefficient is w2 delta (Hochbruck & Ostermann, Acta
 Numerica 19, 2010); the corrector is the trapezoid's.  The first step
 of a run that starts afresh evaluates G at u and is a trapezoid step.
 The scheme stays second order, with an error constant about 0.63 times
-the trapezoid's.  simulate steps this way too, as one restart.  evolve
-and the verify checks other than c1_attractor step the trapezoid: the
-composition S(t, s) S(s, tau) = S(t, tau) at a step boundary holds only
-for it, because a carried run restarted at s takes a trapezoid step
-where the unbroken run would not.
+the trapezoid's.  simulate steps this way too, as one restart, and so do
+the verify checks' trajectory spans.  Their bounds hold on this scheme
+as on the trapezoid: the corrector exp(-delta) u + w1 G + w2 G~ is a
+convex combination with w1 + w2 = 1 - exp(-delta), and |G| <= sup |g|
+wherever G is evaluated, whatever predictor it is evaluated at.  Only
+evolve steps the trapezoid: the composition S(t, s) S(s, tau) = S(t, tau)
+at a step boundary holds only for it, because a carried run restarted
+at s takes a trapezoid step where the unbroken run would not.
 """
 
 from __future__ import annotations
@@ -346,12 +349,12 @@ def _integrate(u: np.ndarray, tau: float, t: float, cfg: ProcessConfig,
     the (steps, tail) of _step_schedule, which bounds every span.
 
     Without carry every step is the exponential trapezoid, as evolve
-    steps.  A ladder and simulate pass carry, a list that is empty at a
-    restart or holds [G, slope] as the steps before left them: a restart
-    evaluates G at u once and takes a trapezoid first step, and every
-    later step evaluates G only at its predictor, so N steps from a
-    restart evaluate G N + 1 times.  The list is left holding G and its
-    slope at t.  u itself is never written to.
+    steps.  A ladder, simulate and the verify checks pass carry, a list
+    that is empty at a restart or holds [G, slope] as the steps before
+    left them: a restart evaluates G at u once and takes a trapezoid
+    first step, and every later step evaluates G only at its predictor,
+    so N steps from a restart evaluate G N + 1 times.  The list is left
+    holding G and its slope at t.  u itself is never written to.
     """
     steps, tail = _step_schedule(tau, t, cfg.dt)
     now = tau

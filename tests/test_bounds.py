@@ -186,7 +186,8 @@ def test_check_table_matches_schema_enum():
 
 def test_w_bound_matches_split_stepping_loop(cauchy):
     # reference: step u and the decaying part v = exp(-delta) v one step
-    # at a time, and take the sup of w = u - v after every step
+    # at a time, and take the sup of w = u - v after every step; u takes a
+    # trapezoid first step from G at u0, then carries G and its slope
     grid = nf.Grid1D(50.0, 1024)
     cfg = nf.ProcessConfig(beta=2.0, p=2.0, grid=grid, weight=cauchy,
                            kernel=nf.make_bump_kernel(grid),
@@ -194,11 +195,13 @@ def test_w_bound_matches_split_stepping_loop(cauchy):
                            field=nf.ExternalField("pulsed", 0.2, 1.0), dt=0.05)
     seed = 3
     u0 = _start(cfg, seed, 1.1)
-    state, v, worst = nf.TrajectoryState(0.0, u0), u0.values, 0.0
-    for _ in range(160):  # the check's horizon 8 in steps of 0.05
-        state = nf.step_exponential(state, cfg)
+    u, v, worst = u0, u0, 0.0
+    g0, slope = nlfield.dynamics._nonlinear_term(cfg, 0.0, u0), None
+    for i in range(160):  # the check's horizon 8 in steps of 0.05
+        u, g1 = nlfield.dynamics._step_raw(cfg, i * cfg.dt, u, cfg.dt, g0, slope)
+        g0, slope = g1, (g1 - g0) / cfg.dt
         v = math.exp(-cfg.dt) * v
-        worst = max(worst, float(np.max(np.abs(state.u.values - v))))
+        worst = max(worst, float(np.max(np.abs(u - v))))
     report = nf.verify("w_bound", cfg, seed=seed)
     assert worst > 0.1
     assert report.measured == pytest.approx(worst, rel=0, abs=1e-12)
@@ -220,15 +223,67 @@ def test_gronwall_twin_field_gap_is_at_most_h_gap(tanh_cfg, monkeypatch):
 
     def recording(u0, tau, t, cfg, **kwargs):
         fields.append(cfg.field)
-        return nlfield.dynamics.evolve(u0, tau, t, cfg, **kwargs)
+        return nlfield.dynamics._integrate(u0, tau, t, cfg, **kwargs)
 
-    monkeypatch.setattr(nlfield.bounds, "evolve", recording)
+    monkeypatch.setattr(nlfield.bounds, "_integrate", recording)
     nf.verify("gronwall_continuity", base, seed=0)
     assert fields[0] == base.field
     # tanh(20)^2 rounds to 1, so h(t, 20) is the sup over s at time t
     gap = max(abs(fields[1](t, 20.0) - fields[0](t, 20.0))
               for t in np.linspace(0.0, 1.0, 201))
     assert gap <= 0.02 + 1e-15
+
+
+TRAJECTORY_CHECKS = ["absorbing", "w_bound", "gronwall_continuity"]
+
+
+@pytest.mark.parametrize("name,spans,evaluations", [
+    ("absorbing", [(nf.absorbing_entry_time(0.0, 10.0, 0.1), 0.0)], 94),
+    ("w_bound", [(0.0, 8.0)], 161),
+    ("gronwall_continuity", [(0.0, 1.0), (0.0, 1.0)], 2 * 21),
+])
+def test_trajectory_checks_evaluate_g_once_per_step_plus_once(
+        name, spans, evaluations, tanh_cfg, monkeypatch):
+    # G at each span's start for the trapezoid first step, then G at each
+    # step's predictor alone; the trapezoid would evaluate it twice per step
+    term = nlfield.dynamics._nonlinear_term
+    times = []
+
+    def counting(*args, **kwargs):
+        times.append(args[1])
+        return term(*args, **kwargs)
+
+    monkeypatch.setattr(nlfield.dynamics, "_nonlinear_term", counting)
+    nf.verify(name, tanh_cfg, seed=0)
+    steps = [nlfield.dynamics._step_schedule(tau, t, tanh_cfg.dt)[0]
+             for tau, t in spans]
+    assert len(times) == sum(n + 1 for n in steps) == evaluations
+    assert times[0] == spans[0][0]
+
+
+def evolved(u, tau, t, cfg, observer=None, carry=None):
+    # the check's span stepped by evolve, trapezoid steps throughout
+    field = nf.WeightedField(cfg.grid, cfg.weight, u)
+    return nf.evolve(field, tau, t, cfg, observer=observer).values
+
+
+@pytest.mark.parametrize("config", ["tanh_cfg", "contraction_cfg", "pulsed_p3"])
+def test_trajectory_checks_agree_with_evolve(config, request, grid, cauchy,
+                                             kernel, monkeypatch):
+    # one G per step moves each measurement by at most 4.3e-5 (w_bound on
+    # beta 0.5), a decade inside the trajectory class
+    if config == "pulsed_p3":
+        cfg = nf.ProcessConfig(beta=3.0, p=3.0, grid=grid, weight=cauchy,
+                               kernel=kernel, nonlinearity=nf.Nonlinearity.tanh(),
+                               field=nf.ExternalField("pulsed", 0.2, 0.9), dt=0.05)
+    else:
+        cfg = request.getfixturevalue(config)
+    carried = nf.battery(cfg, TRAJECTORY_CHECKS, seed=0)
+    monkeypatch.setattr(nlfield.bounds, "_integrate", evolved)
+    stepped = nf.battery(cfg, TRAJECTORY_CHECKS, seed=0)
+    for a, b in zip(carried, stepped):
+        assert a.name == b.name and a.passed and b.passed
+        assert 0.0 < abs(a.measured - b.measured) < 1e-4, a.name
 
 
 # ---------------------------------------------------------------------------
@@ -565,3 +620,19 @@ def test_interior_mask_one_node_wider_moves_lemma1b(tanh_cfg, monkeypatch):
         np.abs(self.nodes) <= self.half_length - margin + 0.5 * self.spacing)
     assert nf.verify("lemma1b", tanh_cfg, seed=0).measured == \
         pytest.approx(71.3761, abs=1e-4)
+
+
+@pytest.mark.parametrize("factor,failed,measured", [
+    (1.2, ["absorbing", "w_bound"], {"absorbing": 1.026, "w_bound": 1.178}),
+    (1.05, ["w_bound"], {"absorbing": 0.879, "w_bound": 1.014}),
+])
+def test_response_above_its_stated_sup_trips_the_trajectory_checks(
+        factor, failed, measured, tanh_cfg, monkeypatch):
+    # g = factor tanh while sup_abs still states 1; verify runs without
+    # battery's axiom check, which would catch the plant first
+    monkeypatch.setattr(nf.Nonlinearity, "__call__",
+                        lambda self, s, out=None: factor * np.tanh(s))
+    reports = [nf.verify(n, tanh_cfg, seed=0) for n in TRAJECTORY_CHECKS]
+    assert [r.name for r in reports if not r.passed] == failed
+    for r in reports[:2]:
+        assert r.measured == pytest.approx(measured[r.name], abs=1e-3)
