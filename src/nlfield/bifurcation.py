@@ -23,6 +23,7 @@ compute_h_star never consults it.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -39,6 +40,8 @@ SCAN_POINTS = 100_000
 ROOT_XTOL = 1e-12
 ROOT_SEPARATION = 1e-8
 CHECK_REL = 1e-3
+# nodes per block of the scan's phi evaluation
+_SCAN_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -72,13 +75,25 @@ def _bisect(f, lo: float, hi: float, xtol: float) -> float:
     return 0.5 * (lo + hi)
 
 
+@functools.lru_cache(maxsize=4)
+def _scan_grid(interval: tuple[float, float], points: int) -> np.ndarray:
+    """The scan nodes, built once per (interval, points) and read-only."""
+    s = np.linspace(interval[0], interval[1], points)
+    s.flags.writeable = False
+    return s
+
+
 def count_roots(beta: float, h: float, g: Nonlinearity) -> RootReport:
     """Scan for sign changes of g(beta s + beta h) - s, then bisect each.
 
     The scan covers SCAN_INTERVAL at SCAN_POINTS equally spaced nodes,
-    both read at call time.  Exact zeros at scan nodes count as roots,
-    one per run of adjacent zero nodes; a tangency that produces no sign
-    change is not a root.
+    both read at call time; the grid for each pair is built once and
+    kept read-only.  phi is evaluated in blocks of _SCAN_BLOCK nodes and
+    only its sign is kept, one int8 per node, so a scan holds no float
+    temporaries the size of the grid.  Exact zeros at scan nodes count
+    as roots, one per run of adjacent zero nodes; a tangency that
+    produces no sign change is not a root.  A NaN of phi at a scan node
+    raises ValueError.
     """
     if not (beta > 0.0):
         raise ValueError(f"beta must be positive, got {beta}")
@@ -86,18 +101,25 @@ def count_roots(beta: float, h: float, g: Nonlinearity) -> RootReport:
     def phi(s):
         return g(beta * s + beta * h) - s
 
-    s = np.linspace(SCAN_INTERVAL[0], SCAN_INTERVAL[1], SCAN_POINTS)
-    sign = np.sign(phi(s))
+    s = _scan_grid(SCAN_INTERVAL, SCAN_POINTS)
+    # zeroed, so a node no block writes reads as an exact zero, a root
+    sign = np.zeros(len(s), dtype=np.int8)
+    for a in range(0, len(s), _SCAN_BLOCK):
+        block = np.sign(phi(s[a:a + _SCAN_BLOCK]))
+        if np.isnan(block).any():
+            raise ValueError(f"g(beta s + beta h) - s is NaN at a scan node "
+                             f"for beta={beta}, h={h}")
+        sign[a:a + _SCAN_BLOCK] = block
 
     # maximal runs of exact zeros, one root each, at the run's midpoint:
     # +1/-1 steps of the padded zero mask mark run starts / one-past-ends
-    zero = np.concatenate(([False], sign == 0.0, [False]))
+    zero = np.concatenate(([False], sign == 0, [False]))
     edges = np.diff(zero.astype(np.int8))
     starts = np.flatnonzero(edges == 1)
     ends = np.flatnonzero(edges == -1) - 1
     roots = [float(r) for r in 0.5 * (s[starts] + s[ends])]
     # strict sign changes between adjacent nonzero nodes
-    change = (sign[:-1] * sign[1:]) < 0.0
+    change = (sign[:-1] * sign[1:]) < 0
     for i in np.flatnonzero(change):
         roots.append(_bisect(phi, float(s[i]), float(s[i + 1]), ROOT_XTOL))
 

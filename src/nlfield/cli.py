@@ -376,11 +376,12 @@ def _cmd_attractor(exp: ExperimentConfig) -> int:
     blk = exp.blocks["attractor"]
     sample = approximate_pullback_attractor(blk["t"], cfg, blk["n_samples"],
                                             blk["tau_ladder"], seed=exp.seed)
-    x = cfg.grid.nodes
+    # the node column is the same for every member, so it is formatted once
+    x = _format_column(cfg.grid.nodes)
     k = len(sample.members)
-    _write_csv(os.path.join(exp.out_dir, "members.csv"),
-               ["member", "x", "value"], np.repeat(np.arange(k), len(x)),
-               np.tile(x, k), np.concatenate([m.values for m in sample.members]))
+    _write_cells(os.path.join(exp.out_dir, "members.csv"), ["member", "x", "value"],
+                 [_format_column(np.repeat(np.arange(k), len(x))), x * k,
+                  _format_column(np.concatenate([m.values for m in sample.members]))])
     meta = [("t", sample.t), ("n_members", len(sample)),
             ("converged", sample.converged), ("seed", sample.seed),
             ("config_digest", sample.digest),

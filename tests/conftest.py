@@ -12,6 +12,7 @@ import pytest
 from scipy.optimize import brentq
 
 import nlfield as nf
+from nlfield import bifurcation
 
 # tau ladder shared by the attractor and sweep experiments
 LADDER = (-4.0, -8.0, -16.0, -32.0)
@@ -32,6 +33,32 @@ def list_schedule(tau, t, dt):
     if rem > 1e-9 * max(1.0, dt):
         deltas.append(rem)
     return deltas
+
+
+def full_grid_count_roots(beta, h, g):
+    """Roots of s = g(beta s + beta h) from one float64 evaluation of phi
+    over every scan node at once.  The reference rule for the package's
+    blocked int8 scan."""
+    def phi(s):
+        return g(beta * s + beta * h) - s
+
+    s = np.linspace(bifurcation.SCAN_INTERVAL[0], bifurcation.SCAN_INTERVAL[1],
+                    bifurcation.SCAN_POINTS)
+    sign = np.sign(phi(s))
+    zero = np.concatenate(([False], sign == 0.0, [False]))
+    edges = np.diff(zero.astype(np.int8))
+    starts = np.flatnonzero(edges == 1)
+    ends = np.flatnonzero(edges == -1) - 1
+    roots = [float(r) for r in 0.5 * (s[starts] + s[ends])]
+    for i in np.flatnonzero((sign[:-1] * sign[1:]) < 0.0):
+        roots.append(bifurcation._bisect(phi, float(s[i]), float(s[i + 1]),
+                                         bifurcation.ROOT_XTOL))
+    roots.sort()
+    merged = []
+    for r in roots:
+        if not merged or r - merged[-1] > bifurcation.ROOT_SEPARATION:
+            merged.append(r)
+    return nf.RootReport(beta=beta, h=h, roots=tuple(merged))
 
 
 @pytest.fixture(scope="session")

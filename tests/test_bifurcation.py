@@ -2,12 +2,14 @@
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 import nlfield as nf
+from conftest import full_grid_count_roots
 from nlfield import bifurcation
 
 TANH = nf.Nonlinearity.tanh()
@@ -69,12 +71,10 @@ def test_count_roots_validation():
         nf.count_roots(-1.0, 0.0, TANH)
 
 
-def test_exact_zero_runs_give_one_root_at_midpoint(monkeypatch):
-    # beta = 1, h = 0: phi(s) = g(s) - s is exactly zero on the planted
-    # runs of scan nodes and about -1 / +1 left / right of the origin
-    n = 41
-    s = np.linspace(-1.0, 1.0, n)
-    runs = [(0, 2), (10, 10), (19, 21), (30, 33), (38, 40)]  # inclusive
+def planted_zero_runs(s, runs):
+    """g(x) = x exactly on the nodes of the inclusive runs, x - 1 / x + 1
+    at other nodes left / right of the origin: at beta 1 and h 0, phi is
+    exactly zero on each run and -1 / +1 off them."""
     planted = np.concatenate([s[a : b + 1] for a, b in runs])
 
     def g(x):
@@ -82,10 +82,72 @@ def test_exact_zero_runs_give_one_root_at_midpoint(monkeypatch):
         offset = np.where(np.isin(x, planted), 0.0, np.where(x < 0.0, -1.0, 1.0))
         return x + offset
 
+    return g
+
+
+def test_exact_zero_runs_give_one_root_at_midpoint(monkeypatch):
+    # every planted run of exact zeros is one root, at its midpoint
+    n = 41
+    s = np.linspace(-1.0, 1.0, n)
+    runs = [(0, 2), (10, 10), (19, 21), (30, 33), (38, 40)]  # inclusive
+    g = planted_zero_runs(s, runs)
     monkeypatch.setattr(bifurcation, "SCAN_INTERVAL", (-1.0, 1.0))
     monkeypatch.setattr(bifurcation, "SCAN_POINTS", n)
     report = nf.count_roots(1.0, 0.0, g)
     assert report.roots == tuple(float(0.5 * (s[a] + s[b])) for a, b in runs)
+
+
+def root_bits(report):
+    return [r.hex() for r in report.roots]
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 1.0001, 1.5, 2.0, 3.0, 4.0, 10.0])
+def test_blocked_scan_equals_the_full_grid_scan(beta):
+    # the grid ends in a partial block, so a loop that skips it shows
+    assert bifurcation.SCAN_POINTS % bifurcation._SCAN_BLOCK != 0
+    h_star = nf.tanh_h_star(beta)
+    for g in (TANH, nf.Nonlinearity.zero()):
+        for h in (0.0, h_star * (1.0 - 1e-3), h_star, h_star * (1.0 + 1e-3), 1.5 * h_star):
+            report = nf.count_roots(beta, h, g)
+            reference = full_grid_count_roots(beta, h, g)
+            assert report == reference, (g.name, h)
+            assert root_bits(report) == root_bits(reference), (g.name, h)
+
+
+def test_blocked_scan_across_block_edges(monkeypatch):
+    # blocks of 10 over 41 nodes: zero runs straddle the block edges at 10
+    # and 30, the strict sign change between s[19] < 0 and s[20] = 0 the
+    # edge at 20, and the last block holds node 40 alone
+    n = 41
+    s = np.linspace(-1.0, 1.0, n)
+    runs = [(0, 2), (8, 12), (28, 33), (36, 38)]
+    g = planted_zero_runs(s, runs)
+    monkeypatch.setattr(bifurcation, "SCAN_INTERVAL", (-1.0, 1.0))
+    monkeypatch.setattr(bifurcation, "SCAN_POINTS", n)
+    monkeypatch.setattr(bifurcation, "_SCAN_BLOCK", 10)
+    report = nf.count_roots(1.0, 0.0, g)
+    assert report == full_grid_count_roots(1.0, 0.0, g)
+    mids = [float(0.5 * (s[a] + s[b])) for a, b in runs]
+    assert report.count == 5
+    assert report.roots[:2] + report.roots[3:] == tuple(mids)
+    assert s[19] < report.roots[2] <= s[20]
+
+
+def test_a_scan_holds_no_grid_sized_float_temporaries():
+    nf.count_roots(2.0, 0.1, TANH)  # builds the scan grid
+    tracemalloc.start()
+    try:
+        nf.count_roots(2.0, 0.1, TANH)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one float64 row over the 1e5 scan nodes alone takes 800 kB
+    assert peak < 2**20
+
+
+def test_a_nan_response_is_rejected():
+    with pytest.raises(ValueError, match="NaN at a scan node"):
+        nf.count_roots(2.0, math.nan, TANH)
 
 
 @pytest.mark.parametrize("beta", [1.5, 2.0, 4.0])
