@@ -53,7 +53,7 @@ import numpy as np
 
 from .dynamics import ProcessConfig, _integrate, _step_schedule
 from .errors import EmptySetError, TimeOrderError
-from .weighted_space import WeightedField, _lp_norm, quad_weights
+from .weighted_space import WeightedField, _check_p, _lp_norm, quad_weights
 
 log = logging.getLogger(__name__)
 
@@ -170,18 +170,20 @@ def hausdorff_semidist(a, b, p: float | None = None) -> float:
 
     Accepts AttractorSamples or plain sequences of WeightedFields on a
     common grid and weight.  p defaults to the samples' own p, and to
-    2.0 for plain sequences; a p that disagrees with a sample's raises.
+    2.0 for plain sequences; a p that disagrees with a sample's raises,
+    and so does a p outside (1, inf), as in weighted_norm.
     """
     ps = {s.p for s in (a, b) if isinstance(s, AttractorSample)}
     if p is not None:
         ps.add(float(p))
     if len(ps) > 1:
         raise ValueError(f"samples and p disagree on the exponent: {sorted(ps)}")
+    p = _check_p(ps.pop() if ps else 2.0)
     stack_a, first_a = _stack(a)
     stack_b, first_b = _stack(b)
     first_a.same_space(first_b)
     w = quad_weights(first_a.weight, first_a.grid)
-    dist = _lp_distances(stack_a, stack_b, w, ps.pop() if ps else 2.0)
+    dist = _lp_distances(stack_a, stack_b, w, p)
     return float(np.max(np.min(dist, axis=1)))
 
 

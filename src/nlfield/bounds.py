@@ -1,24 +1,26 @@
 """Explicit constants of the theory and measured verdicts against them.
 
 Each named check pairs a theoretical constant with a deterministic
-measurement.  Every check takes (cfg, seed, norms), norms being the
-_operator_norms rows, and returns (theoretical, measured, tolerance);
-c1_attractor adds whether its ladder converged.  _run_checks alone turns
-these into BoundReports: passed is measured <= theoretical + tolerance,
-and converged where a check returns it.  A measurement or a bound that
-is not finite is an error, not a verdict: it raises BlowUpError naming
-the check, and numpy's overflow, divide and invalid warnings are
-silenced while the checks run, since that guard reports them.  The
-bounds are loose by design; a failed verdict signals an implementation
-bug, not a sharp inequality.
+measurement.  _CHECKS maps each name to its check and to the Cauchy
+weight's constant its stated bound is built on.  Every check takes
+(cfg, seed, norms), norms() returning the _operator_norms rows, and
+returns (theoretical, measured, tolerance); c1_attractor adds whether
+its ladder converged.  _run_checks alone turns these into BoundReports:
+passed is measured <= theoretical + tolerance, and converged where a
+check returns it.  A measurement or a bound that is not finite is an
+error, not a verdict: it raises BlowUpError naming the check, and
+numpy's overflow, divide and invalid warnings are silenced while the
+checks run, since that guard reports them.  The bounds are loose by
+design; a failed verdict signals an implementation bug, not a sharp
+inequality.
 Checks that involve pointwise values restrict to interior nodes where
 the zero-extension convolution is exact; checks work on raw sample rows.
 
 lemma1a, lemma1a_deriv and prop_lipschitz bound operator norms from
 below by the p-norm power method (Boyd 1974; Higham, Numer. Math. 62,
-1992), run as one stacked iteration per battery or verify over the
-operators they read: J (lemma1a, and prop_lipschitz again, so J is
-iterated once), J' (lemma1a_deriv) and -I + beta g'(0) J
+1992), run as one stacked iteration of three rows, computed on the first
+norms() call of a battery or verify and at most once: J (lemma1a and
+prop_lipschitz), J' (lemma1a_deriv) and -I + beta g'(0) J
 (prop_lipschitz).  Each row equals its own single run bit for bit.
 lemma1b's sup is attained exactly.  A stated constant shown false
 gives way to the provable bound, so a failed verdict still means a bug:
@@ -49,6 +51,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -148,37 +151,22 @@ def _power_stack(cfg: ProcessConfig, seed: int, apply,
     return best, x
 
 
-# the power-method rows of each operator check; prop_lipschitz reads J's
-# row with lemma1a's
-_POWER_ROWS = {"lemma1a": ("J",), "lemma1a_deriv": ("J'",),
-               "prop_lipschitz": ("-I + beta J", "J")}
-
-
-def _operator_norms(cfg: ProcessConfig, seed: int,
-                    names) -> dict[str, tuple[float, np.ndarray]]:
-    """row -> (norm, maximiser) of each operator the named checks read,
-    from one _power_stack; J and -I + beta g'(0) J share one FFT per
-    apply, J' takes the derivative one."""
-    rows = list(dict.fromkeys(r for n in names for r in _POWER_ROWS.get(n, ())))
-    if not rows:
-        return {}
+def _operator_norms(cfg: ProcessConfig,
+                    seed: int) -> dict[str, tuple[float, np.ndarray]]:
+    """row -> (norm, maximiser) of J, J' and -I + beta g'(0) J, the rows of
+    one _power_stack; J and -I + beta g'(0) J share one FFT per apply as
+    x[::2], J' takes the derivative one as x[1:2]."""
     slope = cfg.beta * float(cfg.nonlinearity.deriv(0.0))
-    deriv = [i for i, r in enumerate(rows) if r == "J'"]
-    plain = [i for i, r in enumerate(rows) if r != "J'"]
-    shifted = [i for i, r in enumerate(rows) if r == "-I + beta J"]
 
     def apply(x):
         y = np.empty_like(x)
-        if plain:
-            y[plain] = _fft_convolve(cfg.kernel, x[plain])
-        if deriv:
-            y[deriv] = _fft_convolve(cfg.kernel, x[deriv], derivative=True)
-        for i in shifted:
-            y[i] = slope * y[i] - x[i]
+        y[::2] = _fft_convolve(cfg.kernel, x[::2])
+        y[1:2] = _fft_convolve(cfg.kernel, x[1:2], derivative=True)
+        y[2] = slope * y[2] - x[2]
         return y
 
-    best, x = _power_stack(cfg, seed, apply, len(rows))
-    return {r: (best[i], x[i]) for i, r in enumerate(rows)}
+    best, x = _power_stack(cfg, seed, apply, 3)
+    return {r: (best[i], x[i]) for i, r in enumerate(("J", "J'", "-I + beta J"))}
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +229,7 @@ def c1_regularity_bound(cfg: ProcessConfig, h_star: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _check_lemma1a(cfg, seed, norms):
-    return CAUCHY_K ** (1.0 / cfg.p), norms["J"][0], TOL_QUADRATURE
+    return CAUCHY_K ** (1.0 / cfg.p), norms()["J"][0], TOL_QUADRATURE
 
 
 def _check_lemma1a_deriv(cfg, seed, norms):
@@ -249,7 +237,7 @@ def _check_lemma1a_deriv(cfg, seed, norms):
     bound = CAUCHY_K ** (1.0 / cfg.p)
     if cfg.p != 2.0:
         bound *= cfg.kernel.deriv_norm_l1
-    return bound, norms["J'"][0], TOL_QUADRATURE
+    return bound, norms()["J'"][0], TOL_QUADRATURE
 
 
 def _check_lemma1b(cfg, seed, norms):
@@ -287,8 +275,8 @@ def _check_prop_lipschitz(cfg, seed, norms):
     """
     w = quad_weights(cfg.weight, cfg.grid)
     ratios = []
-    for row in _POWER_ROWS["prop_lipschitz"]:
-        v = norms[row][1]
+    for row in ("-I + beta J", "J"):
+        v = norms()[row][1]
         pair = np.stack([v * (_PAIR_SUP / np.max(np.abs(v))), np.zeros_like(v)])
         f = -pair + _nonlinear_term(cfg, 0.0, pair)
         ratios.append(_lp_norm(f[0] - f[1], w, cfg.p) / _lp_norm(pair[0], w, cfg.p))
@@ -355,23 +343,20 @@ def _check_gronwall(cfg, seed, norms):
     return envelope, measured, TOL_TRAJECTORY
 
 
-# name -> check(cfg, seed, norms) -> (theoretical, measured, tolerance[,
-# converged]), norms being _operator_norms' rows
+# name -> (check, the Cauchy weight's constant its stated bound is built
+# on, or None); check(cfg, seed, norms) -> (theoretical, measured,
+# tolerance[, converged]), norms() being _operator_norms' rows
 _CHECKS = {
-    "lemma1a": _check_lemma1a,
-    "lemma1a_deriv": _check_lemma1a_deriv,
-    "lemma1b": _check_lemma1b,
-    "prop_lipschitz": _check_prop_lipschitz,
-    "absorbing": _check_absorbing,
-    "w_bound": _check_w_bound,
-    "c1_attractor": _check_c1_attractor,
-    "gronwall_continuity": _check_gronwall,
+    "lemma1a": (_check_lemma1a, "K"),
+    "lemma1a_deriv": (_check_lemma1a_deriv, "K"),
+    "lemma1b": (_check_lemma1b, "rho_1"),
+    "prop_lipschitz": (_check_prop_lipschitz, "K"),
+    "absorbing": (_check_absorbing, None),
+    "w_bound": (_check_w_bound, None),
+    "c1_attractor": (_check_c1_attractor, None),
+    "gronwall_continuity": (_check_gronwall, "rho_1"),
 }
 CHECK_NAMES = tuple(_CHECKS)
-# the checks whose constants hold for the Cauchy weight only: name -> the
-# weight constant its stated bound is built on
-_CAUCHY_ONLY = {"lemma1a": "K", "lemma1a_deriv": "K", "lemma1b": "rho_1",
-                "prop_lipschitz": "K", "gronwall_continuity": "rho_1"}
 
 
 def verify(name: str, cfg: ProcessConfig, *, seed: int = 0) -> BoundReport:
@@ -403,30 +388,32 @@ def battery(cfg: ProcessConfig, names=None, *,
 def _run_checks(cfg, names, seed) -> list[BoundReport]:
     """Run the named checks in the order given and build their reports.
 
-    The power-method rows of the named operator checks run first, once,
-    as one _operator_norms stack.  c1_attractor computes the confirmed h*
-    of cfg's beta and response for its bound.  A weight other than Cauchy
-    raises ConfigError at key path "weight", before any check runs, if a
-    check of _CAUCHY_ONLY is asked for.  A measurement, then a bound,
-    that is not finite raises BlowUpError naming its check.
+    Each check gets norms(), which runs the _operator_norms stack on its
+    first call and returns the same rows after, so the stack runs at
+    most once, and not at all when no operator check is named.
+    c1_attractor computes the confirmed h* of cfg's beta and response for
+    its bound.  A weight other than Cauchy raises ConfigError at key path
+    "weight", before any check runs, if a check whose bound is built on a
+    Cauchy constant is asked for.  A measurement, then a bound, that is
+    not finite raises BlowUpError naming its check.
     """
     names = list(names)
     for n in names:
         if n not in CHECK_NAMES:
             raise ValueError(f"unknown check {n!r}; expected one of {CHECK_NAMES}")
-    needs = [f"{n} ({_CAUCHY_ONLY[n]})" for n in names if n in _CAUCHY_ONLY]
+    needs = [f"{n} ({_CHECKS[n][1]})" for n in names if _CHECKS[n][1]]
     if needs and cfg.weight.kind != WEIGHT_CAUCHY:
-        others = [n for n in CHECK_NAMES if n not in _CAUCHY_ONLY]
+        others = [n for n in CHECK_NAMES if not _CHECKS[n][1]]
         raise ConfigError(
             f"the {cfg.weight.kind} weight has no finite K, so the cauchy "
             f"weight's constants of {', '.join(needs)} do not hold; list "
             f"checks from {', '.join(others)}", "weight")
     reports = []
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        norms = _operator_norms(cfg, seed, names)
+        norms = cache(lambda: _operator_norms(cfg, seed))
         for n in names:
             theoretical, measured, tolerance, *converged = \
-                _CHECKS[n](cfg, seed, norms)
+                _CHECKS[n][0](cfg, seed, norms)
             if not math.isfinite(measured):
                 raise BlowUpError(f"{n}: the measurement is {measured}, not finite")
             if not math.isfinite(theoretical):

@@ -88,6 +88,10 @@ class Nonlinearity:
     def __post_init__(self):
         if self.name not in NONLINEARITY_FAMILIES:
             raise ValueError(f"unknown nonlinearity {self.name!r}")
+        # check_axioms compares against these, and no comparison with a NaN fails
+        for key in ("sup_abs", "lipschitz", "curvature_max", "deriv_at_zero"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
 
     @classmethod
     def tanh(cls) -> "Nonlinearity":
@@ -153,6 +157,10 @@ class ExternalField:
     def __post_init__(self):
         if self.family not in FIELD_FAMILIES:
             raise ValueError(f"unknown field family {self.family!r}")
+        # a NaN slips past every comparison below and check_axioms, and h is then NaN
+        for key in ("amplitude", "omega"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"field {key} must be finite, got {getattr(self, key)}")
         if self.amplitude < 0.0:
             raise ValueError("field amplitude must be nonnegative")
         if self.family == "zero" and self.amplitude != 0.0:

@@ -20,7 +20,7 @@ forward transform of the rows (_forward), the product with a cached
 spectrum, an inverse transform cropped to the grid (_inverse), and the
 subtraction of the wrap-around at the cuts (_unwrap).  It takes J * u,
 or J' * u with the derivative spectrum and its edge matrices; J' * u is
-taken only by the lemma1a_deriv check.
+taken only by the J' row of the operator checks' power iteration.
 
 The transform length is the grid's own 5-smooth length L, the smallest
 length >= n with no prime factor above 5 (numpy's FFT is several times

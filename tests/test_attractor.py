@@ -150,6 +150,17 @@ def test_semidistance_measures_samples_in_their_own_p(grid, cauchy):
         l2, rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0, math.inf, math.nan])
+def test_semidistance_rejects_p_outside_one_to_inf(grid, cauchy, p):
+    # unchecked, p inf reads 1.0 whatever the sets and p 0 divides by zero
+    zero = nf.WeightedField(grid, cauchy, np.zeros(grid.n_points))
+    bump = nf.WeightedField(grid, cauchy, np.full(grid.n_points, 0.7))
+    with pytest.raises(ValueError, match="exponent p must lie in"):
+        nf.hausdorff_semidist([bump], [zero], p)
+    assert nf.hausdorff_semidist([bump], [zero], 2.0) == pytest.approx(
+        nf.weighted_norm(bump, 2.0), rel=1e-12)
+
+
 def test_semidistance_validation(grid, fine_grid, cauchy):
     zero = nf.WeightedField(grid, cauchy, np.zeros(grid.n_points))
     with pytest.raises(nf.EmptySetError):

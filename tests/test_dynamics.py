@@ -94,6 +94,26 @@ def test_external_field_properties():
         nf.ExternalField("pulsed", -0.1)
 
 
+@pytest.mark.parametrize("amplitude,omega", [
+    (math.nan, 1.0), (math.inf, 1.0), (0.2, math.nan), (0.2, math.inf),
+], ids=["amplitude-nan", "amplitude-inf", "omega-nan", "omega-inf"])
+def test_external_field_rejects_non_finite_parameters(amplitude, omega):
+    # unchecked, a NaN amplitude passes amplitude < 0 and check_axioms, and h is NaN
+    with pytest.raises(ValueError, match="must be finite"):
+        nf.ExternalField("pulsed", amplitude, omega)
+
+
+@pytest.mark.parametrize("key", ["sup_abs", "lipschitz", "curvature_max",
+                                 "deriv_at_zero"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_nonlinearity_rejects_non_finite_constants(key, value):
+    constants = dict(sup_abs=1.0, lipschitz=1.0, curvature_max=nf.K1_TANH,
+                     deriv_at_zero=1.0)
+    constants[key] = value
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        nf.Nonlinearity("tanh", **constants)
+
+
 @pytest.mark.parametrize("field", [nf.ExternalField(),
                                    nf.ExternalField("pulsed", 0.2, 1.0),
                                    nf.ExternalField("pulsed", 0.43, 0.0),
