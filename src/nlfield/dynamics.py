@@ -25,6 +25,11 @@ is not 0.0.  The time after step i is tau + i dt, and the last step lands
 on t exactly.  A backwards span, or one of more than MAX_STEPS steps of
 dt, raises TimeOrderError before any step is taken.
 
+An observer of that loop sees the start array and then each array a
+step returns, without a copy: every step returns a fresh array and no
+later step writes to it, so an observer only reads what it is handed
+and copies what it keeps.  evolve copies each row for its observer.
+
 A pullback ladder, whose outputs carry no time grid, runs the same loop
 with one G evaluation per step, the PEC mode of the same predictor and
 corrector (Lambert 1991, ch. 4).  Each step takes G(t) from the step
@@ -50,6 +55,7 @@ at s takes a trapezoid step where the unbroken run would not.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -277,8 +283,11 @@ def rhs_f(t: float, u: WeightedField, cfg: ProcessConfig) -> WeightedField:
     return u.with_values(out)
 
 
+@functools.cache
 def _phi_weights(delta: float) -> tuple[float, float, float]:
-    # exp(-delta) and the two quadrature weights; their sum is 1 - exp(-delta)
+    # exp(-delta) and the two quadrature weights; their sum is 1 - exp(-delta).
+    # A run takes at most two step sizes, dt and its tail, so a cache keeps
+    # the four libm calls out of every step
     em = math.exp(-delta)
     total = -math.expm1(-delta)
     phi1 = total / delta
@@ -330,7 +339,11 @@ def step_exponential(state: TrajectoryState, cfg: ProcessConfig,
 
 
 def _guard_finite(vals: np.ndarray) -> None:
-    if not np.all(np.isfinite(vals)):
+    # one BLAS pass: a finite sum of squares has only finite terms, and a
+    # NaN or an inf entry makes it NaN or inf.  Only when it is not finite
+    # (which squares past 1e154 also reach) are the entries read one by
+    # one.  vdot, unlike @, flattens a stack and raises no overflow warning
+    if not math.isfinite(np.vdot(vals, vals)) and not np.all(np.isfinite(vals)):
         raise BlowUpError("integration produced non-finite values")
 
 
@@ -363,11 +376,17 @@ def _integrate(u: np.ndarray, tau: float, t: float, cfg: ProcessConfig,
     first step, and every later step evaluates G only at its predictor,
     so N steps from a restart evaluate G N + 1 times.  The list is left
     holding G and its slope at t.  u itself is never written to.
+
+    The observer, when given, is called as observer(time, values) at tau
+    with u and after every step with the array that step returned, which
+    is fresh and which no later step writes to; the last is the array
+    returned.  It is handed over without a copy, so an observer reads the
+    values and copies any it keeps past the run.
     """
     steps, tail = _step_schedule(tau, t, cfg.dt)
     now = tau
     if observer is not None:
-        observer(now, u.copy())
+        observer(now, u)
     if carry is not None and not carry and steps:
         carry[:] = [_nonlinear_term(cfg, tau, u), None]
     for i in range(1, steps + 1):
@@ -381,7 +400,7 @@ def _integrate(u: np.ndarray, tau: float, t: float, cfg: ProcessConfig,
             carry[:] = [g1, slope]
         now = t if i == steps else tau + i * cfg.dt
         if observer is not None:
-            observer(now, u.copy())
+            observer(now, u)
     return u
 
 
@@ -390,9 +409,12 @@ def evolve(u_tau: WeightedField, tau: float, t: float, cfg: ProcessConfig,
     """Integrate from time tau to t; full dt steps plus one shortened tail.
 
     The observer, when given, is called as observer(time, values_copy)
-    at tau and after every accepted step.
+    at tau and after every accepted step; each copy is its own, so it
+    may keep or write to it, and writing to the returned field's values
+    changes no copy it was given.
     """
     if u_tau.grid != cfg.grid:
         raise GridMismatchError("initial field does not live on the configured grid")
-    return u_tau.with_values(_integrate(u_tau.values.copy(), tau, t, cfg, observer))
+    watch = None if observer is None else lambda s, vals: observer(s, vals.copy())
+    return u_tau.with_values(_integrate(u_tau.values.copy(), tau, t, cfg, watch))
 

@@ -715,6 +715,94 @@ def test_snapshot_bytes_match_per_cell_format(tmp_path):
         assert path.read_text() == want
 
 
+def per_cell_text(header, rows):
+    """The CSV text _fmt gives cell by cell, for rows of parsed values."""
+    lines = [",".join(map(cli._fmt, row)) for row in rows]
+    return f"# nlfield {cli.__version__}\n{header}\n" + "".join(f"{s}\n" for s in lines)
+
+
+NEGATIVE_ZERO_START = "  initial:\n    value: -0.0\n"
+RANDOM_START = "  initial:\n    kind: random\n    norm: 0.7\n"
+
+
+@pytest.mark.parametrize("model,start", [(SMALL, RANDOM_START),
+                                         (ZERO_MODEL, NEGATIVE_ZERO_START)],
+                         ids=["random", "negative-zero"])
+def test_trajectory_bytes_match_per_cell_format(model, start, tmp_path):
+    out = tmp_path / "run"
+    doc = (model.format(beta=2.0, out=out)
+           + "simulate:\n  t: 0.5\n  snapshots: 2\n" + start)
+    assert main(["simulate", "--config", write_config(tmp_path, doc)]) == 0
+    path = out / "trajectory.csv"
+    _, rows = read_rows(path)
+    assert len(rows) == 11
+    assert path.read_text() == per_cell_text(
+        "t,norm,sup,interior_max_slope", [[float(c) for c in r] for r in rows])
+    _, srows = read_rows(out / "snapshot_000.csv")
+    # the -0.0 start prints as "-0"
+    assert ({r[2] for r in srows} == {"-0"}) == (start == NEGATIVE_ZERO_START)
+
+
+def test_members_bytes_match_per_cell_format(tmp_path):
+    out = tmp_path / "run"
+    doc = (SMALL.format(beta=2.0, out=out)
+           + "attractor:\n  t: 0.0\n  n_samples: 4\n  tau_ladder: [-0.5, -1.0]\n")
+    assert main(["attractor", "--config", write_config(tmp_path, doc)]) == 1
+    x = parse_config(doc).process.grid.nodes
+    meta = dict(read_rows(out / "attractor_meta.csv")[1])
+    k = int(meta["n_members"])
+    assert k > 1
+    _, rows = read_rows(out / "members.csv")
+    keys = [(i, xi) for i in range(k) for xi in x]
+    assert [int(r[0]) for r in rows] == [i for i, _ in keys]
+    cells = [(i, xi, float(r[2])) for (i, xi), r in zip(keys, rows, strict=True)]
+    assert (out / "members.csv").read_text() == per_cell_text("member,x,value", cells)
+
+
+@pytest.mark.parametrize("chunk", [7, 1000])
+def test_bulk_tables_do_not_depend_on_the_write_chunk(chunk, tmp_path, monkeypatch):
+    # 1024 nodes and 11 trajectory rows leave a partial last chunk
+    # at either size
+    def run(name):
+        out = tmp_path / name
+        doc = (SMALL.format(beta=2.0, out=out) + "simulate:\n  t: 0.5\n  snapshots: 2\n"
+               + RANDOM_START + "attractor:\n  t: 0.0\n  n_samples: 4\n"
+               "  tau_ladder: [-0.5, -1.0]\n")
+        path = write_config(tmp_path, doc, f"{name}.yaml")
+        assert main(["simulate", "--config", path]) == 0
+        assert main(["attractor", "--config", path]) == 1
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    whole = run("whole")
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk)
+    assert 1024 % chunk and 11 % chunk
+    chunked = run("chunked")
+    assert sorted(chunked) == ["attractor_meta.csv", "members.csv", "snapshot_000.csv",
+                               "snapshot_001.csv", "trajectory.csv"]
+    assert chunked == whole
+
+
+def test_simulate_n8192_with_snapshots_stays_small(tmp_path):
+    # the refined trajectory op's shape over 40 steps: 1.6 MB peak, of
+    # which the node rows take about 0.6 MB; the per-cell column lists
+    # read 2.2 MB, one whole-file template per snapshot 2.5 MB, and
+    # keeping every observed field another 2.6 MB
+    out = tmp_path / "run"
+    doc = (SMALL.format(beta=2.0, out=out).replace("n_points: 1024", "n_points: 8192")
+           + "p: 3.0\nweight: gaussian\n" + PULSED
+           + "simulate:\n  t: 2.0\n  snapshots: 4\n" + RANDOM_START)
+    path = write_config(tmp_path, doc)
+    assert main(["simulate", "--config", path]) == 0
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--config", path]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert len(list(out.glob("snapshot_*.csv"))) == 4
+
+
 def test_simulate_keeps_only_snapshot_fields(tmp_path):
     # 1201 observed fields of 8 kB each; only the 4 picked ones are kept
     out = tmp_path / "run"

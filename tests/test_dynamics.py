@@ -398,9 +398,9 @@ SCHEDULE_SPANS = [
 ]
 
 
-@pytest.mark.parametrize("carry", [None, []], ids=["trapezoid", "carried"])
+@pytest.mark.parametrize("carried", [False, True], ids=["trapezoid", "carried"])
 @pytest.mark.parametrize("tau,t", SCHEDULE_SPANS)
-def test_schedule_takes_the_steps_of_the_list_rule(tau, t, carry, cauchy, monkeypatch):
+def test_schedule_takes_the_steps_of_the_list_rule(tau, t, carried, cauchy, monkeypatch):
     cfg = schedule_cfg(cauchy)
     step = nlfield.dynamics._step_raw
     taken = []
@@ -412,7 +412,7 @@ def test_schedule_takes_the_steps_of_the_list_rule(tau, t, carry, cauchy, monkey
     monkeypatch.setattr(nlfield.dynamics, "_step_raw", spying)
     times = []
     _integrate(np.full(cfg.grid.n_points, 0.5), tau, t, cfg,
-               lambda s, vals: times.append(s), carry)
+               lambda s, vals: times.append(s), [] if carried else None)
     deltas = list_schedule(tau, t, cfg.dt)
     # the list rule's observer times: tau + i dt, and t after the last step
     expected = ([tau] + [tau + i * cfg.dt for i in range(1, len(deltas))]
@@ -458,6 +458,100 @@ def test_a_long_span_takes_no_memory_per_step(cauchy):
         tracemalloc.stop()
     # a list of the 1e7 step sizes alone takes 80 MB
     assert peak < 2**20
+
+
+# ---------------------------------------------------------------------------
+# observer hand-off and the finite guard
+# ---------------------------------------------------------------------------
+
+def handed_rows_are_unchanged(cfg, u0, carried):
+    """_integrate hands its observer rows without a copy; each must still
+    equal the copy taken at hand-off once the run is over."""
+    seen = []
+    end = _integrate(u0, 0.0, 0.5, cfg, lambda s, vals: seen.append((vals, vals.copy())),
+                     [] if carried else None)
+    assert len(seen) == 11 and seen[-1][0] is end
+    return all(np.array_equal(vals, kept) for vals, kept in seen)
+
+
+@pytest.mark.parametrize("carried", [False, True], ids=["trapezoid", "carried"])
+@pytest.mark.parametrize("rows", [1, 3])
+def test_integrate_never_writes_a_row_it_handed_over(rows, carried, pulsed_cfg,
+                                                      corpus_factory):
+    fields = corpus_factory(pulsed_cfg.grid, pulsed_cfg.weight, rows, seed=34)
+    u0 = fields[0].values if rows == 1 else np.stack([f.values for f in fields])
+    assert handed_rows_are_unchanged(pulsed_cfg, u0, carried)
+
+
+@pytest.mark.parametrize("carried", [False, True], ids=["trapezoid", "carried"])
+def test_a_stepper_reusing_its_output_trips_the_hand_off_check(carried, pulsed_cfg,
+                                                               corpus_factory,
+                                                               monkeypatch):
+    # planted: every step returns one shared buffer, so each row handed
+    # over is overwritten by the steps after it
+    step = nlfield.dynamics._step_raw
+    buf = np.empty(pulsed_cfg.grid.n_points)
+
+    def reusing(*args):
+        u, g1 = step(*args)
+        buf[...] = u
+        return buf, g1
+
+    monkeypatch.setattr(nlfield.dynamics, "_step_raw", reusing)
+    u0 = corpus_factory(pulsed_cfg.grid, pulsed_cfg.weight, 1, seed=34)[0].values
+    assert not handed_rows_are_unchanged(pulsed_cfg, u0, carried)
+
+
+def test_evolve_observer_rows_survive_writes_to_its_result(pulsed_cfg, corpus_factory):
+    u = corpus_factory(pulsed_cfg.grid, pulsed_cfg.weight, 1, seed=35)[0]
+    seen = []
+    out = nf.evolve(u, 0.0, 0.5, pulsed_cfg, observer=lambda s, vals: seen.append(vals))
+    kept = [vals.copy() for vals in seen]
+    assert np.array_equal(seen[-1], out.values)
+    out.values[...] = 7.0
+    u.values[...] = 7.0
+    assert all(np.array_equal(vals, k) for vals, k in zip(seen, kept))
+
+
+def guard_flags_a_last_bad_entry(guard, bad):
+    stack = np.ones((3, 64))
+    stack[-1, -1] = bad
+    with pytest.raises(nf.BlowUpError):
+        guard(stack)
+
+
+def guard_passes_squares_past_the_float_range(guard):
+    row = np.full(64, 1e200)
+    row[::2] *= -1.0
+    assert np.vdot(row, row) == math.inf
+    guard(row)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_guard_finite_flags_the_last_entry_of_a_stack(bad):
+    guard_flags_a_last_bad_entry(nlfield.dynamics._guard_finite, bad)
+
+
+def test_guard_finite_passes_entries_whose_squares_overflow():
+    guard_passes_squares_past_the_float_range(nlfield.dynamics._guard_finite)
+
+
+def test_planted_guards_trip_the_guard_tests():
+    def dot_only(vals):
+        # planted: the one-pass sum of squares with no fallback
+        if not math.isfinite(np.vdot(vals, vals)):
+            raise nf.BlowUpError("planted")
+
+    with pytest.raises(nf.BlowUpError, match="planted"):
+        guard_passes_squares_past_the_float_range(dot_only)
+    with pytest.raises(pytest.fail.Exception):
+        guard_flags_a_last_bad_entry(lambda vals: None, math.nan)
+
+
+def test_step_weights_are_cached_per_step_size():
+    phi = nlfield.dynamics._phi_weights
+    assert phi(0.05) is phi(0.05)
+    assert phi(0.02) == phi.__wrapped__(0.02)
 
 
 def test_evolve_contracts_to_zero_for_small_gain(contraction_cfg, corpus_factory):
