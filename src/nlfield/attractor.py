@@ -12,12 +12,15 @@ together as one batched (k, n) array.  A ladder steps with one G
 evaluation per step (see nlfield.dynamics): each step carries G and its
 slope to the next, and a restart begins with one trapezoid step.  Under
 a zero field the process is autonomous, S(t, tau) = S(t - tau), so a
-deeper rung continues the previous rung's (k, n) array over the span it
-adds instead of restarting the seeded family, and carries on the
-(k, n) G and slope that the previous rung ended with; it does so only
-when that gives the restart's steps exactly, so at one step the
-endpoints are the same bytes either way.  A pulsed field, or a rung
-whose span would change the shortened tail step, restarts.
+deeper rung continues over the span it adds instead of restarting the
+seeded family: it steps only the endpoints the previous rung kept after
+dedup, with their rows of the G and slope that rung ended with.  It
+does so only when that gives the restart's steps exactly.  Each row of
+a batched step is bitwise its own run, so every continued row is the
+restart's endpoint for that member, and the kept set is the restart's
+whenever no member the previous rung dropped moves farther than
+DEDUP_TOL from the kept images.  A pulsed field, or a rung whose span
+would change the shortened tail step, restarts the whole family.
 
 The outputs carry no time grid, so a ladder steps at the coarsest
 h = dt 2^j that its Richardson estimate accepts (Hairer, Norsett &
@@ -197,11 +200,13 @@ def _continues(tau: float, prev_tau: float, t: float, cfg: ProcessConfig) -> boo
 
 
 def _dedup(rows: np.ndarray, w: np.ndarray, p: float, tol: float) -> np.ndarray:
+    """Indices of the rows kept: each row farther than tol from every
+    row kept before it."""
     keep: list[int] = []
     for i, u in enumerate(rows):
         if not keep or np.min(_lp_distances(u[None], rows[keep], w, p)) > tol:
             keep.append(i)
-    return rows[keep]
+    return np.array(keep)
 
 
 class _Rung(NamedTuple):
@@ -237,19 +242,21 @@ def _run_ladder(family: np.ndarray, taus: list[float], t: float,
     run = replace(cfg, dt=step)
     w = quad_weights(cfg.weight, cfg.grid)
     rungs: list[_Rung] = []
-    carried: np.ndarray = None  # all k endpoints of the last rung run
-    carry: list = []  # G and its slope at those endpoints
+    kept: np.ndarray = None  # indices of the rows the last rung kept
+    carry: list = []  # G and its slope at every row the last rung stepped
     for tau in taus:
         if rungs and _continues(tau, rungs[-1].tau, t, run):
-            start, stop, how = carried, rungs[-1].tau, "continued"
+            start, stop, how = rungs[-1].kept, rungs[-1].tau, "continued"
+            carry = [row[kept] for row in carry]
         else:
             start, stop, how, carry = family, t, "restarted", []
-        carried = _integrate(start, tau, stop, run, carry=carry)
-        endpoints = _dedup(carried, w, cfg.p, DEDUP_TOL)
+        stepped = _integrate(start, tau, stop, run, carry=carry)
+        kept = _dedup(stepped, w, cfg.p, DEDUP_TOL)
+        endpoints = stepped[kept]
         gap = _two_sided(endpoints, rungs[-1].kept, w, cfg.p) if rungs else None
-        log.info("rung tau=%g: %d steps of %g %s, %d of %d members kept, gap %s",
+        log.info("rung tau=%g: %d steps of %g %s, %d members stepped, %d kept, gap %s",
                  tau, _step_schedule(tau, stop, step)[0], step, how,
-                 len(endpoints), len(carried), "n/a" if gap is None else f"{gap:.6g}")
+                 len(stepped), len(endpoints), "n/a" if gap is None else f"{gap:.6g}")
         rungs.append(_Rung(tau, endpoints, gap))
         if gap is not None and gap < DEDUP_TOL:
             break
@@ -340,12 +347,12 @@ def approximate_pullback_attractor(t: float, cfg: ProcessConfig,
 
     Every rung evolves the same seeded initial family from its tau to t;
     rungs must be strictly decreasing and earlier than t.  Under a zero
-    field a rung continues the previous rung's endpoints over the span
-    it adds when the steps match a restart's (see the module docstring);
-    otherwise it restarts the family.  When consecutive endpoint sets
-    agree within DEDUP_TOL, in both directions, the deeper one is
-    returned as converged; an exhausted ladder returns the deepest rung
-    flagged not converged.
+    field a rung continues the endpoints the previous rung kept over the
+    span it adds when the steps match a restart's (see the module
+    docstring); otherwise it restarts the whole family.  When
+    consecutive endpoint sets agree within DEDUP_TOL, in both
+    directions, the deeper one is returned as converged; an exhausted
+    ladder returns the deepest rung flagged not converged.
 
     The ladder runs at the coarsest step dt 2^j whose Richardson
     estimate (see the module docstring) is at most LADDER_TOL, trying

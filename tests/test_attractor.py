@@ -121,8 +121,7 @@ def test_dedup_keeps_first_member_of_each_cluster(grid, cauchy):
     ones = np.ones(grid.n_points)
     endpoints = np.stack([0.5 * ones, -0.5 * ones, (0.5 + 1e-4) * ones,
                           -0.5 * ones, 0.2 * ones])
-    kept = _dedup(endpoints, w, 2.0, 1e-3)
-    assert np.array_equal(kept, endpoints[[0, 1, 4]])
+    assert np.array_equal(_dedup(endpoints, w, 2.0, 1e-3), [0, 1, 4])
 
 
 def test_semidistance_measures_samples_in_their_own_p(grid, cauchy):
@@ -303,28 +302,42 @@ def test_zero_field_rung_gaps_are_two_sided_semidistances():
 
 
 def rung_stacks(monkeypatch, cfg, ladder):
-    """Run a ladder; return the taus run and, per rung, the stack of all
-    endpoints and the stack of the kept ones."""
+    """Run a ladder; return the taus run and, per rung, how it ran, the
+    stack of the rows it stepped and the indices of those it kept."""
     seen = []
 
-    def spy(endpoints, w, p, tol):
-        kept = _dedup(endpoints, w, p, tol)
-        seen.append((np.stack(endpoints), np.stack(kept)))
+    def spy_integrate(u, tau, t, cfg, observer=None, carry=None):
+        seen.append(["continued" if carry else "restarted"])
+        return _integrate(u, tau, t, cfg, observer, carry)
+
+    def spy_dedup(rows, w, p, tol):
+        kept = _dedup(rows, w, p, tol)
+        seen[-1] += [rows.copy(), kept]
         return kept
 
-    monkeypatch.setattr(attractor, "_dedup", spy)
+    monkeypatch.setattr(attractor, "_integrate", spy_integrate)
+    monkeypatch.setattr(attractor, "_dedup", spy_dedup)
     sample = at_dt(cfg, ladder)
     return sample.taus, seen
 
 
-def assert_rungs_match_restarts(monkeypatch, cfg, ladder):
+def assert_rungs_match_restarts(monkeypatch, cfg, ladder, n_samples=6):
+    """Each restart steps all k members; each continued rung steps the
+    members the rung before it kept, and its rows are the restart's
+    endpoints of those members, bit for bit; every rung keeps the
+    restart's set.  Returns the taus run and how many rows each stepped."""
     taus, rungs = rung_stacks(monkeypatch, cfg, ladder)
     assert len(rungs) == len(taus)
-    for tau, (endpoints, kept) in zip(taus, rungs):
-        _, [(ref_endpoints, ref_kept)] = rung_stacks(monkeypatch, cfg, (tau,))
-        assert np.array_equal(endpoints, ref_endpoints)
-        assert np.array_equal(kept, ref_kept)
-    return taus
+    members = None  # the family indices of the rows the last rung kept
+    for tau, (how, stepped, kept) in zip(taus, rungs):
+        _, [(ref_how, ref_stepped, ref_kept)] = rung_stacks(monkeypatch, cfg, (tau,))
+        assert ref_how == "restarted" and len(ref_stepped) == n_samples
+        rows = members if how == "continued" else np.arange(n_samples)
+        assert len(stepped) == len(rows)
+        assert np.array_equal(stepped, ref_stepped[rows])
+        assert np.array_equal(stepped[kept], ref_stepped[ref_kept])
+        members = rows[kept]
+    return taus, [len(stepped) for _, stepped, _ in rungs]
 
 
 @pytest.mark.parametrize("weight", ["cauchy", "gaussian"])
@@ -333,14 +346,16 @@ def assert_rungs_match_restarts(monkeypatch, cfg, ladder):
 def test_zero_field_rungs_match_restarts(beta, p, weight, monkeypatch):
     # the ladder reaches a rung continued from a rung that dropped members
     cfg = small_cfg(beta=beta, p=p, weight=nf.WeightFunction(weight))
-    taus = assert_rungs_match_restarts(monkeypatch, cfg, (-4.0, -8.0, -16.0, -24.0))
-    assert len(taus) >= 3
+    taus, stepped = assert_rungs_match_restarts(monkeypatch, cfg,
+                                                (-4.0, -8.0, -16.0, -24.0))
+    assert len(taus) >= 3 and min(stepped) < 6
 
 
 def test_pulsed_field_rungs_match_restarts(monkeypatch):
     # continuing the -4 rung over [-8, -4] would differ by about 0.028
     cfg = small_cfg(field=nf.ExternalField("pulsed", 0.1, 1.0))
-    assert assert_rungs_match_restarts(monkeypatch, cfg, (-4.0, -8.0)) == (-4.0, -8.0)
+    taus, stepped = assert_rungs_match_restarts(monkeypatch, cfg, (-4.0, -8.0))
+    assert taus == (-4.0, -8.0) and stepped == [6, 6]
 
 
 def test_tail_step_rungs_match_restarts(monkeypatch):
@@ -348,7 +363,8 @@ def test_tail_step_rungs_match_restarts(monkeypatch):
     # the -4.03 rung's followed by the added span's; continuing would differ
     # by about 5e-9
     ladder = (-4.03, -8.07)
-    assert assert_rungs_match_restarts(monkeypatch, small_cfg(), ladder) == ladder
+    taus, stepped = assert_rungs_match_restarts(monkeypatch, small_cfg(), ladder)
+    assert taus == ladder and stepped == [6, 6]
 
 
 CONTINUE_TAUS = (-4.0, -4.03, -6.283185307179586, -8.0, -8.07, -12.566370614359172,
@@ -453,15 +469,18 @@ def test_each_restart_takes_a_trapezoid_first_step(field, monkeypatch):
 
 def test_each_rung_logs_its_work(caplog):
     with caplog.at_level(logging.INFO, logger="nlfield.attractor"):
-        cont = at_dt(small_cfg(), (-4.0, -8.0))
+        cont = at_dt(small_cfg(), (-4.0, -8.0, -16.0))
         rest = at_dt(small_cfg(field=nf.ExternalField("pulsed", 0.1, 1.0)), (-4.0, -8.0))
     lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("rung ")]
+    # the -16 rung steps on only the 3 members the -8 rung kept
     assert lines == [
-        "rung tau=-4: 80 steps of 0.05 restarted, 6 of 6 members kept, gap n/a",
-        f"rung tau=-8: 80 steps of 0.05 continued, {len(cont)} of 6 members kept,"
+        "rung tau=-4: 80 steps of 0.05 restarted, 6 members stepped, 6 kept, gap n/a",
+        "rung tau=-8: 80 steps of 0.05 continued, 6 members stepped, 3 kept,"
         f" gap {cont.rung_gaps[0]:.6g}",
-        "rung tau=-4: 80 steps of 0.05 restarted, 6 of 6 members kept, gap n/a",
-        f"rung tau=-8: 160 steps of 0.05 restarted, {len(rest)} of 6 members kept,"
+        f"rung tau=-16: 160 steps of 0.05 continued, 3 members stepped, {len(cont)} kept,"
+        f" gap {cont.rung_gaps[1]:.6g}",
+        "rung tau=-4: 80 steps of 0.05 restarted, 6 members stepped, 6 kept, gap n/a",
+        f"rung tau=-8: 160 steps of 0.05 restarted, 6 members stepped, {len(rest)} kept,"
         f" gap {rest.rung_gaps[0]:.6g}",
     ]
 
