@@ -2,7 +2,9 @@
 
 Commands run in process through main(argv); CSV artifacts land in
 pytest tmp directories.  Small grids (1024 nodes) keep the runs fast;
-the physics on them is checked in the module test files.
+the physics on them is checked in the module test files.  The rerun
+tests at the end run every shipped config through every subcommand,
+twice, and one attractor run in a fresh interpreter.
 """
 
 import dataclasses
@@ -257,7 +259,7 @@ def test_integral_float_at_integer_key_exits_2(command, doc, key_path, value,
     path = write_config(tmp_path, "beta: 2.0\n" + doc)
     assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert f"error: {key_path}: {value} is not of type 'integer'" in err
+    assert f"error: {key_path}: {value} is not of type 'integer'" in err.splitlines()
     assert "Traceback" not in err
 
 
@@ -1108,7 +1110,9 @@ def test_verify_exits_2_on_a_non_finite_bound(extra, check, tmp_path, capsys):
            f"verify:\n  checks: [{check}]\n")
     assert main(["verify", "--config", write_config(tmp_path, doc)]) == 2
     name = check.split(", ")[-1]
-    assert f"error: {name}: the bound is inf, not finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {name}: the bound is inf, not finite" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 
@@ -1236,13 +1240,130 @@ def test_package_error_inside_a_command_exits_2(tmp_path, monkeypatch, capsys):
             in capsys.readouterr().err)
 
 
-def test_verify_reruns_are_byte_identical(tmp_path):
-    doc = ("beta: 2.0\nn_points: 1024\n"
-           "verify:\n  checks: [lemma1a, lemma1b]\n")
+# ---------------------------------------------------------------------------
+# reruns: each case, run twice, exits 0 and writes the same bytes
+# ---------------------------------------------------------------------------
+
+CONFIGS = Path(__file__).parent.parent / "configs"
+COMMANDS = ("simulate", "attractor", "hstar", "verify", "sweep")
+
+# the convolution transforms at the grid's 5-smooth length: n 4090 runs at
+# 4096 with a partial wrap band at each cut (34 of the 40 kernel half-width
+# nodes), n 1009 at 1024 with none; verify takes J' * u on both in
+# lemma1a_deriv's power method, its one J' path, and steps the trajectory
+# checks' spans carrying G and its slope
+GRID = """\
+beta: 0.5
+n_points: {n}
+simulate:
+  t: 10.0
+  initial:
+    kind: random
+    norm: 1.0
+  snapshots: 3
+attractor:
+  tau_ladder: [-4.0, -8.0, -16.0, -32.0]
+  n_samples: 4
+verify: {{checks: [lemma1a, lemma1a_deriv, lemma1b, prop_lipschitz, absorbing, w_bound, gronwall_continuity]}}
+"""
+
+# the refined trajectory op's shape: p 3, the gaussian weight, a pulsed
+# field, n 8192 (FFT length 8354) and 4 snapshots
+GAUSSIAN_SIMULATE = """\
+beta: 2.0
+p: 3.0
+weight: gaussian
+n_points: 8192
+field: {family: pulsed, amplitude: 0.15, omega: 1.1}
+simulate:
+  t: 16.0
+  snapshots: 4
+  initial: {kind: random, norm: 1.0}
+"""
+
+# the three checks that need neither the Cauchy weight's K nor its rho_1
+GAUSSIAN_VERIFY = """\
+beta: 2.0
+weight: gaussian
+n_points: 1024
+verify: {checks: [absorbing, w_bound, c1_attractor]}
+"""
+
+
+def ladder_steps_coarser_than_dt(out, log):
+    # a ladder back on the fixed-step path reads ladder_step 0.05 and a NaN
+    # estimate; the contraction config accepts 0.8 at about 7.1e-5
+    meta = dict(read_rows(out / "attractor_meta.csv")[1])
+    assert float(meta["ladder_step"]) > 0.05
+    assert float(meta["ladder_step_error"]) <= 1e-4
+
+
+def four_snapshots(out, log):
+    assert len(list(out.glob("snapshot_*.csv"))) == 4
+
+
+def vacuous_envelope_warns_once(out, log):
+    # at seed 2 the ladder reaches horizon 32, where the continuity
+    # envelope's rate 29.45 overflows exp: every eps > 0 row reads inf, the
+    # eps = 0 row the dedup tolerance, and one warning covers the sweep
+    _, rows = read_rows(out / "sweep.csv")
+    envelopes = {float(r[0]): r[2] for r in rows}
+    assert envelopes[0.0] == "0.001"
+    assert all(v == "inf" for eps, v in envelopes.items() if eps > 0.0)
+    assert log.count("vacuous") == 1
+
+
+SHIPPED_CHECKS = {("contraction", "attractor"): ladder_steps_coarser_than_dt}
+
+RERUNS = [
+    pytest.param(command, path.read_text(encoding="utf-8"), (),
+                 SHIPPED_CHECKS.get((path.stem, command)), id=f"{path.stem}-{command}")
+    for path in sorted(CONFIGS.glob("*.yaml")) for command in COMMANDS
+] + [
+    pytest.param(command, GRID.format(n=n), (), None, id=f"n{n}-{command}")
+    for n in (4090, 1009) for command in ("simulate", "attractor", "verify")
+] + [
+    pytest.param("simulate", GAUSSIAN_SIMULATE, (), four_snapshots,
+                 id="gaussian-p3-n8192-simulate"),
+    pytest.param("verify", GAUSSIAN_VERIFY, (), None, id="gaussian-verify"),
+    pytest.param("sweep", (CONFIGS / "sweep.yaml").read_text(encoding="utf-8"),
+                 ("--seed", "2"), vacuous_envelope_warns_once, id="sweep-sweep-seed2"),
+]
+
+
+@pytest.mark.parametrize("command,doc,flags,check", RERUNS)
+def test_reruns_exit_0_and_write_the_same_bytes(command, doc, flags, check,
+                                                tmp_path, caplog):
+    # exit 0 means every verify row passed and every ladder converged
     path = write_config(tmp_path, doc)
-    outs = []
-    for name in ("a", "b"):
-        out = tmp_path / name
-        assert main(["verify", "--config", path, "--out", str(out)]) == 0
-        outs.append((out / "verify.csv").read_text().splitlines()[1:])
-    assert outs[0] == outs[1]
+    trees, logs = [], []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            assert main([command, "--config", path, "--out", str(out), *flags]) == 0
+        trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+        logs.append(caplog.text)
+    a, b = trees
+    assert a and sorted(a) == sorted(b)
+    assert [name for name in a if a[name] != b[name]] == []
+    if check:
+        check(tmp_path / "a", logs[0])
+
+
+def test_fresh_interpreter_loads_no_jsonschema_and_writes_the_same_bytes(tmp_path):
+    # jsonschema is a test dependency only, so importing the CLI loads none
+    # of it; and an attractor run in a fresh process, under its own hash seed
+    # and with every first-call cache cold, writes the in-process bytes
+    env = {**os.environ, "PYTHONPATH": str(Path(nlfield.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, nlfield.cli; sys.exit('jsonschema' in sys.modules)"],
+        env=env)
+    assert proc.returncode == 0
+    config = str(CONFIGS / "bistable.yaml")
+    subprocess.run([sys.executable, "-m", "nlfield.cli", "attractor", "--config", config,
+                    "--out", str(tmp_path / "fresh")],
+                   env=env, capture_output=True, check=True)
+    assert main(["attractor", "--config", config, "--out", str(tmp_path / "here")]) == 0
+    for name in ("members.csv", "attractor_meta.csv"):
+        assert (tmp_path / "fresh" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
