@@ -12,6 +12,7 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -1241,11 +1242,21 @@ def test_package_error_inside_a_command_exits_2(tmp_path, monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
-# reruns: each case, run twice, exits 0 and writes the same bytes
+# reruns: each case, run twice, exits 0, writes the same bytes and matches
+# its committed reference tables
 # ---------------------------------------------------------------------------
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 COMMANDS = ("simulate", "attractor", "hstar", "verify", "sweep")
+
+# tests/reference/<case id>/ holds these tables of each case's output,
+# written by tests/regen_reference.py
+REFERENCE = Path(__file__).parent / "reference"
+REFERENCE_TABLES = ("attractor_meta.csv", "hstar.csv", "sweep.csv", "trajectory.csv",
+                    "verify.csv")
+# the cells _fmt writes for a float that is not integral: a fraction or an
+# exponent, or a non-finite value
+FLOAT_CELL = re.compile(r"-?(\d+\.\d+(e[+-]\d+)?|\d+e[+-]\d+|inf|nan)")
 
 # the convolution transforms at the grid's 5-smooth length: n 4090 runs at
 # 4096 with a partial wrap band at each cut (34 of the 40 kernel half-width
@@ -1333,7 +1344,7 @@ RERUNS = [
 
 @pytest.mark.parametrize("command,doc,flags,check", RERUNS)
 def test_reruns_exit_0_and_write_the_same_bytes(command, doc, flags, check,
-                                                tmp_path, caplog):
+                                                tmp_path, caplog, request):
     # exit 0 means every verify row passed and every ladder converged
     path = write_config(tmp_path, doc)
     trees, logs = [], []
@@ -1347,8 +1358,39 @@ def test_reruns_exit_0_and_write_the_same_bytes(command, doc, flags, check,
     a, b = trees
     assert a and sorted(a) == sorted(b)
     assert [name for name in a if a[name] != b[name]] == []
+    assert_matches_reference(tmp_path / "a", REFERENCE / request.node.callspec.id)
     if check:
         check(tmp_path / "a", logs[0])
+
+
+def cells_match(got, ref):
+    # a float cell within 1e-12 relative of the reference, and so exactly
+    # where the reference is 0; every other cell (keys, counts, verdicts,
+    # digests, integral floats) and every non-finite one exactly
+    if got == ref:
+        return True
+    if not (FLOAT_CELL.fullmatch(got) and FLOAT_CELL.fullmatch(ref)):
+        return False
+    return abs(float(got) - float(ref)) <= 1e-12 * abs(float(ref))
+
+
+def assert_matches_reference(out, ref_dir):
+    """Each reference table of the case is in out with the same version
+    and header lines, the same rows and columns, and matching cells.
+
+    The bytes themselves depend on numpy's CPU dispatch, which moves
+    output values by up to about 5e-15 relative; 1e-12 holds them on any
+    host and trips on any change to the numerics."""
+    names = sorted(p.name for p in ref_dir.iterdir())
+    assert names and names == [n for n in sorted(REFERENCE_TABLES) if (out / n).exists()]
+    for name in names:
+        got = (out / name).read_text().splitlines()
+        ref = (ref_dir / name).read_text().splitlines()
+        assert got[:2] == ref[:2] and len(got) == len(ref), name
+        for line, (g, r) in enumerate(zip(got[2:], ref[2:]), start=3):
+            g_cells, r_cells = g.split(","), r.split(",")
+            assert len(g_cells) == len(r_cells) and all(map(cells_match, g_cells, r_cells)), \
+                f"{name} line {line}: {g!r}, reference {r!r}"
 
 
 def test_fresh_interpreter_loads_no_jsonschema_and_writes_the_same_bytes(tmp_path):
