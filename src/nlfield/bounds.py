@@ -95,22 +95,20 @@ class BoundReport:
     seed: int
 
 
-def _field_corpus(cfg: ProcessConfig, count: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Global random rows, as a (count, n) array: five low modes plus noise.
+def _field_corpus(cfg: ProcessConfig, rng: np.random.Generator) -> np.ndarray:
+    """One global random row, as a (1, n) array: five low modes plus noise.
 
-    Row i is sum_m amp_m cos(k_m x + phase_m) + noise, one cosine per node
-    and mode.  Each mode draws k, then amp, then phase, and the row's grid
-    noise follows its five modes.
+    The row is sum_m amp_m cos(k_m x + phase_m) + noise, one cosine per
+    node and mode.  Each mode draws k, then amp, then phase, and the grid
+    noise follows the five modes.
     """
     x = cfg.grid.nodes
-    out = np.zeros((count, x.size))
-    for row in out:
-        for _ in range(5):
-            k = rng.uniform(0.05, 2.5)
-            row += rng.normal(scale=0.3) * np.cos(k * x + rng.uniform(0.0, 2 * np.pi))
-        row += rng.normal(scale=0.1, size=x.size)
-    return out
+    row = np.zeros(x.size)
+    for _ in range(5):
+        k = rng.uniform(0.05, 2.5)
+        row += rng.normal(scale=0.3) * np.cos(k * x + rng.uniform(0.0, 2 * np.pi))
+    row += rng.normal(scale=0.1, size=x.size)
+    return row[None]
 
 
 def _dual(v: np.ndarray, p: float, norm: float) -> np.ndarray:
@@ -190,12 +188,13 @@ def continuity_envelope(cfg: ProcessConfig, h_gap: float, horizon: float) -> flo
     M1 = 2^((p+1)/p) l_g beta, and rho1 the Cauchy weight's.  A zero gap
     gives exactly 0 at any horizon.  A weight other than Cauchy, or a
     value past the float range, gives inf, with a warning that the bound
-    says nothing there.
+    says nothing there.  A NaN horizon or gap, or an infinite gap, raises
+    ValueError.
     """
-    if horizon < 0.0:
+    if not (horizon >= 0.0):
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
-    if h_gap < 0.0:
-        raise ValueError(f"h gap must be nonnegative, got {h_gap}")
+    if not (0.0 <= h_gap < math.inf):
+        raise ValueError(f"h gap must be finite and nonnegative, got {h_gap}")
     if h_gap == 0.0:
         return 0.0
     if cfg.weight.kind != WEIGHT_CAUCHY:
@@ -284,9 +283,9 @@ def _check_prop_lipschitz(cfg, seed, norms):
 
 
 def _start(cfg, seed, target: float) -> np.ndarray:
-    """The one start row of a trajectory check: row 0 of _field_corpus
-    on default_rng(seed), scaled to norm target in L^p_w."""
-    u = _field_corpus(cfg, 1, np.random.default_rng(seed))[0]
+    """The one start row of a trajectory check: the row _field_corpus
+    draws from default_rng(seed), scaled to norm target in L^p_w."""
+    u = _field_corpus(cfg, np.random.default_rng(seed))[0]
     return u * (target / _lp_norm(u, quad_weights(cfg.weight, cfg.grid), cfg.p))
 
 

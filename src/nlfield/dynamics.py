@@ -55,7 +55,6 @@ at s takes a trapezoid step where the unbroken run would not.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -225,10 +224,10 @@ class ProcessConfig:
     dt: float
 
     def __post_init__(self):
-        if not (self.beta > 0.0):
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if not (self.dt > 0.0):
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (0.0 < self.beta < math.inf):
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        if not (0.0 < self.dt < math.inf):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not (1.0 < self.p < math.inf):
             raise ValueError(f"p must lie in (1, inf), got {self.p}")
         if self.kernel.grid != self.grid:
@@ -283,11 +282,8 @@ def rhs_f(t: float, u: WeightedField, cfg: ProcessConfig) -> WeightedField:
     return u.with_values(out)
 
 
-@functools.cache
 def _phi_weights(delta: float) -> tuple[float, float, float]:
-    # exp(-delta) and the two quadrature weights; their sum is 1 - exp(-delta).
-    # A run takes at most two step sizes, dt and its tail, so a cache keeps
-    # the four libm calls out of every step
+    # exp(-delta) and the two quadrature weights; their sum is 1 - exp(-delta)
     em = math.exp(-delta)
     total = -math.expm1(-delta)
     phi1 = total / delta

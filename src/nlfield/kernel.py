@@ -16,11 +16,11 @@ convolve_direct is the quadratic-cost reference sum (the oracle the
 fast path is tested against).  Every other convolution in the package,
 convolve_fast, the nonlinear term of the dynamics and the operator
 checks of bounds, goes through one FFT expression, _fft_convolve: a
-forward transform of the rows (_forward), the product with a cached
-spectrum, an inverse transform cropped to the grid (_inverse), and the
-subtraction of the wrap-around at the cuts (_unwrap).  It takes J * u,
-or J' * u with the derivative spectrum and its edge matrices; J' * u is
-taken only by the J' row of the operator checks' power iteration.
+forward transform of the rows, the product with a cached spectrum, an
+inverse transform cropped to the grid, and the subtraction of the
+wrap-around at the cuts (_unwrap).  It takes J * u, or J' * u with the
+derivative spectrum and its edge matrices; J' * u is taken only by the
+J' row of the operator checks' power iteration.
 
 The transform length is the grid's own 5-smooth length L, the smallest
 length >= n with no prime factor above 5 (numpy's FFT is several times
@@ -157,21 +157,6 @@ def convolve_direct(kernel: Kernel, u: WeightedField) -> WeightedField:
     return u.with_values(out)
 
 
-def _forward(kernel: Kernel, values: np.ndarray) -> np.ndarray:
-    """Forward transform of each row of a (..., n) array at the grid's length."""
-    return np.fft.rfft(values, kernel._fft_len, axis=-1)
-
-
-def _inverse(kernel: Kernel, product: np.ndarray) -> np.ndarray:
-    """Inverse transform of spectrum products, cropped to the grid.
-
-    dx is folded into the spectra; the first and last r outputs still
-    carry the wrap-around that _unwrap subtracts.
-    """
-    full = np.fft.irfft(product, kernel._fft_len, axis=-1)
-    return full[..., :kernel.grid.n_points]
-
-
 def _unwrap(kernel: Kernel, out: np.ndarray, values: np.ndarray,
             edges: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Subtract, in place, the circular wrap-around from the outputs at
@@ -191,10 +176,16 @@ def _unwrap(kernel: Kernel, out: np.ndarray, values: np.ndarray,
 def _fft_convolve(kernel: Kernel, values: np.ndarray,
                   derivative: bool = False) -> np.ndarray:
     """J * values, or J' * values when derivative, along the last axis of
-    a (..., n) array."""
+    a (..., n) array.
+
+    dx is folded into the spectra.  The inverse transform is cropped to
+    the grid, and its first and last r outputs still carry the
+    wrap-around that _unwrap subtracts.
+    """
     spectrum, edges = ((kernel._deriv_spectrum, kernel._deriv_edges) if derivative
                        else (kernel._spectrum, kernel._edges))
-    out = _inverse(kernel, _forward(kernel, values) * spectrum)
+    product = np.fft.rfft(values, kernel._fft_len, axis=-1) * spectrum
+    out = np.fft.irfft(product, kernel._fft_len, axis=-1)[..., :kernel.grid.n_points]
     return _unwrap(kernel, out, values, edges)
 
 

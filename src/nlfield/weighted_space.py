@@ -79,10 +79,10 @@ class Grid1D:
     n_points: int
 
     def __post_init__(self):
-        if not (self.half_length >= 4.0):
-            raise ValueError(f"half_length must be >= 4, got {self.half_length}")
-        if self.n_points < 16:
-            raise ValueError(f"n_points must be >= 16, got {self.n_points}")
+        if not (4.0 <= self.half_length < math.inf):
+            raise ValueError(f"half_length must be finite and >= 4, got {self.half_length}")
+        if not isinstance(self.n_points, (int, np.integer)) or self.n_points < 16:
+            raise ValueError(f"n_points must be an integer >= 16, got {self.n_points!r}")
 
     @property
     def spacing(self) -> float:
@@ -181,18 +181,14 @@ def radius_for_tail(weight: WeightFunction, mass_bound: float) -> float:
     return hi
 
 
-def _central_difference(values: np.ndarray, dx: float) -> np.ndarray:
-    """Centered first difference of a raw row, one-sided at its two ends.
-
-    Bit-equal to np.gradient(values, dx, edge_order=1) on a uniform grid.
-    """
-    d = np.empty_like(values)
-    d[1:-1] = (values[2:] - values[:-2]) / (2.0 * dx)
-    d[0] = (values[1] - values[0]) / dx
-    d[-1] = (values[-1] - values[-2]) / dx
-    return d
-
-
 def finite_difference(u: WeightedField) -> WeightedField:
-    """Centered first derivative, one-sided at the two boundary nodes."""
-    return u.with_values(_central_difference(u.values, u.grid.spacing))
+    """Centered first derivative, one-sided at the two boundary nodes.
+
+    Bit-equal to np.gradient(u.values, dx, edge_order=1) on the grid.
+    """
+    v, dx = u.values, u.grid.spacing
+    d = np.empty_like(v)
+    d[1:-1] = (v[2:] - v[:-2]) / (2.0 * dx)
+    d[0] = (v[1] - v[0]) / dx
+    d[-1] = (v[-1] - v[-2]) / dx
+    return u.with_values(d)

@@ -14,7 +14,6 @@ import pytest
 import nlfield as nf
 import nlfield.bounds
 import nlfield.dynamics
-import nlfield.kernel
 from nlfield.bounds import CHECK_NAMES, _field_corpus, _power_stack, _start
 from nlfield.cli import parse_config
 from nlfield.kernel import _fft_convolve
@@ -57,6 +56,17 @@ def test_continuity_envelope_values(pulsed_cfg):
         nf.continuity_envelope(pulsed_cfg, 1.0, -1.0)
     with pytest.raises(ValueError):
         nf.continuity_envelope(pulsed_cfg, -0.1, 1.0)
+
+
+@pytest.mark.parametrize("h_gap,horizon", [
+    (math.nan, 1.0), (math.inf, 1.0), (0.02, math.nan), (0.0, math.nan)],
+    ids=["nan-gap", "inf-gap", "nan-horizon", "zero-gap-nan-horizon"])
+def test_continuity_envelope_rejects_a_nan_or_infinite_gap_and_a_nan_horizon(
+        pulsed_cfg, h_gap, horizon, caplog):
+    with caplog.at_level(logging.WARNING, logger="nlfield.bounds"):
+        with pytest.raises(ValueError, match="must be"):
+            nf.continuity_envelope(pulsed_cfg, h_gap, horizon)
+    assert caplog.text == ""
 
 
 def test_continuity_envelope_zero_gap_at_any_horizon(pulsed_cfg):
@@ -345,7 +355,8 @@ def test_power_method_beats_random_fields_under_young_at_p3(cauchy, name):
     cfg = small_cfg(cauchy, 3.0)
     apply, matrix, young = dense_operators(cfg)[name]
     w = quad_weights(cfg.weight, cfg.grid)
-    fields = _field_corpus(cfg, 200, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    fields = [_field_corpus(cfg, rng)[0] for _ in range(200)]
     worst = max(_lp_norm(matrix @ u, w, 3.0) / _lp_norm(u, w, 3.0) for u in fields)
     (estimate,), _ = _power_stack(cfg, 0, apply, 1)
     assert worst <= estimate <= young
@@ -492,7 +503,9 @@ def test_field_corpus_matches_libm_sum_and_draw_order(cauchy, n):
                            nonlinearity=nf.Nonlinearity.tanh(),
                            field=nf.ExternalField(), dt=0.05)
     ref_rng, rng = np.random.default_rng(11), np.random.default_rng(11)
-    assert np.array_equal(_field_corpus(cfg, 1, rng)[0], libm_row(grid.nodes, ref_rng))
+    out = _field_corpus(cfg, rng)
+    assert out.shape == (1, n)
+    assert np.array_equal(out[0], libm_row(grid.nodes, ref_rng))
     assert rng.uniform() == ref_rng.uniform()
 
 
@@ -520,9 +533,10 @@ def corpus_draws(monkeypatch):
     """Row counts of every corpus draw made through nlfield.bounds."""
     counts = []
 
-    def counting(cfg, count, rng):
-        counts.append(count)
-        return _field_corpus(cfg, count, rng)
+    def counting(cfg, rng):
+        out = _field_corpus(cfg, rng)
+        counts.append(len(out))
+        return out
 
     monkeypatch.setattr(nlfield.bounds, "_field_corpus", counting)
     return counts
@@ -575,15 +589,18 @@ def test_battery_reports_in_the_order_given(tanh_cfg):
 # planted defects: each must trip a named check
 # ---------------------------------------------------------------------------
 
-def test_convolution_without_dx_trips_the_lemma_checks(tanh_cfg, monkeypatch):
-    # G convolves on the same path, so prop_lipschitz trips with them
-    inverse = nlfield.kernel._inverse
-
-    def no_dx(kernel, product):
-        return inverse(kernel, product) / kernel.grid.spacing
-
-    monkeypatch.setattr(nlfield.kernel, "_inverse", no_dx)
-    reports = nf.battery(tanh_cfg, OPERATOR_CHECKS, seed=0)
+def test_convolution_without_dx_trips_the_lemma_checks(tanh_cfg):
+    # the spectra and edge matrices fold in dx; here it is divided out of
+    # both.  G convolves through the same kernel, so prop_lipschitz trips
+    # with the lemma checks
+    k = tanh_cfg.kernel
+    dx = k.grid.spacing
+    no_dx = dataclasses.replace(
+        k, _spectrum=k._spectrum / dx, _deriv_spectrum=k._deriv_spectrum / dx,
+        _edges=tuple(e / dx for e in k._edges),
+        _deriv_edges=tuple(e / dx for e in k._deriv_edges))
+    cfg = dataclasses.replace(tanh_cfg, kernel=no_dx)
+    reports = nf.battery(cfg, OPERATOR_CHECKS, seed=0)
     assert [r.name for r in reports if not r.passed] == OPERATOR_CHECKS
     for r in reports[:3]:
         assert r.measured > 10.0 * r.theoretical

@@ -1279,7 +1279,7 @@ verify: {{checks: [lemma1a, lemma1a_deriv, lemma1b, prop_lipschitz, absorbing, w
 """
 
 # the refined trajectory op's shape: p 3, the gaussian weight, a pulsed
-# field, n 8192 (FFT length 8354) and 4 snapshots
+# field, n 8192 (transformed at 8192, already 5-smooth) and 4 snapshots
 GAUSSIAN_SIMULATE = """\
 beta: 2.0
 p: 3.0

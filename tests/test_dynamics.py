@@ -154,6 +154,13 @@ def test_process_config_validation(grid, cauchy, kernel):
                          nonlinearity=g, field=nf.ExternalField(), dt=0.0)
 
 
+@pytest.mark.parametrize("name", ["beta", "dt"])
+def test_process_config_rejects_an_infinite_gain_or_step(tanh_cfg, name):
+    # an infinite dt schedules no step, so evolve would hand back its start
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        dataclasses.replace(tanh_cfg, **{name: math.inf})
+
+
 def test_config_digest_sensitivity(tanh_cfg, contraction_cfg):
     assert tanh_cfg.digest() == tanh_cfg.digest()
     assert tanh_cfg.digest() != contraction_cfg.digest()
@@ -546,12 +553,6 @@ def test_planted_guards_trip_the_guard_tests():
         guard_passes_squares_past_the_float_range(dot_only)
     with pytest.raises(pytest.fail.Exception):
         guard_flags_a_last_bad_entry(lambda vals: None, math.nan)
-
-
-def test_step_weights_are_cached_per_step_size():
-    phi = nlfield.dynamics._phi_weights
-    assert phi(0.05) is phi(0.05)
-    assert phi(0.02) == phi.__wrapped__(0.02)
 
 
 def test_evolve_contracts_to_zero_for_small_gain(contraction_cfg, corpus_factory):

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 import nlfield as nf
 import nlfield.bounds
-from nlfield.weighted_space import _central_difference, _lp_norm, quad_weights
+from nlfield.weighted_space import _lp_norm, quad_weights
 
 GOLDEN_K = (3.0 + math.sqrt(5.0)) / 2.0  # sup ratio of the cauchy weight over unit shifts
 
@@ -29,6 +29,16 @@ def test_grid_validation():
         nf.Grid1D(3.0, 4096)
     with pytest.raises(ValueError):
         nf.Grid1D(50.0, 8)
+    assert nf.Grid1D(50.0, np.int64(4096)).nodes.size == 4096
+
+
+@pytest.mark.parametrize("half_length,n_points", [
+    (50.0, 4096.5), (50.0, 4096.0), (math.inf, 4096)])
+def test_grid_rejects_a_float_count_and_an_infinite_length(half_length, n_points):
+    # make_bump_kernel's 5-smooth search never ends on a fractional count,
+    # and an infinite half length makes NaN nodes
+    with pytest.raises(ValueError, match="must be (an integer|finite)"):
+        nf.Grid1D(half_length, n_points)
 
 
 def test_interior_mask_counts_nodes():
@@ -290,7 +300,7 @@ def test_seminorm_matches_explicit_sum(grid, cauchy):
 def test_central_difference_is_bit_equal_to_gradient(n):
     g = nf.Grid1D(50.0, n)
     u = np.random.default_rng(n).normal(size=n)
-    d = _central_difference(u, g.spacing)
+    d = nf.finite_difference(nf.WeightedField(g, nf.WeightFunction.cauchy(), u)).values
     assert d.tobytes() == np.gradient(u, g.spacing, edge_order=1).tobytes()
 
 
