@@ -1249,11 +1249,14 @@ def test_package_error_inside_a_command_exits_2(tmp_path, monkeypatch, capsys):
 CONFIGS = Path(__file__).parent.parent / "configs"
 COMMANDS = ("simulate", "attractor", "hstar", "verify", "sweep")
 
-# tests/reference/<case id>/ holds these tables of each case's output,
+# tests/reference/<case id>/ holds these tables of each case's output and,
+# in log.txt, its INFO lines that begin with one of LADDER_LINES, all
 # written by tests/regen_reference.py
 REFERENCE = Path(__file__).parent / "reference"
 REFERENCE_TABLES = ("attractor_meta.csv", "hstar.csv", "sweep.csv", "trajectory.csv",
                     "verify.csv")
+# the structural lines of a ladder: each rung, each step tried, each sweep leg
+LADDER_LINES = ("rung tau=", "ladder step ", "sweep eps=")
 # the cells _fmt writes for a float that is not integral: a fraction or an
 # exponent, or a non-finite value
 FLOAT_CELL = re.compile(r"-?(\d+\.\d+(e[+-]\d+)?|\d+e[+-]\d+|inf|nan)")
@@ -1347,20 +1350,37 @@ def test_reruns_exit_0_and_write_the_same_bytes(command, doc, flags, check,
                                                 tmp_path, caplog, request):
     # exit 0 means every verify row passed and every ladder converged
     path = write_config(tmp_path, doc)
-    trees, logs = [], []
+    trees, logs, ladders = [], [], []
     for run in ("a", "b"):
         out = tmp_path / run
         caplog.clear()
-        with caplog.at_level(logging.WARNING):
+        with caplog.at_level(logging.INFO):
             assert main([command, "--config", path, "--out", str(out), *flags]) == 0
         trees.append({p.name: p.read_bytes() for p in out.iterdir()})
         logs.append(caplog.text)
+        ladders.append(ladder_log(caplog.records))
     a, b = trees
     assert a and sorted(a) == sorted(b)
     assert [name for name in a if a[name] != b[name]] == []
-    assert_matches_reference(tmp_path / "a", REFERENCE / request.node.callspec.id)
+    assert_matches_reference(tmp_path / "a", ladders[0],
+                             REFERENCE / request.node.callspec.id)
     if check:
         check(tmp_path / "a", logs[0])
+
+
+def ladder_log(records):
+    """The INFO lines of a run that begin with one of LADDER_LINES, as
+    log.txt holds them: one message a line."""
+    return "".join(f"{r.getMessage()}\n" for r in records
+                   if r.levelno == logging.INFO and r.getMessage().startswith(LADDER_LINES))
+
+
+def cpu_features():
+    """numpy's version and the CPU features its dispatch enabled, as
+    tests/reference/cpu_features.txt holds them for the reference host."""
+    from numpy._core._multiarray_umath import __cpu_features__
+    return f"numpy {np.__version__}: " + " ".join(
+        name for name, on in __cpu_features__.items() if on)
 
 
 def cells_match(got, ref):
@@ -1374,14 +1394,22 @@ def cells_match(got, ref):
     return abs(float(got) - float(ref)) <= 1e-12 * abs(float(ref))
 
 
-def assert_matches_reference(out, ref_dir):
-    """Each reference table of the case is in out with the same version
-    and header lines, the same rows and columns, and matching cells.
+def assert_matches_reference(out, ladder, ref_dir):
+    """The case's ladder lines equal its log.txt, and each reference table
+    of the case is in out with the same version and header lines, the
+    same rows and columns, and matching cells.
 
-    The bytes themselves depend on numpy's CPU dispatch, which moves
-    output values by up to about 5e-15 relative; 1e-12 holds them on any
-    host and trips on any change to the numerics."""
-    names = sorted(p.name for p in ref_dir.iterdir())
+    The ladder lines print their numbers at 3 to 6 digits, so they are
+    compared exactly.  The table bytes depend on numpy's CPU dispatch.
+    Under the reference host's AVX512 dispatch and under AVX2 (X86_V3)
+    the cells agree within 1e-12, which trips on any change to the
+    numerics.  Under baseline X86_V2 dispatch three cells formed by
+    cancellation move by up to 9.2e-10 relative and fail, so a mismatch
+    names the CPU features of both hosts."""
+    assert ladder == (ref_dir / "log.txt").read_text()
+    hosts = (f"this host {cpu_features()}; reference host "
+             f"{(REFERENCE / 'cpu_features.txt').read_text().strip()}")
+    names = sorted(p.name for p in ref_dir.iterdir() if p.name in REFERENCE_TABLES)
     assert names and names == [n for n in sorted(REFERENCE_TABLES) if (out / n).exists()]
     for name in names:
         got = (out / name).read_text().splitlines()
@@ -1390,7 +1418,7 @@ def assert_matches_reference(out, ref_dir):
         for line, (g, r) in enumerate(zip(got[2:], ref[2:]), start=3):
             g_cells, r_cells = g.split(","), r.split(",")
             assert len(g_cells) == len(r_cells) and all(map(cells_match, g_cells, r_cells)), \
-                f"{name} line {line}: {g!r}, reference {r!r}"
+                f"{name} line {line}: {g!r}, reference {r!r}; {hosts}"
 
 
 def test_fresh_interpreter_loads_no_jsonschema_and_writes_the_same_bytes(tmp_path):
