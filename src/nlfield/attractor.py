@@ -199,12 +199,12 @@ def _continues(tau: float, prev_tau: float, t: float, cfg: ProcessConfig) -> boo
             and _step_schedule(tau, t, cfg.dt) == (prev + added, tail))
 
 
-def _dedup(rows: np.ndarray, w: np.ndarray, p: float, tol: float) -> np.ndarray:
-    """Indices of the rows kept: each row farther than tol from every
-    row kept before it."""
+def _dedup(rows: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
+    """Indices of the rows kept: each row farther than DEDUP_TOL from
+    every row kept before it."""
     keep: list[int] = []
     for i, u in enumerate(rows):
-        if not keep or np.min(_lp_distances(u[None], rows[keep], w, p)) > tol:
+        if not keep or np.min(_lp_distances(u[None], rows[keep], w, p)) > DEDUP_TOL:
             keep.append(i)
     return np.array(keep)
 
@@ -251,7 +251,7 @@ def _run_ladder(family: np.ndarray, taus: list[float], t: float,
         else:
             start, stop, how, carry = family, t, "restarted", []
         stepped = _integrate(start, tau, stop, run, carry=carry)
-        kept = _dedup(stepped, w, cfg.p, DEDUP_TOL)
+        kept = _dedup(stepped, w, cfg.p)
         endpoints = stepped[kept]
         gap = _two_sided(endpoints, rungs[-1].kept, w, cfg.p) if rungs else None
         log.info("rung tau=%g: %d steps of %g %s, %d members stepped, %d kept, gap %s",
@@ -303,17 +303,6 @@ def _stabilized(rungs: list[_Rung]) -> bool:
     return converged
 
 
-def _sample(t: float, cfg: ProcessConfig, rungs: list[_Rung], seed: int,
-            step: float, step_error: float) -> AttractorSample:
-    converged = _stabilized(rungs)
-    members = tuple(WeightedField(cfg.grid, cfg.weight, u) for u in rungs[-1].kept)
-    return AttractorSample(t=t, members=members, p=cfg.p,
-                           taus=tuple(r.tau for r in rungs), seed=seed,
-                           digest=cfg.digest(), converged=converged,
-                           rung_gaps=tuple(r.gap for r in rungs[1:]),
-                           step=step, step_error=step_error)
-
-
 def _search(family: np.ndarray, taus: list[float], t: float,
             cfg: ProcessConfig) -> tuple[list[_Rung], float, float]:
     """The rungs at the coarsest accepted step, the step, and its
@@ -361,7 +350,12 @@ def approximate_pullback_attractor(t: float, cfg: ProcessConfig,
     """
     taus = _ladder_taus(t, tau_ladder)
     rungs, step, estimate = _search(_family(cfg, n_samples, seed), taus, t, cfg)
-    return _sample(t, cfg, rungs, seed, step, estimate)
+    members = tuple(WeightedField(cfg.grid, cfg.weight, u) for u in rungs[-1].kept)
+    return AttractorSample(t=t, members=members, p=cfg.p,
+                           taus=tuple(r.tau for r in rungs), seed=seed,
+                           digest=cfg.digest(), converged=_stabilized(rungs),
+                           rung_gaps=tuple(r.gap for r in rungs[1:]),
+                           step=step, step_error=estimate)
 
 
 def upper_semicontinuity_sweep(t: float, cfg0: ProcessConfig,
@@ -393,11 +387,6 @@ def upper_semicontinuity_sweep(t: float, cfg0: ProcessConfig,
     base_converged = _stabilized(base)
     w = quad_weights(cfg0.weight, cfg0.grid)
     horizon = t - base[-1].tau
-    # the envelope grows with the gap, so where it is vacuous at the
-    # smallest nonzero eps it is at every one: it warns once, not per leg
-    smallest = min((eps for eps in eps_list if eps > 0.0), default=0.0)
-    vacuous = math.isinf(continuity_envelope(cfg0, smallest * cfg0.field.sup,
-                                             horizon))
     dists: list[float] = []
     envs: list[float] = []
     flags: list[bool] = []
@@ -413,9 +402,11 @@ def upper_semicontinuity_sweep(t: float, cfg0: ProcessConfig,
         log.info("sweep eps=%g: %s at step %g, %d rungs, distance %.6g",
                  eps, how, step, len(rungs), dist)
         dists.append(dist)
-        envs.append((math.inf if vacuous and eps > 0.0 else continuity_envelope(
-            cfg0, eps * cfg0.field.sup, horizon)) + DEDUP_TOL)
+        envs.append(continuity_envelope(cfg0, eps * cfg0.field.sup, horizon) + DEDUP_TOL)
         flags.append(converged and base_converged)
+    if math.inf in envs:
+        log.warning("continuity envelope is inf at horizon %g on the %s weight;"
+                    " the bound is vacuous there", horizon, cfg0.weight.kind)
     return SemicontinuityCurve(t=t, epsilons=tuple(float(e) for e in eps_list),
                                distances=tuple(dists), envelopes=tuple(envs),
                                converged=tuple(flags), digest=cfg0.digest())

@@ -57,12 +57,12 @@ class RootReport:
         return len(self.roots)
 
 
-def _bisect(f, lo: float, hi: float, xtol: float) -> float:
+def _bisect(f, lo: float, hi: float) -> float:
     flo = f(lo)
     if flo == 0.0:
         return lo
     for _ in range(200):
-        if hi - lo <= xtol:
+        if hi - lo <= ROOT_XTOL:
             break
         mid = 0.5 * (lo + hi)
         fm = f(mid)
@@ -121,7 +121,7 @@ def count_roots(beta: float, h: float, g: Nonlinearity) -> RootReport:
     # strict sign changes between adjacent nonzero nodes
     change = (sign[:-1] * sign[1:]) < 0
     for i in np.flatnonzero(change):
-        roots.append(_bisect(phi, float(s[i]), float(s[i + 1]), ROOT_XTOL))
+        roots.append(_bisect(phi, float(s[i]), float(s[i + 1])))
 
     roots.sort()
     merged: list[float] = []
@@ -147,7 +147,7 @@ def _fold_peak(beta: float, g: Nonlinearity) -> float:
     b = 1.0
     while slope(b) > 0.0:
         b *= 2.0
-    x = _bisect(slope, 0.0, b, ROOT_XTOL)
+    x = _bisect(slope, 0.0, b)
     return float(g(x)) - x / beta
 
 

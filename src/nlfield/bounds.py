@@ -48,7 +48,6 @@ on it.  Every report records its tolerance class:
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, replace
 from functools import cache
@@ -61,8 +60,6 @@ from .dynamics import ExternalField, ProcessConfig, _integrate, _nonlinear_term
 from .errors import BlowUpError, ConfigError
 from .kernel import _fft_convolve
 from .weighted_space import WEIGHT_CAUCHY, _lp_norm, finite_difference, quad_weights
-
-log = logging.getLogger(__name__)
 
 TOL_QUADRATURE = 1e-9
 TOL_TRAJECTORY = 1e-3
@@ -187,9 +184,10 @@ def continuity_envelope(cfg: ProcessConfig, h_gap: float, horizon: float) -> flo
     M1 h_gap exp(M1 ||J||_inf rho1^(-1) horizon) with
     M1 = 2^((p+1)/p) l_g beta, and rho1 the Cauchy weight's.  A zero gap
     gives exactly 0 at any horizon.  A weight other than Cauchy, or a
-    value past the float range, gives inf, with a warning that the bound
-    says nothing there.  A NaN horizon or gap, or an infinite gap, raises
-    ValueError.
+    value past the float range, gives inf without logging: the callers
+    say that the bound is vacuous there (one warning per sweep, and
+    gronwall_continuity's BlowUpError).  A NaN horizon or gap, or an
+    infinite gap, raises ValueError.
     """
     if not (horizon >= 0.0):
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
@@ -198,19 +196,13 @@ def continuity_envelope(cfg: ProcessConfig, h_gap: float, horizon: float) -> flo
     if h_gap == 0.0:
         return 0.0
     if cfg.weight.kind != WEIGHT_CAUCHY:
-        log.warning("continuity envelope: the %s weight has no finite K;"
-                    " the bound is vacuous", cfg.weight.kind)
         return math.inf
     m1 = 2.0 ** ((cfg.p + 1.0) / cfg.p) * cfg.nonlinearity.lipschitz * cfg.beta
     rate = m1 * cfg.kernel.norm_sup / CAUCHY_RHO_1
     try:
-        envelope = m1 * h_gap * math.exp(rate * horizon)
+        return m1 * h_gap * math.exp(rate * horizon)
     except OverflowError:
-        envelope = math.inf
-    if math.isinf(envelope):
-        log.warning("continuity envelope overflows at horizon %g (rate %.4g);"
-                    " the bound is vacuous there", horizon, rate)
-    return envelope
+        return math.inf
 
 
 def c1_regularity_bound(cfg: ProcessConfig, h_star: float) -> float:

@@ -22,8 +22,9 @@ steps; the phi weights do not depend on the state, and the stack is
 stepped as one batched array.  The schedule from tau to t is two numbers,
 (steps, tail): each step takes dt but the last, which takes tail when it
 is not 0.0.  The time after step i is tau + i dt, and the last step lands
-on t exactly.  A backwards span, or one of more than MAX_STEPS steps of
-dt, raises TimeOrderError before any step is taken.
+on t exactly.  A backwards span, a NaN one (a NaN tau or t), or one of
+more than MAX_STEPS steps of dt, raises TimeOrderError before any step
+is taken.
 
 An observer of that loop sees the start array and then each array a
 step returns, without a copy: every step returns a fresh array and no
@@ -346,6 +347,8 @@ def _guard_finite(vals: np.ndarray) -> None:
 def _step_schedule(tau: float, t: float, dt: float) -> tuple[int, float]:
     # (steps, tail) as the module docstring states; steps counts the tail
     span = t - tau
+    if math.isnan(span):
+        raise TimeOrderError(f"the span from tau={tau} to t={t} is not a number")
     if span < -1e-12:
         raise TimeOrderError(f"cannot evolve backwards: tau={tau}, t={t}")
     if span > MAX_STEPS * dt:

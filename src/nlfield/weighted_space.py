@@ -164,14 +164,15 @@ def tail_mass(weight: WeightFunction, radius: float) -> float:
 
 
 def radius_for_tail(weight: WeightFunction, mass_bound: float) -> float:
-    """Smallest radius whose exterior weight mass is at most mass_bound."""
+    """Smallest radius whose exterior weight mass is at most mass_bound;
+    a bound still exceeded at radius 2^40 (about 1.1e12) raises ValueError."""
     if not (0.0 < mass_bound < 1.0):
         raise ValueError(f"mass bound must lie in (0, 1), got {mass_bound}")
     lo, hi = 1e-12, 1.0
     while tail_mass(weight, hi) > mass_bound:
-        hi *= 2.0
         if hi > 1e12:
             raise ValueError("tail bound unreachable")
+        hi *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if tail_mass(weight, mid) > mass_bound:

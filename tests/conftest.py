@@ -51,8 +51,7 @@ def full_grid_count_roots(beta, h, g):
     ends = np.flatnonzero(edges == -1) - 1
     roots = [float(r) for r in 0.5 * (s[starts] + s[ends])]
     for i in np.flatnonzero((sign[:-1] * sign[1:]) < 0.0):
-        roots.append(bifurcation._bisect(phi, float(s[i]), float(s[i + 1]),
-                                         bifurcation.ROOT_XTOL))
+        roots.append(bifurcation._bisect(phi, float(s[i]), float(s[i + 1])))
     roots.sort()
     merged = []
     for r in roots:

@@ -10,8 +10,7 @@ import pytest
 import nlfield as nf
 from conftest import LADDER, list_schedule
 from nlfield import attractor, dynamics
-from nlfield.attractor import (_dedup, _family, _ladder_taus, _lp_distances,
-                               _run_ladder, _sample)
+from nlfield.attractor import _dedup, _lp_distances, _run_ladder
 from nlfield.dynamics import _integrate
 from nlfield.weighted_space import quad_weights
 
@@ -121,7 +120,8 @@ def test_dedup_keeps_first_member_of_each_cluster(grid, cauchy):
     ones = np.ones(grid.n_points)
     endpoints = np.stack([0.5 * ones, -0.5 * ones, (0.5 + 1e-4) * ones,
                           -0.5 * ones, 0.2 * ones])
-    assert np.array_equal(_dedup(endpoints, w, 2.0, 1e-3), [0, 1, 4])
+    # 1e-4 apart is within DEDUP_TOL, 0.3 apart is not
+    assert np.array_equal(_dedup(endpoints, w, 2.0), [0, 1, 4])
 
 
 def test_semidistance_measures_samples_in_their_own_p(grid, cauchy):
@@ -268,10 +268,14 @@ def test_batched_ladder_rows_match_single_rows(pulsed_cfg):
 
 
 def at_step(cfg, ladder, step, n_samples=6, seed=4):
-    """The ladder at one given step, with no estimate of its error."""
-    rungs = _run_ladder(_family(cfg, n_samples, seed), _ladder_taus(0.0, ladder),
-                        0.0, cfg, step)
-    return _sample(0.0, cfg, rungs, seed, step, math.nan)
+    """approximate_pullback_attractor with its ladder run at one given
+    step, with no estimate of its error."""
+    def search(family, taus, t, cfg):
+        return _run_ladder(family, taus, t, cfg, step), step, math.nan
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(attractor, "_search", search)
+        return nf.approximate_pullback_attractor(0.0, cfg, n_samples, ladder, seed=seed)
 
 
 def at_dt(cfg, ladder):
@@ -310,8 +314,8 @@ def rung_stacks(monkeypatch, cfg, ladder):
         seen.append(["continued" if carry else "restarted"])
         return _integrate(u, tau, t, cfg, observer, carry)
 
-    def spy_dedup(rows, w, p, tol):
-        kept = _dedup(rows, w, p, tol)
+    def spy_dedup(rows, w, p):
+        kept = _dedup(rows, w, p)
         seen[-1] += [rows.copy(), kept]
         return kept
 
@@ -657,10 +661,11 @@ def test_sweep_on_gaussian_weight_has_no_finite_envelope(caplog):
     field = nf.ExternalField("pulsed", 0.2, 1.0)
     for weight, ladder, warning in (
             (nf.WeightFunction.gaussian(), (-4.0, -8.0, -16.0),
-             "gaussian weight has no finite K"),
-            (nf.WeightFunction.cauchy(), (-25.0, -26.0), "overflows at horizon 26")):
+             "inf at horizon 16 on the gaussian weight"),
+            (nf.WeightFunction.cauchy(), (-25.0, -26.0),
+             "inf at horizon 26 on the cauchy weight")):
         caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="nlfield.bounds"):
+        with caplog.at_level(logging.WARNING):
             curve = nf.upper_semicontinuity_sweep(0.0, small_cfg(weight=weight, field=field),
                                                   [0.2, 0.1, 0.0], 4, ladder, seed=0)
         assert curve.envelopes[:2] == (math.inf, math.inf)
@@ -669,3 +674,17 @@ def test_sweep_on_gaussian_weight_has_no_finite_envelope(caplog):
         assert all(curve.converged)
         assert caplog.text.count(warning) == 1
         assert caplog.text.count("vacuous") == 1
+
+
+def test_sweep_warns_once_when_only_its_larger_gaps_overflow(caplog):
+    # at beta 3 the envelope's rate is 44.17, so at horizon 16.045 the gap
+    # 0.05 * 0.4 stays finite (about 1.1e307) and the gaps 0.9 * 0.4 and
+    # 0.4 overflow: one warning covers the sweep, not one per inf leg
+    cfg = small_cfg(beta=3.0, field=nf.ExternalField("pulsed", 0.4, 1.0))
+    with caplog.at_level(logging.WARNING):
+        curve = nf.upper_semicontinuity_sweep(0.0, cfg, [1.0, 0.9, 0.05, 0.0], 2,
+                                              (-4.0, -16.045), seed=0)
+    assert curve.envelopes[:2] == (math.inf, math.inf)
+    assert 1e306 < curve.envelopes[2] < math.inf
+    assert caplog.text.count("vacuous") == 1
+    assert "inf at horizon 16.045 on the cauchy weight" in caplog.text

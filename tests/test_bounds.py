@@ -75,26 +75,23 @@ def test_continuity_envelope_zero_gap_at_any_horizon(pulsed_cfg):
     assert nf.continuity_envelope(pulsed_cfg, 0.0, 1e6) == 0.0
 
 
-def test_continuity_envelope_overflow_is_inf_with_warning(pulsed_cfg, caplog):
-    with caplog.at_level(logging.WARNING, logger="nlfield.bounds"):
+# the callers report an inf envelope: a sweep warns once, and
+# gronwall_continuity raises BlowUpError naming it
+def test_continuity_envelope_overflow_is_inf_without_warning(pulsed_cfg, caplog):
+    with caplog.at_level(logging.WARNING):
         assert nf.continuity_envelope(pulsed_cfg, 0.02, 32.0) == math.inf
-    assert "vacuous" in caplog.text
-    caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="nlfield.bounds"):
         assert math.isfinite(nf.continuity_envelope(pulsed_cfg, 0.02, 20.0))
     assert caplog.text == ""
 
 
-def test_continuity_envelope_on_gaussian_weight_is_inf_with_warning(
+def test_continuity_envelope_on_gaussian_weight_is_inf_without_warning(
         pulsed_cfg, gaussian, caplog):
     cfg = dataclasses.replace(pulsed_cfg, weight=gaussian)
-    with caplog.at_level(logging.WARNING, logger="nlfield.bounds"):
+    with caplog.at_level(logging.WARNING):
         assert nf.continuity_envelope(cfg, 0.0, 32.0) == 0.0
-    assert caplog.text == ""
-    with caplog.at_level(logging.WARNING, logger="nlfield.bounds"):
         # inf even at horizon 0, where the Cauchy envelope is M1 h_gap
         assert nf.continuity_envelope(cfg, 0.02, 0.0) == math.inf
-    assert "gaussian weight has no finite K" in caplog.text
+    assert caplog.text == ""
 
 
 def test_continuity_envelope_monotone(pulsed_cfg):

@@ -346,6 +346,21 @@ def test_evolve_rejects_backward_time(tanh_cfg, corpus_factory):
         nf.evolve(u, 1.0, 0.5, tanh_cfg)
 
 
+@pytest.mark.parametrize("call", [
+    lambda u, cfg: nf.evolve(u, 0.0, math.nan, cfg),
+    lambda u, cfg: nf.evolve(u, math.nan, 1.0, cfg),
+    lambda u, cfg: nf.approximate_pullback_attractor(math.nan, cfg, 2, (-1.0,)),
+    lambda u, cfg: nf.approximate_pullback_attractor(0.0, cfg, 2, (-1.0, math.nan)),
+    lambda u, cfg: nf.upper_semicontinuity_sweep(0.0, cfg, [0.0], 2, (math.nan,)),
+], ids=["evolve-nan-t", "evolve-nan-tau", "attractor-nan-t", "attractor-nan-rung",
+        "sweep-nan-rung"])
+def test_nan_time_raises_time_order_error_naming_the_span(call, tanh_cfg,
+                                                          corpus_factory):
+    u = corpus_factory(tanh_cfg.grid, tanh_cfg.weight, 1, seed=26)[0]
+    with pytest.raises(nf.TimeOrderError, match="the span from tau=.* to t=.* is not a number"):
+        call(u, tanh_cfg)
+
+
 @pytest.mark.parametrize("cfg_name", ["tanh_cfg", "pulsed_cfg"])
 def test_evolve_composition_at_step_boundary(cfg_name, request, corpus_factory):
     cfg = request.getfixturevalue(cfg_name)

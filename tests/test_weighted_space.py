@@ -199,6 +199,16 @@ def test_radius_for_tail_roundtrip(cauchy, gaussian):
             nf.radius_for_tail(cauchy, bad)
 
 
+def test_radius_for_tail_reaches_radii_up_to_its_cap(cauchy):
+    # the cauchy tail is (2/pi) atan(1/r), so mass 1e-12 needs radius
+    # 1/tan(pi 5e-13) = 6.4e11, inside the cap; 1e-13 needs 6.4e12, past it
+    r = nf.radius_for_tail(cauchy, 1e-12)
+    assert nf.tail_mass(cauchy, r) <= 1e-12
+    assert r == pytest.approx(1.0 / math.tan(math.pi * 5e-13), rel=1e-9)
+    with pytest.raises(ValueError, match="tail bound unreachable"):
+        nf.radius_for_tail(cauchy, 1e-13)
+
+
 # ---------------------------------------------------------------------------
 # weight-ratio constants: the theory's K and rho_1 are the Cauchy weight's
 # ---------------------------------------------------------------------------
