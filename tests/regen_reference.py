@@ -14,6 +14,7 @@ The diff of tests/reference/ then shows every value that moved.
 """
 
 import logging
+import logging.handlers
 import shutil
 import sys
 import tempfile
@@ -27,26 +28,17 @@ from test_cli import REFERENCE, REFERENCE_TABLES, RERUNS, cpu_features, ladder_l
     write_config  # noqa: E402
 
 
-class Records(logging.Handler):
-    def __init__(self):
-        super().__init__()
-        self.records = []
-
-    def emit(self, record):
-        self.records.append(record)
-
-
 def regenerate() -> None:
     shutil.rmtree(REFERENCE, ignore_errors=True)
     REFERENCE.mkdir()
     (REFERENCE / "cpu_features.txt").write_text(cpu_features() + "\n")
     # on the root logger, so cli.main's basicConfig adds no stderr handler
-    records = Records()
+    records = logging.handlers.BufferingHandler(capacity=1 << 20)
     logging.getLogger().addHandler(records)
     logging.getLogger().setLevel(logging.INFO)
     for case in RERUNS:
         command, doc, flags, _ = case.values
-        records.records.clear()
+        records.buffer.clear()
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "out"
             rc = main([command, "--config", write_config(Path(tmp), doc),
@@ -55,7 +47,7 @@ def regenerate() -> None:
                 sys.exit(f"{case.id}: exit {rc}")
             dest = REFERENCE / case.id
             dest.mkdir()
-            (dest / "log.txt").write_text(ladder_log(records.records))
+            (dest / "log.txt").write_text(ladder_log(records.buffer))
             for name in REFERENCE_TABLES:
                 if (out / name).exists():
                     shutil.copyfile(out / name, dest / name)
