@@ -2,8 +2,9 @@
 
 Runs each case of test_cli.py's RERUNS once through cli.main and keeps
 what test_reruns_exit_0_and_write_the_same_bytes compares against: the
-tables of its output (REFERENCE_TABLES) and, in log.txt, its ladder
-lines (LADDER_LINES).  cpu_features.txt records numpy's version and the
+tables of its output (REFERENCE_TABLES), the summary of its attractor
+members and snapshots (FIELDS) and, in log.txt, its ladder lines
+(LADDER_LINES).  cpu_features.txt records numpy's version and the
 CPU features its dispatch enabled on the host that wrote them.  Run it
 from the repository root, after a change that moves output values on
 purpose:
@@ -24,8 +25,8 @@ TESTS = Path(__file__).resolve().parent
 sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
 
 from nlfield.cli import main  # noqa: E402
-from test_cli import REFERENCE, REFERENCE_TABLES, RERUNS, cpu_features, ladder_log, \
-    write_config  # noqa: E402
+from test_cli import FIELDS, REFERENCE, REFERENCE_TABLES, RERUNS, cpu_features, \
+    field_summaries, ladder_log, write_config  # noqa: E402
 
 
 def regenerate() -> None:
@@ -51,6 +52,9 @@ def regenerate() -> None:
             for name in REFERENCE_TABLES:
                 if (out / name).exists():
                     shutil.copyfile(out / name, dest / name)
+            summaries = field_summaries(out)
+            if summaries is not None:
+                (dest / FIELDS).write_text(summaries)
         print(f"{case.id}: {sorted(p.name for p in dest.iterdir())}")
 
 

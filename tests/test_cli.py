@@ -1261,6 +1261,9 @@ REFERENCE_TABLES = ("attractor_meta.csv", "hstar.csv", "sweep.csv", "trajectory.
                     "verify.csv")
 # the structural lines of a ladder: each rung, each step tried, each sweep leg
 LADDER_LINES = ("rung tau=", "ladder step ", "sweep eps=")
+# the summary of every attractor member and snapshot of a case: one line
+# per field, written by field_summaries
+FIELDS = "fields.csv"
 # the cells _fmt writes for a float that is not integral: a fraction or an
 # exponent, or a non-finite value
 FLOAT_CELL = re.compile(r"-?(\d+\.\d+(e[+-]\d+)?|\d+e[+-]\d+|inf|nan)")
@@ -1379,6 +1382,32 @@ def ladder_log(records):
                    if r.levelno == logging.INFO and r.getMessage().startswith(LADDER_LINES))
 
 
+def field_summaries(out):
+    """One line per attractor member (members.csv) and per snapshot
+    (snapshot_*.csv) in out: the l^2 norm of its node values, their sup,
+    and its values at five fixed nodes (the first, the quarters and the
+    last).  The norm is a correctly rounded sum (math.fsum) of exact
+    squares, so it depends on the CSV text alone.  None when out holds
+    neither kind of table."""
+    fields = []
+    for path in sorted([*out.glob("members.csv"), *out.glob("snapshot_*.csv")]):
+        table = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
+        if path.name == "members.csv":
+            fields += [(f"{path.name}:{int(m)}", table[table[:, 0] == m, 2])
+                       for m in np.unique(table[:, 0])]
+        else:
+            fields.append((path.name, table[:, 2]))
+    if not fields:
+        return None
+    lines = ["field,norm,sup,u[0],u[n/4],u[n/2],u[3n/4],u[n-1]\n"]
+    for name, u in fields:
+        n = len(u)
+        cells = [math.sqrt(math.fsum((u * u).tolist())), float(np.max(np.abs(u))),
+                 *u[[0, n // 4, n // 2, 3 * n // 4, n - 1]].tolist()]
+        lines.append(",".join([name, *(format(c, ".17g") for c in cells)]) + "\n")
+    return "".join(lines)
+
+
 def cpu_features():
     """numpy's version and the CPU features its dispatch enabled, as
     tests/reference/cpu_features.txt holds them for the reference host."""
@@ -1399,9 +1428,10 @@ def cells_match(got, ref):
 
 
 def assert_matches_reference(out, ladder, ref_dir):
-    """The case's ladder lines equal its log.txt, and each reference table
-    of the case is in out with the same version and header lines, the
-    same rows and columns, and matching cells.
+    """The case's ladder lines equal its log.txt, each reference table of
+    the case is in out with the same version and header lines, the same
+    rows and columns, and matching cells, and so is the summary of its
+    members and snapshots (fields.csv) below its header line.
 
     The ladder lines print their numbers at 3 to 6 digits, so they are
     compared exactly.  The table bytes depend on numpy's CPU dispatch.
@@ -1413,16 +1443,27 @@ def assert_matches_reference(out, ladder, ref_dir):
     assert ladder == (ref_dir / "log.txt").read_text()
     hosts = (f"this host {cpu_features()}; reference host "
              f"{(REFERENCE / 'cpu_features.txt').read_text().strip()}")
-    names = sorted(p.name for p in ref_dir.iterdir() if p.name in REFERENCE_TABLES)
-    assert names and names == [n for n in sorted(REFERENCE_TABLES) if (out / n).exists()]
-    for name in names:
-        got = (out / name).read_text().splitlines()
-        ref = (ref_dir / name).read_text().splitlines()
-        assert got[:2] == ref[:2] and len(got) == len(ref), name
-        for line, (g, r) in enumerate(zip(got[2:], ref[2:]), start=3):
+
+    def assert_lines_match(name, got, ref, head):
+        # the first head lines exactly, then every line cell by cell
+        assert got[:head] == ref[:head] and len(got) == len(ref), name
+        for line, (g, r) in enumerate(zip(got[head:], ref[head:]), start=head + 1):
             g_cells, r_cells = g.split(","), r.split(",")
             assert len(g_cells) == len(r_cells) and all(map(cells_match, g_cells, r_cells)), \
                 f"{name} line {line}: {g!r}, reference {r!r}; {hosts}"
+
+    names = sorted(p.name for p in ref_dir.iterdir() if p.name in REFERENCE_TABLES)
+    assert names and names == [n for n in sorted(REFERENCE_TABLES) if (out / n).exists()]
+    for name in names:
+        assert_lines_match(name, (out / name).read_text().splitlines(),
+                           (ref_dir / name).read_text().splitlines(), 2)
+    # the field names (members.csv:<i>, snapshot_<i>.csv) are cells that
+    # match exactly
+    summaries = field_summaries(out)
+    assert (summaries is not None) == (ref_dir / FIELDS).exists()
+    if summaries is not None:
+        assert_lines_match(FIELDS, summaries.splitlines(),
+                           (ref_dir / FIELDS).read_text().splitlines(), 1)
 
 
 def test_fresh_interpreter_loads_no_jsonschema_and_writes_the_same_bytes(tmp_path):
