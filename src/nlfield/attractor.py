@@ -32,7 +32,13 @@ max(two-sided distance between their deepest kept endpoints,
 |last gap(h) - last gap(2h)|) / 3, the error estimate of a second-order
 scheme, is at most LADDER_TOL.  Otherwise h is halved, and the rejected
 run serves as the 2h run of the next try; at h = dt the ladder runs
-unchecked, as a fixed-step ladder does.
+unchecked, as a fixed-step ladder does.  The first 2h run restarts each
+rung on the family members the h run kept at that rung, not on the whole
+family, so it measures the step error of the members the ladder reports,
+not of those it dropped.  Since each row of a batched step is bitwise its
+own run, wherever the 2h dedup keeps the same members as the h dedup,
+its rungs, and so the estimate, equal those of a 2h run over the whole
+family; where the two dedups part, the estimate moves.
 
 The semicontinuity sweep draws the seeded family and searches the step
 once, on the unperturbed field, and runs one ladder per distinct field
@@ -213,6 +219,7 @@ class _Rung(NamedTuple):
     tau: float
     kept: np.ndarray  # the endpoints left after dedup
     gap: float | None  # two-sided distance to the previous rung's kept set
+    rows: np.ndarray  # the family row each kept endpoint started from
 
 
 def _two_sided(A: np.ndarray, B: np.ndarray, w: np.ndarray, p: float) -> float:
@@ -236,20 +243,27 @@ def _family(cfg: ProcessConfig, n_samples: int, seed: int) -> np.ndarray:
 
 
 def _run_ladder(family: np.ndarray, taus: list[float], t: float,
-                cfg: ProcessConfig, step: float) -> list[_Rung]:
+                cfg: ProcessConfig, step: float,
+                restart_rows: Sequence[np.ndarray] | None = None) -> list[_Rung]:
     """The rungs run at the given step, up to the first whose gap is
-    below DEDUP_TOL."""
+    below DEDUP_TOL.  A restarted rung steps the whole family, or, where
+    restart_rows is given, only the family rows restart_rows holds at
+    that rung's index."""
     run = replace(cfg, dt=step)
     w = quad_weights(cfg.weight, cfg.grid)
     rungs: list[_Rung] = []
     kept: np.ndarray = None  # indices of the rows the last rung kept
     carry: list = []  # G and its slope at every row the last rung stepped
-    for tau in taus:
+    for r, tau in enumerate(taus):
         if rungs and _continues(tau, rungs[-1].tau, t, run):
             start, stop, how = rungs[-1].kept, rungs[-1].tau, "continued"
-            carry = [row[kept] for row in carry]
-        else:
+            carry, rows = [row[kept] for row in carry], rungs[-1].rows
+        elif restart_rows is None:
             start, stop, how, carry = family, t, "restarted", []
+            rows = np.arange(len(family))
+        else:
+            rows = restart_rows[r]
+            start, stop, how, carry = family[rows], t, "restarted", []
         stepped = _integrate(start, tau, stop, run, carry=carry)
         kept = _dedup(stepped, w, cfg.p)
         endpoints = stepped[kept]
@@ -257,7 +271,7 @@ def _run_ladder(family: np.ndarray, taus: list[float], t: float,
         log.info("rung tau=%g: %d steps of %g %s, %d members stepped, %d kept, gap %s",
                  tau, _step_schedule(tau, stop, step)[0], step, how,
                  len(stepped), len(endpoints), "n/a" if gap is None else f"{gap:.6g}")
-        rungs.append(_Rung(tau, endpoints, gap))
+        rungs.append(_Rung(tau, endpoints, gap, rows[kept]))
         if gap is not None and gap < DEDUP_TOL:
             break
     return rungs
@@ -306,13 +320,16 @@ def _stabilized(rungs: list[_Rung]) -> bool:
 def _search(family: np.ndarray, taus: list[float], t: float,
             cfg: ProcessConfig) -> tuple[list[_Rung], float, float]:
     """The rungs at the coarsest accepted step, the step, and its
-    Richardson estimate (NaN at dt); see the module docstring."""
+    Richardson estimate (NaN at dt); see the module docstring.  The first
+    2h run restarts each rung on the family rows the h run kept there."""
     w = quad_weights(cfg.weight, cfg.grid)
     coarse = None  # the ladder at twice the step being tried
     for step in _coarse_steps(cfg, t - taus[0]):
         fine = _run_ladder(family, taus, t, cfg, step)
         if coarse is None:
-            coarse = _run_ladder(family, taus[:len(fine)], t, cfg, 2.0 * step)
+            # at each rung, only the members the h run kept
+            coarse = _run_ladder(family, taus[:len(fine)], t, cfg, 2.0 * step,
+                                 restart_rows=[r.rows for r in fine])
         # a ladder over a prefix of the rungs is a prefix of the rungs run
         coarse = coarse[:len(fine)]
         estimate = _richardson(fine, coarse, w, cfg.p)
@@ -346,7 +363,9 @@ def approximate_pullback_attractor(t: float, cfg: ProcessConfig,
     The ladder runs at the coarsest step dt 2^j whose Richardson
     estimate (see the module docstring) is at most LADDER_TOL, trying
     steps from the largest the predictor and the shallowest span allow
-    and halving on each rejection; at dt it runs unchecked.
+    and halving on each rejection; at dt it runs unchecked.  The estimate
+    of the first step tried is the step error of the members the ladder
+    keeps: its 2h run restarts each rung on those members alone.
     """
     taus = _ladder_taus(t, tau_ladder)
     rungs, step, estimate = _search(_family(cfg, n_samples, seed), taus, t, cfg)

@@ -536,13 +536,123 @@ def test_contraction_ladder_rejects_1_6_and_accepts_0_8(contraction_cfg, caplog)
         sample = nf.approximate_pullback_attractor(0.0, contraction_cfg, 8, LADDER, seed=0)
     tried = [r.getMessage() for r in caplog.records
              if r.getMessage().startswith("ladder step ")]
-    # 1.6 misses the tolerance at an estimate of 0.0123, and 0.8 meets it
-    # at 7.1e-05
-    assert tried == ["ladder step 1.6: estimate 0.0123, halved",
+    # 1.6 misses the tolerance at an estimate of 0.0136, and 0.8 meets it
+    # at 7.1e-05; at 1.6 the 2h run's dedup keeps other members than the h
+    # run's at -16, so the estimate differs from a full-family 2h run's 0.0123
+    assert tried == ["ladder step 1.6: estimate 0.0136, halved",
                      "ladder step 0.8: estimate 7.1e-05, accepted"]
     assert sample.step == 0.8
     assert sample.step_error <= attractor.LADDER_TOL
     assert sample.converged and sample.taus == LADDER
+
+
+# each accepts its first try, and its h run drops members at a rung the 2h
+# run restarts: the zero-field ladder at its first rung, the pulsed one at
+# -8 and -16, and the tail ladder at -12, where the 2h run's -6 span ends in
+# a shortened step, so it restarts the rows the h run's continued -12 rung
+# kept
+RESTRICTED_LADDERS = [
+    (nf.ExternalField(), (-8.0, -16.0, -32.0)),
+    (nf.ExternalField("pulsed", 0.1, 1.0), (-4.0, -8.0, -16.0)),
+    (nf.ExternalField(), (-6.0, -12.0, -24.0)),
+]
+RESTRICTED_IDS = ["zero", "pulsed", "tail"]
+
+
+def first_try(monkeypatch, cfg, ladder):
+    """The step search's first try on ladder: the sample, the h rungs, the
+    2h rungs, and the 2h ladder's arguments (family, taus, t, cfg, step)."""
+    calls = []
+
+    def spy_run_ladder(*args, **kwargs):
+        rungs = _run_ladder(*args, **kwargs)
+        calls.append((args, kwargs, rungs))
+        return rungs
+
+    monkeypatch.setattr(attractor, "_run_ladder", spy_run_ladder)
+    sample = nf.approximate_pullback_attractor(0.0, cfg, 6, ladder, seed=4)
+    monkeypatch.undo()
+    (_, _, fine), (args, kwargs, coarse) = calls[:2]
+    assert args[4] == 2.0 * sample.step and sample.step > cfg.dt
+    assert [rows.tolist() for rows in kwargs["restart_rows"]] == \
+        [r.rows.tolist() for r in fine]
+    return sample, fine, coarse, args
+
+
+def assert_same_rungs(rungs, ref):
+    assert len(rungs) == len(ref)
+    for r, s in zip(rungs, ref):
+        assert r.tau == s.tau and r.gap == s.gap
+        assert np.array_equal(r.kept, s.kept) and np.array_equal(r.rows, s.rows)
+
+
+@pytest.mark.parametrize("field, ladder", RESTRICTED_LADDERS, ids=RESTRICTED_IDS)
+def test_each_2h_restart_steps_the_rows_the_h_rung_kept(field, ladder, monkeypatch):
+    cfg = small_cfg(field=field)
+    family = attractor._family(cfg, 6, 4)
+    restarts = []
+
+    def spy_integrate(u, tau, t, cfg, observer=None, carry=None):
+        if not carry:
+            restarts.append((cfg.dt, tau, u.copy()))
+        return _integrate(u, tau, t, cfg, observer, carry)
+
+    monkeypatch.setattr(attractor, "_integrate", spy_integrate)
+    _, fine, _, (*_, step) = first_try(monkeypatch, cfg, ladder)
+    kept = {r.tau: r.rows for r in fine}
+    stepped = [(tau, u) for dt, tau, u in restarts if dt == step]
+    assert stepped
+    for tau, u in stepped:
+        assert np.array_equal(u, family[kept[tau]])
+    # the h run dropped members before at least one of them
+    assert min(len(u) for _, u in stepped) < len(family)
+
+
+@pytest.mark.parametrize("field, ladder", RESTRICTED_LADDERS, ids=RESTRICTED_IDS)
+def test_restricted_2h_rungs_equal_the_full_family_run(field, ladder, monkeypatch):
+    # each row of a batched step is bitwise its own run, so where the 2h
+    # dedup keeps the h dedup's members, dropping the others changes nothing
+    cfg = small_cfg(field=field)
+    sample, fine, coarse, args = first_try(monkeypatch, cfg, ladder)
+    full = _run_ladder(*args)
+    assert_same_rungs(coarse, full)
+    w = quad_weights(cfg.weight, cfg.grid)
+    assert attractor._richardson(fine, full, w, cfg.p) == sample.step_error
+    # a restart that drops one of those rows as well moves the 2h rungs
+    planted = [r.rows[:-1] if len(r.rows) > 1 else r.rows for r in fine]
+    with pytest.raises(AssertionError):
+        assert_same_rungs(_run_ladder(*args, restart_rows=planted), full)
+
+
+def member_steps(records):
+    """The member-steps of the rung log lines: steps times members stepped."""
+    rungs = [r.getMessage().split() for r in records
+             if r.getMessage().startswith("rung tau=")]
+    return sum(int(words[2]) * int(words[7]) for words in rungs)
+
+
+@pytest.mark.parametrize("field, ladder", RESTRICTED_LADDERS, ids=RESTRICTED_IDS)
+def test_restricted_2h_run_steps_fewer_members(field, ladder, monkeypatch, caplog):
+    # against a 2h run that restarts the whole family, the search steps
+    # fewer member-steps and returns the same sample, bit for bit
+    def full_family(*args, restart_rows=None):
+        return _run_ladder(*args)
+
+    cfg = small_cfg(field=field)
+    samples, steps = [], []
+    for spy in (None, full_family):
+        if spy:
+            monkeypatch.setattr(attractor, "_run_ladder", spy)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="nlfield.attractor"):
+            samples.append(nf.approximate_pullback_attractor(0.0, cfg, 6, ladder, seed=4))
+        steps.append(member_steps(caplog.records))
+    restricted, full = samples
+    assert steps[0] < steps[1]
+    assert (restricted.taus, restricted.rung_gaps, restricted.step, restricted.step_error) \
+        == (full.taus, full.rung_gaps, full.step, full.step_error)
+    assert all(np.array_equal(u.values, v.values)
+               for u, v in zip(restricted.members, full.members, strict=True))
 
 
 def test_sweep_searches_once_and_runs_every_leg_at_its_step(caplog):
@@ -585,9 +695,9 @@ def test_sweep_on_an_unscaled_field_runs_only_the_step_search(field, monkeypatch
         finally:
             depth.pop()
 
-    def spy_run_ladder(*args):
+    def spy_run_ladder(*args, **kwargs):
         in_search.append(bool(depth))
-        return run_ladder(*args)
+        return run_ladder(*args, **kwargs)
 
     monkeypatch.setattr(attractor, "_search", spy_search)
     monkeypatch.setattr(attractor, "_run_ladder", spy_run_ladder)
