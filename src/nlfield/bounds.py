@@ -74,6 +74,12 @@ _POWER_ITERATIONS = 60
 # sup norm of prop_lipschitz's perturbation: G is linear there to about
 # 1e-7 relative, and G(t, 0) = 0 leaves no cancellation in the difference
 _PAIR_SUP = 1e-6
+# where |_PAIR_SUP|^p leaves the normal float range (from p about 51 on),
+# prop_lipschitz takes both norms of its scale-free ratio at this multiple
+# of the pair, which keeps |.|^p in range past p 100.  Below that it takes
+# them unscaled: a power of two scales |.|^p and the sum exactly, but the
+# 1/p-th root of a scaled sum can round differently in the last bit
+_PAIR_SCALE = 2.0 ** 20
 # the members c1_attractor evolves: the attractor block's default n_samples
 _C1_MEMBERS = 8
 
@@ -260,17 +266,22 @@ def _check_prop_lipschitz(cfg, seed, norms):
 
     v maximises DF(0) = -I + beta g'(0) J (d_u h(t, 0) = 0 for both field
     families), then J, along which a G steeper than the stated g'(0)
-    shows; delta v has sup norm _PAIR_SUP.  Past p 54 or so |.|^p
-    underflows on delta v, and the 0/0 ratio is NaN: np.max keeps it,
-    where max(0.0, nan) would read 0.
+    shows; delta v has sup norm _PAIR_SUP.  Where |_PAIR_SUP|^p is below
+    the normal float range, both norms of the ratio are taken on the pair
+    and its image difference scaled by _PAIR_SCALE; unscaled, |.|^p would
+    underflow on delta v from p about 54 on and read inf or 0/0.  A ratio
+    that is still not finite (a G that blows up) is NaN or inf: np.max
+    keeps a NaN, where max(0.0, nan) would read 0.
     """
     w = quad_weights(cfg.weight, cfg.grid)
+    scale = _PAIR_SCALE if _PAIR_SUP ** cfg.p < np.finfo(float).tiny else 1.0
     ratios = []
     for row in ("-I + beta J", "J"):
         v = norms()[row][1]
         pair = np.stack([v * (_PAIR_SUP / np.max(np.abs(v))), np.zeros_like(v)])
         f = -pair + _nonlinear_term(cfg, 0.0, pair)
-        ratios.append(_lp_norm(f[0] - f[1], w, cfg.p) / _lp_norm(pair[0], w, cfg.p))
+        ratios.append(_lp_norm((f[0] - f[1]) * scale, w, cfg.p)
+                      / _lp_norm(pair[0] * scale, w, cfg.p))
     return lipschitz_constant_f(cfg), np.max(ratios), TOL_QUADRATURE
 
 

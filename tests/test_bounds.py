@@ -306,14 +306,29 @@ def small_cfg(cauchy, p):
                             field=nf.ExternalField(), dt=0.05)
 
 
-@pytest.mark.parametrize("p", [54.0, 60.0])
-def test_prop_lipschitz_past_p54_is_an_error_not_a_verdict(cauchy, p):
-    # |.|^p underflows on the 1e-6 perturbation from p about 54 on, so a
-    # ratio is inf or 0/0; a 0/0 must not vanish in a max and read 0
-    with pytest.raises(nf.BlowUpError, match="prop_lipschitz"):
+@pytest.mark.parametrize("p, measured", [(54.0, 2.6225), (60.0, 2.6343)],
+                         ids=["54.0", "60.0"])
+def test_prop_lipschitz_past_p54_is_an_error_not_a_verdict(cauchy, p, measured,
+                                                          monkeypatch):
+    # |.|^p would underflow on the 1e-6 perturbation from p about 54 on;
+    # the ratio is scale-free and taken at 2^20 times the pair there, so
+    # it reads a verdict, near p 50's
+    for q, value in ((50.0, 2.6131), (p, measured)):
+        report = nf.verify("prop_lipschitz", small_cfg(cauchy, q), seed=0)
+        assert report.measured == pytest.approx(value, abs=1e-4) and report.passed
+    # a planted blow-up is still an error: a G that reads NaN on the second
+    # pair alone gives the ratios (finite, nan), and the NaN must not
+    # vanish in their max, as it does in max(finite, nan)
+    term, calls = nlfield.bounds._nonlinear_term, []
+
+    def blow_up_once(cfg, t, u):
+        calls.append(t)
+        return term(cfg, t, u) * (math.nan if len(calls) == 2 else 1.0)
+
+    monkeypatch.setattr(nlfield.bounds, "_nonlinear_term", blow_up_once)
+    with pytest.raises(nf.BlowUpError, match="prop_lipschitz: the measurement is nan"):
         nf.verify("prop_lipschitz", small_cfg(cauchy, p), seed=0)
-    report = nf.verify("prop_lipschitz", small_cfg(cauchy, 50.0), seed=0)
-    assert report.measured == pytest.approx(2.6131, abs=1e-4) and report.passed
+    assert len(calls) == 2
 
 
 def dense_operators(cfg):

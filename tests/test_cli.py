@@ -1070,8 +1070,22 @@ def test_c1_attractor_fails_when_its_ladder_does_not_converge(tmp_path, monkeypa
     assert float(row[2]) == pytest.approx(0.010947, abs=1e-6)
 
 
-def test_verify_exits_2_on_a_non_finite_measurement(tmp_path, capsys):
-    # prop_lipschitz at p 60 reads 0/0; a NaN is an error, not a verdict
+@pytest.mark.parametrize("p, measured", [(54, 2.7496), (60, 2.7658), (100, 2.8242)])
+def test_prop_lipschitz_reads_a_verdict_past_p54_on_bistable(p, measured, tmp_path):
+    # the stated bound reads 3.0411, 3.0370 and 3.0221 there
+    out = tmp_path / "run"
+    doc = (CONFIGS / "bistable.yaml").read_text(encoding="utf-8").replace(
+        "\np: 2.0\n", f"\np: {p}\n") + "verify:\n  checks: [prop_lipschitz]\n"
+    assert main(["verify", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    header, [cells] = read_rows(out / "verify.csv")
+    row = dict(zip(header, cells))
+    assert float(row["measured"]) == pytest.approx(measured, abs=1e-4)
+
+
+def test_verify_exits_2_on_a_non_finite_measurement(tmp_path, capsys, monkeypatch):
+    # a planted G that leaves the float range makes prop_lipschitz read
+    # inf - inf and 0 * inf; a NaN is an error, not a verdict
+    monkeypatch.setattr(nlfield.bounds, "_nonlinear_term", lambda cfg, t, u: u * math.inf)
     out = tmp_path / "run"
     doc = (f"beta: 2.0\np: 60\nhalf_length: 5.0\nn_points: 128\noutput: {out}\n"
            "verify:\n  checks: [prop_lipschitz]\n")
@@ -1119,18 +1133,26 @@ def test_verify_exits_2_on_a_non_finite_bound(extra, check, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("extra, check", [
-    ("p: 60\nhalf_length: 5.0\nn_points: 128\n", "prop_lipschitz"),
-    ("p: 1.01\n", "lemma1a, lemma1a_deriv, lemma1b, prop_lipschitz"),
+# the CLI run in a fresh interpreter, after an optional plant
+PLANTED_CLI = "import sys, math, nlfield.bounds\n{plant}\n" \
+    "from nlfield.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+
+
+@pytest.mark.parametrize("extra, check, plant", [
+    # a planted G that leaves the float range: u * inf raises numpy's
+    # invalid warning at the zero rows, inside the check
+    ("p: 60\nhalf_length: 5.0\nn_points: 128\n", "prop_lipschitz",
+     "nlfield.bounds._nonlinear_term = lambda cfg, t, u: u * math.inf"),
+    ("p: 1.01\n", "lemma1a, lemma1a_deriv, lemma1b, prop_lipschitz", ""),
 ], ids=["p 60", "p 1.01"])
-def test_verify_stderr_carries_no_numpy_warning(extra, check, tmp_path):
+def test_verify_stderr_carries_no_numpy_warning(extra, check, plant, tmp_path):
     # the finite guard reports a non-finite value by its check; numpy's
     # RuntimeWarnings with their source lines would only precede it
     doc = f"beta: 2.0\n{extra}verify:\n  checks: [{check}]\n"
     path = write_config(tmp_path, doc)
     src = Path(nlfield.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-W", "default", "-m", "nlfield.cli", "verify",
+        [sys.executable, "-W", "default", "-c", PLANTED_CLI.format(plant=plant), "verify",
          "--config", path, "--out", str(tmp_path / "run")],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 2
