@@ -1083,8 +1083,9 @@ def test_prop_lipschitz_reads_a_verdict_past_p54_on_bistable(p, measured, tmp_pa
 
 
 def test_verify_exits_2_on_a_non_finite_measurement(tmp_path, capsys, monkeypatch):
-    # a planted G that leaves the float range makes prop_lipschitz read
-    # inf - inf and 0 * inf; a NaN is an error, not a verdict
+    # a planted G that leaves the float range, u * inf, reads 0 * inf = NaN
+    # on the zero half of each pair, so prop_lipschitz's ratio is NaN; a NaN
+    # is an error, not a verdict
     monkeypatch.setattr(nlfield.bounds, "_nonlinear_term", lambda cfg, t, u: u * math.inf)
     out = tmp_path / "run"
     doc = (f"beta: 2.0\np: 60\nhalf_length: 5.0\nn_points: 128\noutput: {out}\n"
