@@ -10,17 +10,18 @@ with the weighted norm underneath.
 All members of a rung share one time schedule, so they are evolved
 together as one batched (k, n) array.  A ladder steps with one G
 evaluation per step (see nlfield.dynamics): each step carries G and its
-slope to the next, and a restart begins with one trapezoid step.  Under
-a zero field the process is autonomous, S(t, tau) = S(t - tau), so a
-deeper rung continues over the span it adds instead of restarting the
-seeded family: it steps only the endpoints the previous rung kept after
-dedup, with their rows of the G and slope that rung ended with.  It
-does so only when that gives the restart's steps exactly.  Each row of
-a batched step is bitwise its own run, so every continued row is the
-restart's endpoint for that member, and the kept set is the restart's
-whenever no member the previous rung dropped moves farther than
-DEDUP_TOL from the kept images.  A pulsed field, or a rung whose span
-would change the shortened tail step, restarts the whole family.
+slope to the next, and a restart begins with one trapezoid step.  A
+ladder's first rung steps the family it is given; every later rung steps
+only the family rows the rung before kept after dedup.  Under a zero
+field the process is autonomous, S(t, tau) = S(t - tau), so such a rung
+continues those rows' endpoints over the span it adds, with their rows
+of the G and slope the rung before ended with, when that gives a
+restart's steps exactly.  A pulsed field, or a span that would change
+the shortened tail step, restarts those rows at the rung's own tau.
+Each row of a batched step is bitwise its own run, so every row a rung
+steps ends where a restart of the whole family ends it, and the kept set
+is that restart's whenever no member dropped at an earlier rung would
+end farther than DEDUP_TOL from the kept images.
 
 The outputs carry no time grid, so a ladder steps at the coarsest
 h = dt 2^j that its Richardson estimate accepts (Hairer, Norsett &
@@ -32,13 +33,9 @@ max(two-sided distance between their deepest kept endpoints,
 |last gap(h) - last gap(2h)|) / 3, the error estimate of a second-order
 scheme, is at most LADDER_TOL.  Otherwise h is halved, and the rejected
 run serves as the 2h run of the next try; at h = dt the ladder runs
-unchecked, as a fixed-step ladder does.  The first 2h run restarts each
-rung on the family members the h run kept at that rung, not on the whole
-family, so it measures the step error of the members the ladder reports,
-not of those it dropped.  Since each row of a batched step is bitwise its
-own run, wherever the 2h dedup keeps the same members as the h dedup,
-its rungs, and so the estimate, equal those of a 2h run over the whole
-family; where the two dedups part, the estimate moves.
+unchecked, as a fixed-step ladder does.  The first 2h run starts from
+the members the h run's first rung kept; under the same condition its
+rungs, and so the estimate, are those of a 2h run over the whole family.
 
 The semicontinuity sweep draws the seeded family and searches the step
 once, on the unperturbed field, and runs one ladder per distinct field
@@ -219,7 +216,7 @@ class _Rung(NamedTuple):
     tau: float
     kept: np.ndarray  # the endpoints left after dedup
     gap: float | None  # two-sided distance to the previous rung's kept set
-    rows: np.ndarray  # the family row each kept endpoint started from
+    rows: np.ndarray  # the row of the ladder's family each kept endpoint started from
 
 
 def _two_sided(A: np.ndarray, B: np.ndarray, w: np.ndarray, p: float) -> float:
@@ -243,35 +240,33 @@ def _family(cfg: ProcessConfig, n_samples: int, seed: int) -> np.ndarray:
 
 
 def _run_ladder(family: np.ndarray, taus: list[float], t: float,
-                cfg: ProcessConfig, step: float,
-                restart_rows: Sequence[np.ndarray] | None = None) -> list[_Rung]:
+                cfg: ProcessConfig, step: float) -> list[_Rung]:
     """The rungs run at the given step, up to the first whose gap is
-    below DEDUP_TOL.  A restarted rung steps the whole family, or, where
-    restart_rows is given, only the family rows restart_rows holds at
-    that rung's index."""
+    below DEDUP_TOL.  The first rung steps the whole family; every later
+    rung steps only the family rows the rung before kept, continuing
+    their endpoints where _continues allows and otherwise restarting
+    those rows at its own tau."""
     run = replace(cfg, dt=step)
     w = quad_weights(cfg.weight, cfg.grid)
     rungs: list[_Rung] = []
+    rows = np.arange(len(family))  # the family rows the next rung steps
     kept: np.ndarray = None  # indices of the rows the last rung kept
     carry: list = []  # G and its slope at every row the last rung stepped
-    for r, tau in enumerate(taus):
+    for tau in taus:
         if rungs and _continues(tau, rungs[-1].tau, t, run):
             start, stop, how = rungs[-1].kept, rungs[-1].tau, "continued"
-            carry, rows = [row[kept] for row in carry], rungs[-1].rows
-        elif restart_rows is None:
-            start, stop, how, carry = family, t, "restarted", []
-            rows = np.arange(len(family))
+            carry = [row[kept] for row in carry]
         else:
-            rows = restart_rows[r]
             start, stop, how, carry = family[rows], t, "restarted", []
         stepped = _integrate(start, tau, stop, run, carry=carry)
         kept = _dedup(stepped, w, cfg.p)
+        rows = rows[kept]
         endpoints = stepped[kept]
         gap = _two_sided(endpoints, rungs[-1].kept, w, cfg.p) if rungs else None
         log.info("rung tau=%g: %d steps of %g %s, %d members stepped, %d kept, gap %s",
                  tau, _step_schedule(tau, stop, step)[0], step, how,
                  len(stepped), len(endpoints), "n/a" if gap is None else f"{gap:.6g}")
-        rungs.append(_Rung(tau, endpoints, gap, rows[kept]))
+        rungs.append(_Rung(tau, endpoints, gap, rows))
         if gap is not None and gap < DEDUP_TOL:
             break
     return rungs
@@ -321,15 +316,15 @@ def _search(family: np.ndarray, taus: list[float], t: float,
             cfg: ProcessConfig) -> tuple[list[_Rung], float, float]:
     """The rungs at the coarsest accepted step, the step, and its
     Richardson estimate (NaN at dt); see the module docstring.  The first
-    2h run restarts each rung on the family rows the h run kept there."""
+    2h run starts from the family rows the h run's first rung kept."""
     w = quad_weights(cfg.weight, cfg.grid)
     coarse = None  # the ladder at twice the step being tried
     for step in _coarse_steps(cfg, t - taus[0]):
         fine = _run_ladder(family, taus, t, cfg, step)
         if coarse is None:
-            # at each rung, only the members the h run kept
-            coarse = _run_ladder(family, taus[:len(fine)], t, cfg, 2.0 * step,
-                                 restart_rows=[r.rows for r in fine])
+            # from the members the h run's first rung kept
+            coarse = _run_ladder(family[fine[0].rows], taus[:len(fine)], t, cfg,
+                                 2.0 * step)
         # a ladder over a prefix of the rungs is a prefix of the rungs run
         coarse = coarse[:len(fine)]
         estimate = _richardson(fine, coarse, w, cfg.p)
@@ -351,11 +346,12 @@ def approximate_pullback_attractor(t: float, cfg: ProcessConfig,
                                    seed: int = 0) -> AttractorSample:
     """Pullback endpoint set at time t, stabilized over a tau ladder.
 
-    Every rung evolves the same seeded initial family from its tau to t;
-    rungs must be strictly decreasing and earlier than t.  Under a zero
-    field a rung continues the endpoints the previous rung kept over the
-    span it adds when the steps match a restart's (see the module
-    docstring); otherwise it restarts the whole family.  When
+    The first rung evolves the seeded initial family from its tau to t,
+    and every deeper rung only the members the rung before kept; rungs
+    must be strictly decreasing and earlier than t.  Under a zero field a
+    rung continues those members' endpoints over the span it adds when
+    the steps match a restart's (see the module docstring); otherwise it
+    restarts those members at its own tau.  When
     consecutive endpoint sets agree within DEDUP_TOL, in both
     directions, the deeper one is returned as converged; an exhausted
     ladder returns the deepest rung flagged not converged.
@@ -363,9 +359,9 @@ def approximate_pullback_attractor(t: float, cfg: ProcessConfig,
     The ladder runs at the coarsest step dt 2^j whose Richardson
     estimate (see the module docstring) is at most LADDER_TOL, trying
     steps from the largest the predictor and the shallowest span allow
-    and halving on each rejection; at dt it runs unchecked.  The estimate
-    of the first step tried is the step error of the members the ladder
-    keeps: its 2h run restarts each rung on those members alone.
+    and halving on each rejection; at dt it runs unchecked.  The 2h run
+    of the first step tried starts from the members the h run's first
+    rung kept.
     """
     taus = _ladder_taus(t, tau_ladder)
     rungs, step, estimate = _search(_family(cfg, n_samples, seed), taus, t, cfg)

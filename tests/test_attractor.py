@@ -1,8 +1,10 @@
 """Absorbing diagnostics, pullback endpoint sets, and the semicontinuity sweep."""
 
+import inspect
 import logging
 import math
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -326,21 +328,21 @@ def rung_stacks(monkeypatch, cfg, ladder):
 
 
 def assert_rungs_match_restarts(monkeypatch, cfg, ladder, n_samples=6):
-    """Each restart steps all k members; each continued rung steps the
-    members the rung before it kept, and its rows are the restart's
-    endpoints of those members, bit for bit; every rung keeps the
-    restart's set.  Returns the taus run and how many rows each stepped."""
+    """The first rung steps all k members; every later rung, continued or
+    restarted, steps the members the rung before it kept, and its rows are
+    a whole-family restart's endpoints of those members, bit for bit;
+    every rung keeps the restart's set.  Returns the taus run and how many
+    rows each stepped."""
     taus, rungs = rung_stacks(monkeypatch, cfg, ladder)
     assert len(rungs) == len(taus)
-    members = None  # the family indices of the rows the last rung kept
+    rows = np.arange(n_samples)  # the family indices of the rows the next rung steps
     for tau, (how, stepped, kept) in zip(taus, rungs):
         _, [(ref_how, ref_stepped, ref_kept)] = rung_stacks(monkeypatch, cfg, (tau,))
         assert ref_how == "restarted" and len(ref_stepped) == n_samples
-        rows = members if how == "continued" else np.arange(n_samples)
         assert len(stepped) == len(rows)
         assert np.array_equal(stepped, ref_stepped[rows])
         assert np.array_equal(stepped[kept], ref_stepped[ref_kept])
-        members = rows[kept]
+        rows = rows[kept]
     return taus, [len(stepped) for _, stepped, _ in rungs]
 
 
@@ -536,123 +538,175 @@ def test_contraction_ladder_rejects_1_6_and_accepts_0_8(contraction_cfg, caplog)
         sample = nf.approximate_pullback_attractor(0.0, contraction_cfg, 8, LADDER, seed=0)
     tried = [r.getMessage() for r in caplog.records
              if r.getMessage().startswith("ladder step ")]
-    # 1.6 misses the tolerance at an estimate of 0.0136, and 0.8 meets it
-    # at 7.1e-05; at 1.6 the 2h run's dedup keeps other members than the h
-    # run's at -16, so the estimate differs from a full-family 2h run's 0.0123
-    assert tried == ["ladder step 1.6: estimate 0.0136, halved",
+    # 1.6 misses the tolerance at an estimate of 0.0123, and 0.8 meets it
+    # at 7.1e-05
+    assert tried == ["ladder step 1.6: estimate 0.0123, halved",
                      "ladder step 0.8: estimate 7.1e-05, accepted"]
     assert sample.step == 0.8
     assert sample.step_error <= attractor.LADDER_TOL
     assert sample.converged and sample.taus == LADDER
 
 
-# each accepts its first try, and its h run drops members at a rung the 2h
-# run restarts: the zero-field ladder at its first rung, the pulsed one at
-# -8 and -16, and the tail ladder at -12, where the 2h run's -6 span ends in
-# a shortened step, so it restarts the rows the h run's continued -12 rung
-# kept
-RESTRICTED_LADDERS = [
-    (nf.ExternalField(), (-8.0, -16.0, -32.0)),
-    (nf.ExternalField("pulsed", 0.1, 1.0), (-4.0, -8.0, -16.0)),
-    (nf.ExternalField(), (-6.0, -12.0, -24.0)),
-]
-RESTRICTED_IDS = ["zero", "pulsed", "tail"]
+# name: (field, ladder, n_samples, seed, eps).  Each accepts its first
+# step.  "zero" drops members at its first rung, so its 2h run starts
+# from fewer rows; "pulsed" restarts -16 on the rows -8 kept; in "tail"
+# the 2h run's -6 span ends in a shortened step, so its -12 rung restarts
+# where the h run's continues.  With eps the sweep runs too, and its last
+# ladder is the pulsed leg at eps 0.2, whose -16 rung restarts on the rows
+# -8 kept.
+ONE_RULE_CASES = {
+    "zero": (nf.ExternalField(), (-8.0, -16.0, -32.0), 6, 4, None),
+    "pulsed": (nf.ExternalField("pulsed", 0.1, 1.0), (-4.0, -8.0, -16.0), 6, 4, None),
+    "tail": (nf.ExternalField(), (-6.0, -12.0, -24.0), 6, 4, None),
+    "sweep leg": (nf.ExternalField("pulsed", 0.2, 1.0), (-4.0, -8.0, -16.0), 4, 0,
+                  [0.2, 0.0]),
+}
+ONE_RULE_IDS = list(ONE_RULE_CASES)
 
 
-def first_try(monkeypatch, cfg, ladder):
-    """The step search's first try on ladder: the sample, the h rungs, the
-    2h rungs, and the 2h ladder's arguments (family, taus, t, cfg, step)."""
-    calls = []
-
-    def spy_run_ladder(*args, **kwargs):
-        rungs = _run_ladder(*args, **kwargs)
-        calls.append((args, kwargs, rungs))
-        return rungs
-
-    monkeypatch.setattr(attractor, "_run_ladder", spy_run_ladder)
-    sample = nf.approximate_pullback_attractor(0.0, cfg, 6, ladder, seed=4)
-    monkeypatch.undo()
-    (_, _, fine), (args, kwargs, coarse) = calls[:2]
-    assert args[4] == 2.0 * sample.step and sample.step > cfg.dt
-    assert [rows.tolist() for rows in kwargs["restart_rows"]] == \
-        [r.rows.tolist() for r in fine]
-    return sample, fine, coarse, args
+class Ladder(NamedTuple):
+    family: np.ndarray  # the family _run_ladder was given
+    t: float
+    cfg: nf.ProcessConfig
+    step: float
+    rungs: list
+    stacks: list  # per rung: how it ran and the rows it stepped
 
 
-def assert_same_rungs(rungs, ref):
-    assert len(rungs) == len(ref)
-    for r, s in zip(rungs, ref):
-        assert r.tau == s.tau and r.gap == s.gap
-        assert np.array_equal(r.kept, s.kept) and np.array_equal(r.rows, s.rows)
-
-
-@pytest.mark.parametrize("field, ladder", RESTRICTED_LADDERS, ids=RESTRICTED_IDS)
-def test_each_2h_restart_steps_the_rows_the_h_rung_kept(field, ladder, monkeypatch):
+def traced_case(name):
+    """Run a case; return the seeded family and every ladder it ran."""
+    field, ladder, n_samples, seed, eps = ONE_RULE_CASES[name]
     cfg = small_cfg(field=field)
-    family = attractor._family(cfg, 6, 4)
-    restarts = []
+    run_ladder, integrate = attractor._run_ladder, attractor._integrate
+    ladders = []
+
+    def spy_run_ladder(family, taus, t, cfg, step):
+        ladders.append(Ladder(family, t, cfg, step, [], []))
+        ladders[-1].rungs.extend(run_ladder(family, taus, t, cfg, step))
+        return ladders[-1].rungs
 
     def spy_integrate(u, tau, t, cfg, observer=None, carry=None):
-        if not carry:
-            restarts.append((cfg.dt, tau, u.copy()))
-        return _integrate(u, tau, t, cfg, observer, carry)
+        ladders[-1].stacks.append(("continued" if carry else "restarted", u.copy()))
+        return integrate(u, tau, t, cfg, observer, carry)
 
-    monkeypatch.setattr(attractor, "_integrate", spy_integrate)
-    _, fine, _, (*_, step) = first_try(monkeypatch, cfg, ladder)
-    kept = {r.tau: r.rows for r in fine}
-    stepped = [(tau, u) for dt, tau, u in restarts if dt == step]
-    assert stepped
-    for tau, u in stepped:
-        assert np.array_equal(u, family[kept[tau]])
-    # the h run dropped members before at least one of them
-    assert min(len(u) for _, u in stepped) < len(family)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(attractor, "_run_ladder", spy_run_ladder)
+        mp.setattr(attractor, "_integrate", spy_integrate)
+        if eps is None:
+            nf.approximate_pullback_attractor(0.0, cfg, n_samples, ladder, seed=seed)
+        else:
+            nf.upper_semicontinuity_sweep(0.0, cfg, eps, n_samples, ladder, seed=seed)
+    fine, coarse = ladders[:2]
+    assert coarse.step == 2.0 * fine.step and fine.step > cfg.dt
+    return attractor._family(cfg, n_samples, seed), ladders
 
 
-@pytest.mark.parametrize("field, ladder", RESTRICTED_LADDERS, ids=RESTRICTED_IDS)
-def test_restricted_2h_rungs_equal_the_full_family_run(field, ladder, monkeypatch):
-    # each row of a batched step is bitwise its own run, so where the 2h
-    # dedup keeps the h dedup's members, dropping the others changes nothing
-    cfg = small_cfg(field=field)
-    sample, fine, coarse, args = first_try(monkeypatch, cfg, ladder)
-    full = _run_ladder(*args)
-    assert_same_rungs(coarse, full)
+# the restart line of _run_ladder, and two plants in its place: the
+# parent's h ladder, which restarts the whole family, and a restart that
+# drops the last of the rows the rung before kept
+RESTART = '            start, stop, how, carry = family[rows], t, "restarted", []\n'
+WHOLE_FAMILY = ('            start, stop, how, carry = family, t, "restarted", []\n'
+                '            rows = np.arange(len(family))\n')
+DROP_ONE = '            rows = rows[:-1] if rungs and len(rows) > 1 else rows\n' + RESTART
+
+
+def planted_ladder(restart):
+    """_run_ladder with its restart line replaced."""
+    source = inspect.getsource(_run_ladder)
+    assert source.count(RESTART) == 1
+    namespace = {}
+    exec(source.replace(RESTART, restart), vars(attractor), namespace)
+    return namespace["_run_ladder"]
+
+
+def assert_one_rule(family, ladders):
+    """The h run's first rung steps the seeded family and the 2h run's the
+    rows the h run's first rung kept; every ladder's first rung steps the
+    family it was given, and every later rung the rows the rung before
+    kept: their endpoints where it continues, the rows where it restarts."""
+    fine, coarse = ladders[:2]
+    assert np.array_equal(fine.family, family)
+    assert np.array_equal(coarse.family, family[fine.rungs[0].rows])
+    for ladder in ladders:
+        assert len(ladder.stacks) == len(ladder.rungs)
+        assert ladder.stacks[0][0] == "restarted"
+        assert np.array_equal(ladder.stacks[0][1], ladder.family)
+        for prev, (how, stepped) in zip(ladder.rungs, ladder.stacks[1:]):
+            rows = prev.kept if how == "continued" else ladder.family[prev.rows]
+            assert np.array_equal(stepped, rows)
+
+
+def whole_family_rungs(family, ladder):
+    """The ladder's rungs as one-rung ladders give them, each a restart of
+    the whole seeded family, with the gaps between consecutive ones."""
+    w = quad_weights(ladder.cfg.weight, ladder.cfg.grid)
+    ref = []
+    for rung in ladder.rungs:
+        [one] = _run_ladder(family, [rung.tau], ladder.t, ladder.cfg, ladder.step)
+        gap = attractor._two_sided(one.kept, ref[-1].kept, w, ladder.cfg.p) if ref else None
+        ref.append(one._replace(gap=gap))
+    return ref
+
+
+def assert_whole_family_rungs(family, ladders):
+    """Every rung keeps, bit for bit, the endpoints and the gap of
+    whole-family restarts, and so the Richardson estimate is theirs."""
+    refs = [whole_family_rungs(family, ladder) for ladder in ladders]
+    for ladder, ref in zip(ladders, refs):
+        assert [r.tau for r in ladder.rungs] == [r.tau for r in ref]
+        for r, s in zip(ladder.rungs, ref):
+            assert np.array_equal(r.kept, s.kept) and r.gap == s.gap
+    cfg = ladders[0].cfg
     w = quad_weights(cfg.weight, cfg.grid)
-    assert attractor._richardson(fine, full, w, cfg.p) == sample.step_error
-    # a restart that drops one of those rows as well moves the 2h rungs
-    planted = [r.rows[:-1] if len(r.rows) > 1 else r.rows for r in fine]
+    assert attractor._richardson(ladders[0].rungs, ladders[1].rungs, w, cfg.p) \
+        == attractor._richardson(refs[0], refs[1], w, cfg.p)
+
+
+@pytest.mark.parametrize("case", ONE_RULE_IDS)
+def test_every_later_rung_steps_the_rows_the_rung_before_kept(case):
+    family, ladders = traced_case(case)
+    assert_one_rule(family, ladders)
+    # some rung steps fewer rows than the seeded family
+    assert min(len(stepped) for ladder in ladders for _, stepped in ladder.stacks) \
+        < len(family)
+
+
+@pytest.mark.parametrize("case", ONE_RULE_IDS)
+def test_every_rung_equals_whole_family_restarts(case):
+    assert_whole_family_rungs(*traced_case(case))
+
+
+@pytest.mark.parametrize("case", ["pulsed", "sweep leg"])
+def test_planted_restarts_trip_the_spy_or_the_reference(case, monkeypatch):
+    # a whole-family restart keeps the reference's sets, so only the spy
+    # sees it; a restart that drops a kept row changes the kept set
+    monkeypatch.setattr(attractor, "_run_ladder", planted_ladder(WHOLE_FAMILY))
+    family, ladders = traced_case(case)
+    assert_whole_family_rungs(family, ladders)
     with pytest.raises(AssertionError):
-        assert_same_rungs(_run_ladder(*args, restart_rows=planted), full)
+        assert_one_rule(family, ladders)
+    monkeypatch.setattr(attractor, "_run_ladder", planted_ladder(DROP_ONE))
+    with pytest.raises(AssertionError):
+        assert_whole_family_rungs(*traced_case(case))
 
 
-def member_steps(records):
-    """The member-steps of the rung log lines: steps times members stepped."""
+def member_steps(records, n_samples=None):
+    """The member-steps of the rung log lines: steps times members stepped,
+    or, with n_samples, what restarts of the whole family would take."""
     rungs = [r.getMessage().split() for r in records
              if r.getMessage().startswith("rung tau=")]
-    return sum(int(words[2]) * int(words[7]) for words in rungs)
+    return sum(int(words[2]) * (n_samples if n_samples and words[6] == "restarted,"
+                                else int(words[7])) for words in rungs)
 
 
-@pytest.mark.parametrize("field, ladder", RESTRICTED_LADDERS, ids=RESTRICTED_IDS)
-def test_restricted_2h_run_steps_fewer_members(field, ladder, monkeypatch, caplog):
-    # against a 2h run that restarts the whole family, the search steps
-    # fewer member-steps and returns the same sample, bit for bit
-    def full_family(*args, restart_rows=None):
-        return _run_ladder(*args)
-
-    cfg = small_cfg(field=field)
-    samples, steps = [], []
-    for spy in (None, full_family):
-        if spy:
-            monkeypatch.setattr(attractor, "_run_ladder", spy)
-        caplog.clear()
-        with caplog.at_level(logging.INFO, logger="nlfield.attractor"):
-            samples.append(nf.approximate_pullback_attractor(0.0, cfg, 6, ladder, seed=4))
-        steps.append(member_steps(caplog.records))
-    restricted, full = samples
-    assert steps[0] < steps[1]
-    assert (restricted.taus, restricted.rung_gaps, restricted.step, restricted.step_error) \
-        == (full.taus, full.rung_gaps, full.step, full.step_error)
-    assert all(np.array_equal(u.values, v.values)
-               for u, v in zip(restricted.members, full.members, strict=True))
+@pytest.mark.parametrize("case", ONE_RULE_IDS)
+def test_one_rule_steps_fewer_members_than_whole_family_restarts(case, caplog):
+    # in "tail" every restart finds the whole family kept, so it saves nothing
+    n_samples = ONE_RULE_CASES[case][2]
+    with caplog.at_level(logging.INFO, logger="nlfield.attractor"):
+        traced_case(case)
+    steps, whole = member_steps(caplog.records), member_steps(caplog.records, n_samples)
+    assert steps == whole if case == "tail" else steps < whole
 
 
 def test_sweep_searches_once_and_runs_every_leg_at_its_step(caplog):
