@@ -243,22 +243,37 @@ def _check_lemma1b(cfg, seed, norms):
     By Hoelder it is S_i^(1/q), S_i = sum_j a_j^q w_j^(1-q) with
     a_j = J(x_i - x_j) dx >= 0 and q = p/(p-1), at u*_j = (a_j / w_j)^(q-1).
     The value is read off u* through _fft_convolve, so a convolution
-    defect shows.  The bound takes a_j <= ||J||_inf dx.
+    defect shows.  The bound takes a_j <= ||J||_inf dx.  Near p 1, q is
+    large: where w^(1-q) overflows it is taken as exp((1-q) log w - c),
+    c its largest log, and exp(c/q) goes back into the bound; where u*
+    overflows it is formed in logs over its largest entry, since the
+    ratio does not depend on its scale; and where the taps' q-th powers
+    underflow, the node is picked with the taps over their max.
     """
     kernel, grid = cfg.kernel, cfg.grid
     q = cfg.p / (cfg.p - 1.0)
     w = quad_weights(cfg.weight, grid)
-    dual = w ** (1.0 - q)
+    dual, c = w ** (1.0 - q), 0.0
+    if not np.all(np.isfinite(dual)):
+        logs = (1.0 - q) * np.log(w)
+        c = float(np.max(logs))
+        dual = np.exp(logs - c)
     mask = grid.interior_mask()
     taps = kernel.samples * grid.spacing  # even, so a_j over i's window
-    i = np.flatnonzero(mask)[np.argmax(np.convolve(dual, taps ** q, "same")[mask])]
+    powers = taps ** q
+    if np.max(powers) < np.finfo(float).tiny:
+        powers = (taps / np.max(taps)) ** q
+    i = np.flatnonzero(mask)[np.argmax(np.convolve(dual, powers, "same")[mask])]
     window = slice(i - kernel.half_width, i + kernel.half_width + 1)
     u = np.zeros(grid.n_points)
     u[window] = (taps / w[window]) ** (q - 1.0)
+    if not np.all(np.isfinite(u)):
+        logs = (q - 1.0) * np.log(taps / w[window])
+        u[window] = np.exp(logs - np.max(logs))
     measured = abs(_fft_convolve(kernel, u)[i]) / _lp_norm(u, w, cfg.p)
     window_sums = np.convolve(dual, np.ones_like(taps), "same")
     bound = kernel.norm_sup * grid.spacing * float(np.max(window_sums[mask])) ** (1.0 / q)
-    return bound, measured, TOL_QUADRATURE
+    return bound * math.exp(c / q), measured, TOL_QUADRATURE
 
 
 def _check_prop_lipschitz(cfg, seed, norms):

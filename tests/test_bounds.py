@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import inspect
 import json
 import logging
 import math
@@ -475,13 +476,19 @@ def test_power_rows_are_not_kept_between_batteries(tanh_cfg, monkeypatch):
 
 def closed_form_lemma1b(cfg):
     """Reference: each interior node's Hoelder dual norm of its kernel row,
-    (sum_j |J_{i-j} dx|^q w_j^(1-q))^(1/q), node by node."""
+    (sum_j |J_{i-j} dx|^q w_j^(1-q))^(1/q), node by node, summed in logs
+    over the largest term so that no power leaves the float range."""
     q = cfg.p / (cfg.p - 1.0)
-    w = quad_weights(cfg.weight, cfg.grid)
-    a = np.abs(cfg.kernel.samples * cfg.grid.spacing) ** q
+    log_w = np.log(quad_weights(cfg.weight, cfg.grid))
+    with np.errstate(divide="ignore"):
+        log_a = q * np.log(np.abs(cfg.kernel.samples * cfg.grid.spacing))
     m = cfg.kernel.half_width
     nodes = np.flatnonzero(cfg.grid.interior_mask())
-    values = [float(a @ w[i - m:i + m + 1] ** (1.0 - q)) ** (1.0 / q) for i in nodes]
+    values = []
+    for i in nodes:
+        terms = log_a + (1.0 - q) * log_w[i - m:i + m + 1]
+        top = np.max(terms)
+        values.append(math.exp((top + math.log(np.sum(np.exp(terms - top)))) / q))
     return nodes, np.array(values)
 
 
@@ -496,6 +503,38 @@ def test_lemma1b_is_attained_at_the_first_interior_node(config, node, value):
     report = nf.verify("lemma1b", cfg, seed=0)
     assert report.measured == pytest.approx(values.max(), rel=1e-12)
     assert report.measured == pytest.approx(value, abs=1e-4)
+
+
+def bistable_at(p, grid=""):
+    """configs/bistable.yaml at exponent p, on its own grid or on another."""
+    text = (CONFIGS / "bistable.yaml").read_text().replace("p: 2.0", f"p: {p}")
+    if grid:
+        text = text.replace("half_length: 50.0\n", "").replace("n_points: 4096\n", grid)
+    return parse_config(text).process
+
+
+@pytest.mark.parametrize("grid, node, measured, bound", [
+    ("", 42, 5622.0048, 5866.8972),
+    ("half_length: 20\nn_points: 1024\n", 27, 861.1942, 945.0582),
+], ids=["bistable grid", "L 20 n 1024"])
+def test_lemma1b_gives_a_verdict_at_p_1_01(grid, node, measured, bound, monkeypatch):
+    # at q = 101, w^(1 - q) and the extremal field (taps / w)^(q - 1)
+    # overflow; scaled into range, the check still reads the closed form
+    cfg = bistable_at(1.01, grid)
+    nodes, values = closed_form_lemma1b(cfg)
+    assert nodes[np.argmax(values)] == nodes[0] == node
+    report = nf.verify("lemma1b", cfg, seed=0)
+    assert report.passed
+    assert report.measured == pytest.approx(values.max(), rel=1e-12)
+    assert (report.measured, report.theoretical) == pytest.approx((measured, bound),
+                                                                  abs=1e-4)
+    # the dual's scale dropped from the bound: it reads far below the value
+    check = inspect.getsource(nlfield.bounds._check_lemma1b)
+    namespace = {}
+    exec(check.replace("bound * math.exp(c / q)", "bound"), vars(nlfield.bounds), namespace)
+    monkeypatch.setitem(nlfield.bounds._CHECKS, "lemma1b",
+                        (namespace["_check_lemma1b"], "rho_1"))
+    assert not nf.verify("lemma1b", cfg, seed=0).passed
 
 
 def libm_row(x, rng):

@@ -1114,15 +1114,35 @@ def test_verify_samples_key_is_not_read(tmp_path, caplog):
     assert "is not read" in warnings[0]
 
 
-@pytest.mark.parametrize("extra, check", [
-    ("p: 1.01\nhalf_length: 20.0\n", "lemma1b"),
-    ("beta: 100.0\nhalf_length: 20.0\n", "gronwall_continuity"),
-    ("beta: 100.0\nhalf_length: 20.0\n", "lemma1a, gronwall_continuity"),
+@pytest.mark.parametrize("grid", ["", "half_length: 20.0\nn_points: 1024\n"],
+                         ids=["bistable grid", "L 20 n 1024"])
+def test_verify_lemma1b_passes_at_p_1_01(grid, tmp_path):
+    # w^(1 - q) overflowed here (q = 101), and verify exited 2
+    out = tmp_path / "run"
+    doc = f"beta: 2.0\np: 1.01\n{grid}output: {out}\nverify:\n  checks: [lemma1b]\n"
+    assert main(["verify", "--config", write_config(tmp_path, doc)]) == 0
+    _, rows = read_rows(out / "verify.csv")
+    assert [(r[0], r[4]) for r in rows] == [("lemma1b", "true")]
+
+
+def infinite_sup_kernel(grid):
+    """The bump kernel with its stated sup planted at inf."""
+    return dataclasses.replace(nf.make_bump_kernel(grid), norm_sup=math.inf)
+
+
+@pytest.mark.parametrize("extra, check, kernel", [
+    ("p: 1.01\nhalf_length: 20.0\n", "lemma1b", infinite_sup_kernel),
+    ("beta: 100.0\nhalf_length: 20.0\n", "gronwall_continuity", None),
+    ("beta: 100.0\nhalf_length: 20.0\n", "lemma1a, gronwall_continuity", None),
 ], ids=["lemma1b p 1.01", "gronwall beta 100", "lemma1a+gronwall beta 100"])
-def test_verify_exits_2_on_a_non_finite_bound(extra, check, tmp_path, capsys):
-    # w^(1 - q) overflows at p 1.01, and the envelope's exponential at
-    # beta 100: an infinite bound admits any measurement, so it is an
-    # error, not a pass
+def test_verify_exits_2_on_a_non_finite_bound(extra, check, kernel, tmp_path, capsys,
+                                              monkeypatch):
+    # lemma1b's bound scales the kernel's sup, planted infinite here (at p
+    # 1.01 its dual weight is scaled into range, see nlfield.bounds), and
+    # the envelope's exponential overflows at beta 100: an infinite bound
+    # admits any measurement, so it is an error, not a pass
+    if kernel:
+        monkeypatch.setattr(cli, "make_bump_kernel", kernel)
     out = tmp_path / "run"
     doc = (f"beta: 2.0\nn_points: 1024\noutput: {out}\n{extra}"
            f"verify:\n  checks: [{check}]\n")
@@ -1144,7 +1164,11 @@ PLANTED_CLI = "import sys, math, nlfield.bounds\n{plant}\n" \
     # invalid warning at the zero rows, inside the check
     ("p: 60\nhalf_length: 5.0\nn_points: 128\n", "prop_lipschitz",
      "nlfield.bounds._nonlinear_term = lambda cfg, t, u: u * math.inf"),
-    ("p: 1.01\n", "lemma1a, lemma1a_deriv, lemma1b, prop_lipschitz", ""),
+    # a weight planted at 0, whose dual w^(1 - q) and extremal field are
+    # inf before lemma1b scales them and NaN after
+    ("p: 1.01\n", "lemma1b, lemma1a, lemma1a_deriv, prop_lipschitz",
+     "w = nlfield.bounds.quad_weights\n"
+     "nlfield.bounds.quad_weights = lambda weight, grid: 0.0 * w(weight, grid)"),
 ], ids=["p 60", "p 1.01"])
 def test_verify_stderr_carries_no_numpy_warning(extra, check, plant, tmp_path):
     # the finite guard reports a non-finite value by its check; numpy's
