@@ -601,9 +601,9 @@ def traced_case(name):
     return attractor._family(cfg, n_samples, seed), ladders
 
 
-# the restart line of _run_ladder, and two plants in its place: the
-# parent's h ladder, which restarts the whole family, and a restart that
-# drops the last of the rows the rung before kept
+# the restart line of _run_ladder, and two plants in its place: a restart
+# of the whole family, as the h ladder once did, and a restart that drops
+# the last of the rows the rung before kept
 RESTART = '            start, stop, how, carry = family[rows], t, "restarted", []\n'
 WHOLE_FAMILY = ('            start, stop, how, carry = family, t, "restarted", []\n'
                 '            rows = np.arange(len(family))\n')
