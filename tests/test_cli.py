@@ -1117,7 +1117,8 @@ def test_verify_samples_key_is_not_read(tmp_path, caplog):
 @pytest.mark.parametrize("grid", ["", "half_length: 20.0\nn_points: 1024\n"],
                          ids=["bistable grid", "L 20 n 1024"])
 def test_verify_lemma1b_passes_at_p_1_01(grid, tmp_path):
-    # w^(1 - q) overflowed here (q = 101), and verify exited 2
+    # at q = 101, w^(1 - q) and the extremal field leave the float range
+    # unless lemma1b scales them
     out = tmp_path / "run"
     doc = f"beta: 2.0\np: 1.01\n{grid}output: {out}\nverify:\n  checks: [lemma1b]\n"
     assert main(["verify", "--config", write_config(tmp_path, doc)]) == 0
