@@ -1,11 +1,14 @@
 """Pullback attractor approximation and semicontinuity experiments.
 
 The attractor at observation time t is approximated by endpoint sets of
-pullback runs: seeded initial conditions drawn from the absorbing ball
-are evolved from progressively earlier start times tau to t, and the
+pullback runs: a family of constant fields on evenly spaced levels across
+the absorbing ball, the spatially homogeneous skeleton of the dynamics,
+is evolved from progressively earlier start times tau to t, and the
 endpoint set is accepted once it stops moving between consecutive rungs
-of the tau ladder.  Sets are compared in the one-sided Hausdorff sense
-with the weighted norm underneath.
+of the tau ladder.  The pullback theory needs the family only to be
+attracted uniformly (Carvalho, Langa & Robinson 2013), and no seed
+draws it.  Sets are compared in the one-sided Hausdorff sense with the
+weighted norm underneath.
 
 All members of a rung share one time schedule, so they are evolved
 together as one batched (k, n) array.  A ladder steps with one G
@@ -37,9 +40,9 @@ unchecked, as a fixed-step ladder does.  The first 2h run starts from
 the members the h run's first rung kept; under the same condition its
 rungs, and so the estimate, are those of a 2h run over the whole family.
 
-The semicontinuity sweep draws the seeded family and searches the step
-once, on the unperturbed field, and runs one ladder per distinct field
-at that step: a leg whose scaled field equals the unperturbed field
+The semicontinuity sweep builds the family and searches the step once,
+on the unperturbed field, and runs one ladder per distinct field at that
+step: a leg whose scaled field equals the unperturbed field
 (eps = 0, or any eps on a zero field or a zero-amplitude pulse) reuses
 the unperturbed rungs.
 
@@ -110,51 +113,24 @@ def absorbing_entry_time(t: float, radius_r: float, eps: float) -> float:
     return t + math.log(eps / radius_r)
 
 
-def sample_absorbing_ball(cfg: ProcessConfig, n_members: int,
-                          seed: int) -> list[WeightedField]:
-    """Seeded initial conditions filling the absorbing ball.
+def sample_absorbing_ball(cfg: ProcessConfig, n_levels: int) -> list[WeightedField]:
+    """Constant fields on n_levels evenly spaced values across the
+    absorbing ball, from -(a + BALL_SLACK) to a + BALL_SLACK (the single
+    level 0 when n_levels is 1).
 
-    Half the members are constant fields on a symmetric value ladder
-    (these ride the spatially homogeneous skeleton of the dynamics); the
-    rest are sign-definite random Fourier fields, a bias level plus
-    smooth low-mode fluctuations capped below the bias.  Keeping each
-    random member on one side of zero probes genuinely nonconstant
-    directions without nucleating interface pairs, whose coarsening
-    times grow exponentially with their separation and would defeat any
-    ladder of reachable depth.  Every member is rescaled into the ball
-    of radius a + BALL_SLACK when its weighted norm exceeds that radius.
+    The family samples the spatially homogeneous skeleton of the
+    dynamics.  The pullback theory (Carvalho, Langa & Robinson 2013) asks
+    only that the family be attracted uniformly, not that it be random,
+    so no seed draws it.  Sign-definite random members added to the
+    levels merge into the constant states on every ladder of the shipped
+    configs, and dedup keeps none of them.
     """
-    if n_members < 1:
-        raise ValueError("need at least one member")
+    if n_levels < 1:
+        raise ValueError("need at least one level")
     radius = cfg.nonlinearity.sup_abs + BALL_SLACK
-    x = cfg.grid.nodes
-    rng = np.random.default_rng(seed)
-
-    n_const = (n_members + 1) // 2
-    fields: list[WeightedField] = []
-    levels = np.linspace(-radius, radius, n_const) if n_const > 1 else np.array([0.0])
-    for c in levels:
-        fields.append(WeightedField(cfg.grid, cfg.weight, np.full(x.shape, float(c))))
-
-    n_modes = 6
-    for j in range(n_members - n_const):
-        sgn = 1.0 if j % 2 == 0 else -1.0
-        bias = rng.uniform(0.35, 0.95)
-        fluct = np.zeros_like(x)
-        for _ in range(n_modes):
-            k = rng.uniform(0.05, 1.5)
-            amp = rng.normal(scale=bias / 10.0)
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            fluct += amp * np.cos(k * x + phase)
-        peak = float(np.max(np.abs(fluct)))
-        if peak > 0.8 * bias:
-            fluct *= 0.8 * bias / peak
-        u = sgn * (bias + fluct)
-        norm = _lp_norm(u, quad_weights(cfg.weight, cfg.grid), cfg.p)
-        if norm > radius:
-            u = u * (radius / norm)
-        fields.append(WeightedField(cfg.grid, cfg.weight, u))
-    return fields
+    levels = np.linspace(-radius, radius, n_levels) if n_levels > 1 else np.array([0.0])
+    shape = cfg.grid.nodes.shape
+    return [WeightedField(cfg.grid, cfg.weight, np.full(shape, float(c))) for c in levels]
 
 
 def _stack(members) -> tuple[np.ndarray, WeightedField]:
@@ -235,8 +211,9 @@ def _ladder_taus(t: float, tau_ladder: Sequence[float]) -> list[float]:
     return taus
 
 
-def _family(cfg: ProcessConfig, n_samples: int, seed: int) -> np.ndarray:
-    return np.stack([u.values for u in sample_absorbing_ball(cfg, n_samples, seed)])
+def _family(cfg: ProcessConfig, n_samples: int) -> np.ndarray:
+    """The ladder family of n_samples: its ceil(n_samples / 2) constant levels."""
+    return np.stack([u.values for u in sample_absorbing_ball(cfg, (n_samples + 1) // 2)])
 
 
 def _run_ladder(family: np.ndarray, taus: list[float], t: float,
@@ -346,8 +323,9 @@ def approximate_pullback_attractor(t: float, cfg: ProcessConfig,
                                    seed: int = 0) -> AttractorSample:
     """Pullback endpoint set at time t, stabilized over a tau ladder.
 
-    The first rung evolves the seeded initial family from its tau to t,
-    and every deeper rung only the members the rung before kept; rungs
+    The first rung evolves the family of sample_absorbing_ball, its
+    ceil(n_samples / 2) constant levels, from its tau to t, and every
+    deeper rung only the members the rung before kept; rungs
     must be strictly decreasing and earlier than t.  Under a zero field a
     rung continues those members' endpoints over the span it adds when
     the steps match a restart's (see the module docstring); otherwise it
@@ -362,9 +340,12 @@ def approximate_pullback_attractor(t: float, cfg: ProcessConfig,
     and halving on each rejection; at dt it runs unchecked.  The 2h run
     of the first step tried starts from the members the h run's first
     rung kept.
+
+    The seed draws nothing; it is recorded in the sample, and the CLI
+    writes it to attractor_meta.csv.
     """
     taus = _ladder_taus(t, tau_ladder)
-    rungs, step, estimate = _search(_family(cfg, n_samples, seed), taus, t, cfg)
+    rungs, step, estimate = _search(_family(cfg, n_samples), taus, t, cfg)
     members = tuple(WeightedField(cfg.grid, cfg.weight, u) for u in rungs[-1].kept)
     return AttractorSample(t=t, members=members, p=cfg.p,
                            taus=tuple(r.tau for r in rungs), seed=seed,
@@ -382,22 +363,23 @@ def upper_semicontinuity_sweep(t: float, cfg0: ProcessConfig,
 
     Each eps scales the external field to (1 - eps) of its amplitude,
     so the sup gap to the unperturbed field is eps times the field's
-    sup.  Every leg starts from the one seeded family drawn for the
-    unperturbed ladder.  The step is chosen once, on the unperturbed
-    ladder, and every leg runs at it, so the distances compare endpoints
-    of one time grid.  A leg whose scaled field equals the unperturbed
-    one (eps = 0, or any eps on a zero field or a zero-amplitude pulse)
-    reuses the unperturbed rungs, so its distance is exactly zero; every
-    other leg runs its own ladder.  Each leg logs one line: its eps, how
-    it ran, the step, its rungs and its distance.  The reported envelope
-    is the trajectory-level exponential bound at the deepest ladder
-    horizon, an upper reference only; where it is inf, one warning says
-    so for the whole sweep.
+    sup.  Every leg starts from the family of the unperturbed ladder,
+    the ceil(n_samples / 2) constant levels of sample_absorbing_ball; no
+    seed draws that family, and the sweep does not read its seed.
+    The step is chosen once, on the unperturbed ladder, and every leg
+    runs at it, so the distances compare endpoints of one time grid.  A
+    leg whose scaled field equals the unperturbed one (eps = 0, or any
+    eps on a zero field or a zero-amplitude pulse) reuses the unperturbed
+    rungs, so its distance is exactly zero; every other leg runs its own
+    ladder.  Each leg logs one line: its eps, how it ran, the step, its
+    rungs and its distance.  The reported envelope is the trajectory-level
+    exponential bound at the deepest ladder horizon, an upper reference
+    only; where it is inf, one warning says so for the whole sweep.
     """
     from .bounds import continuity_envelope
 
     taus = _ladder_taus(t, tau_ladder)
-    family = _family(cfg0, n_samples, seed)
+    family = _family(cfg0, n_samples)
     base, step, _ = _search(family, taus, t, cfg0)
     base_converged = _stabilized(base)
     w = quad_weights(cfg0.weight, cfg0.grid)

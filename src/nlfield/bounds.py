@@ -31,8 +31,9 @@ row of _field_corpus over unbroken spans, carrying G and its slope as
 simulate does, so a span of N steps evaluates G N + 1 times; their
 bounds hold exactly on that scheme, since its corrector
 exp(-delta) u + w1 G + w2 G~ is a convex combination with |G| <= a, and
-w_bound keeps its quadrature tolerance.  c1_attractor evolves
-_C1_MEMBERS members.
+w_bound keeps its quadrature tolerance.  c1_attractor runs a ladder of
+n_samples _C1_MEMBERS, which steps its ceil(_C1_MEMBERS / 2) constant
+levels.
 
 The constants built on the weight are the Cauchy weight's: K = 3 bounds
 rho(x)/rho(y) over |x - y| <= 1 (its sup is (3 + sqrt 5)/2), and

@@ -223,7 +223,7 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     _apply_defaults(data, _schema(), "")
     if "samples" in data["verify"]:
         log.warning("verify.samples is not read: every check is deterministic"
-                    " and c1_attractor evolves a fixed %d members", _C1_MEMBERS)
+                    " and c1_attractor runs a fixed n_samples of %d", _C1_MEMBERS)
 
     weight = WeightFunction(data["weight"])
     grid = Grid1D(data["half_length"], data["n_points"])

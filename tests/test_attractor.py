@@ -4,6 +4,7 @@ import inspect
 import logging
 import math
 from dataclasses import replace
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -13,8 +14,9 @@ import nlfield as nf
 from conftest import LADDER, list_schedule
 from nlfield import attractor, dynamics
 from nlfield.attractor import _dedup, _lp_distances, _run_ladder
+from nlfield.cli import parse_config
 from nlfield.dynamics import _integrate
-from nlfield.weighted_space import quad_weights
+from nlfield.weighted_space import _lp_norm, quad_weights
 
 
 def small_cfg(beta=2.0, p=2.0, weight=nf.WeightFunction.cauchy(),
@@ -56,21 +58,99 @@ def test_entry_time_is_sufficient_on_trajectories(tanh_cfg):
 
 
 def test_sampled_ball_members(tanh_cfg):
-    sample = nf.sample_absorbing_ball(tanh_cfg, 9, seed=5)
-    radius = tanh_cfg.nonlinearity.sup_abs + 0.1
-    assert len(sample) == 9
-    for u in sample:
-        assert nf.weighted_norm(u, tanh_cfg.p) <= radius + 1e-12
-    # leading members are the constant ladder across the ball
-    first = [float(u.values[0]) for u in sample[:5]]
-    assert first == pytest.approx(list(np.linspace(-radius, radius, 5)))
-    again = nf.sample_absorbing_ball(tanh_cfg, 9, seed=5)
-    for u, v in zip(sample, again):
-        assert np.array_equal(u.values, v.values)
-    other = nf.sample_absorbing_ball(tanh_cfg, 9, seed=6)
-    assert any(not np.array_equal(u.values, v.values) for u, v in zip(sample, other))
+    # count constant fields on levels spread evenly and symmetrically
+    # across the ball, with its radius at both ends; a single level is 0
+    radius = tanh_cfg.nonlinearity.sup_abs + attractor.BALL_SLACK
+    for count in (1, 2, 5, 8):
+        levels = nf.sample_absorbing_ball(tanh_cfg, count)
+        assert len(levels) == count
+        values = [float(u.values[0]) for u in levels]
+        assert all(np.all(u.values == c) for u, c in zip(levels, values))
+        assert values == (list(np.linspace(-radius, radius, count)) if count > 1 else [0.0])
+        assert values == pytest.approx([-c for c in reversed(values)], abs=1e-15)
+        if count > 1:
+            assert (values[0], values[-1]) == (-radius, radius)
+        for u in levels:
+            assert nf.weighted_norm(u, tanh_cfg.p) <= radius + 1e-12
+        # no seed and no draw: a second call gives the same bytes
+        again = nf.sample_absorbing_ball(tanh_cfg, count)
+        assert all(np.array_equal(u.values, v.values) for u, v in zip(levels, again))
+
+
+def test_sampled_ball_rejects_no_levels_and_takes_no_seed(tanh_cfg):
     with pytest.raises(ValueError):
-        nf.sample_absorbing_ball(tanh_cfg, 0, seed=1)
+        nf.sample_absorbing_ball(tanh_cfg, 0)
+    with pytest.raises(TypeError):
+        nf.sample_absorbing_ball(tanh_cfg, 4, seed=1)
+
+
+@pytest.mark.parametrize("n_samples, levels", [(1, 1), (2, 1), (7, 4), (8, 4), (9, 5)])
+def test_ladder_family_is_ceil_half_the_samples_in_levels(tanh_cfg, n_samples, levels):
+    family = attractor._family(tanh_cfg, n_samples)
+    ref = np.stack([u.values for u in nf.sample_absorbing_ball(tanh_cfg, levels)])
+    assert np.array_equal(family, ref)
+
+
+def random_rows(cfg, count, seed):
+    """count sign-definite random Fourier rows, the members a ladder family
+    could add to its constant levels: a bias level plus six smooth low
+    modes capped below it, on alternating sides of zero, each rescaled
+    into the absorbing ball."""
+    radius = cfg.nonlinearity.sup_abs + attractor.BALL_SLACK
+    x = cfg.grid.nodes
+    rng = np.random.default_rng(seed)
+    rows = []
+    for j in range(count):
+        sgn = 1.0 if j % 2 == 0 else -1.0
+        bias = rng.uniform(0.35, 0.95)
+        fluct = np.zeros_like(x)
+        for _ in range(6):
+            k = rng.uniform(0.05, 1.5)
+            amp = rng.normal(scale=bias / 10.0)
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            fluct += amp * np.cos(k * x + phase)
+        peak = float(np.max(np.abs(fluct)))
+        if peak > 0.8 * bias:
+            fluct *= 0.8 * bias / peak
+        u = sgn * (bias + fluct)
+        norm = _lp_norm(u, quad_weights(cfg.weight, cfg.grid), cfg.p)
+        rows.append(u * (radius / norm) if norm > radius else u)
+    return np.stack(rows)
+
+
+CONFIGS = Path(__file__).parent.parent / "configs"
+SHIPPED = sorted(p.stem for p in CONFIGS.glob("*.yaml"))
+
+
+def shipped_ladder(config, block):
+    """The process, the observation time, the ladder and n_samples of a
+    shipped config's attractor or sweep block, schema defaults applied."""
+    exp = parse_config((CONFIGS / f"{config}.yaml").read_text(encoding="utf-8"))
+    blk = exp.blocks[block]
+    return exp.process, blk["t"], attractor._ladder_taus(blk["t"], blk["tau_ladder"]), \
+        blk["n_samples"]
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+@pytest.mark.parametrize("block", ["attractor", "sweep"])
+@pytest.mark.parametrize("config", SHIPPED)
+def test_random_rows_add_no_member_to_the_constant_levels(config, block, seed):
+    # random rows added after the levels merge into the constant states on
+    # every shipped ladder, and dedup keeps a level row of each cluster; a
+    # step search that stops at the same rung and step over the levels
+    # alone keeps the same endpoints, bit for bit.  At the shipped seed 0
+    # every search does; at seed 2 the slow random rows push the sweep
+    # config's sweep ladder a rung deeper
+    cfg, t, taus, n_samples = shipped_ladder(config, block)
+    levels = attractor._family(cfg, n_samples)
+    full = np.concatenate([levels, random_rows(cfg, n_samples - len(levels), seed)])
+    rungs, step, _ = attractor._search(levels, taus, t, cfg)
+    ref, ref_step, _ = attractor._search(full, taus, t, cfg)
+    assert np.all(ref[-1].rows < len(levels))
+    same = (step, [r.tau for r in rungs]) == (ref_step, [r.tau for r in ref])
+    assert same == (seed == 0 or (config, block) != ("sweep", "sweep"))
+    if same:
+        assert np.array_equal(rungs[-1].kept, ref[-1].kept)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +295,7 @@ def test_attractor_metadata(bistable_attractor, tanh_cfg):
 def test_deeper_rungs_attract_monotonically(tanh_cfg, bistable_attractor):
     # pullback distance to the stabilized set shrinks along the ladder,
     # and the endpoint norm excess never grows with depth
-    corpus = nf.sample_absorbing_ball(tanh_cfg, 8, seed=0)
+    corpus = nf.sample_absorbing_ball(tanh_cfg, 8)
     dists, max_norms = [], []
     for tau in LADDER:
         endpoints = [nf.evolve(u, tau, 0.0, tanh_cfg) for u in corpus]
@@ -251,17 +331,17 @@ def test_ladder_validation(tanh_cfg):
         nf.approximate_pullback_attractor(0.0, tanh_cfg, 2, tau_ladder=())
 
 
-def test_batched_endpoints_match_single_evolve(pulsed_cfg):
-    fields = nf.sample_absorbing_ball(pulsed_cfg, 4, seed=3)
+def test_batched_endpoints_match_single_evolve(pulsed_cfg, corpus_factory):
+    fields = corpus_factory(pulsed_cfg.grid, pulsed_cfg.weight, 4, seed=3)
     rows = _integrate(np.stack([u0.values for u0 in fields]), -2.0, 0.0, pulsed_cfg)
     assert len(rows) == len(fields)
     for row, u0 in zip(rows, fields):
         assert np.array_equal(row, nf.evolve(u0, -2.0, 0.0, pulsed_cfg).values)
 
 
-def test_batched_ladder_rows_match_single_rows(pulsed_cfg):
+def test_batched_ladder_rows_match_single_rows(pulsed_cfg, corpus_factory):
     # the carried loop of a ladder treats every row on its own too
-    fields = nf.sample_absorbing_ball(pulsed_cfg, 4, seed=3)
+    fields = corpus_factory(pulsed_cfg.grid, pulsed_cfg.weight, 4, seed=3)
     rows = _integrate(np.stack([u0.values for u0 in fields]), -2.0, 0.0,
                       pulsed_cfg, carry=[])
     for row, u0 in zip(rows, fields):
@@ -269,7 +349,7 @@ def test_batched_ladder_rows_match_single_rows(pulsed_cfg):
                                               pulsed_cfg, carry=[]))
 
 
-def at_step(cfg, ladder, step, n_samples=6, seed=4):
+def at_step(cfg, ladder, step, n_samples=6):
     """approximate_pullback_attractor with its ladder run at one given
     step, with no estimate of its error."""
     def search(family, taus, t, cfg):
@@ -277,12 +357,12 @@ def at_step(cfg, ladder, step, n_samples=6, seed=4):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(attractor, "_search", search)
-        return nf.approximate_pullback_attractor(0.0, cfg, n_samples, ladder, seed=seed)
+        return nf.approximate_pullback_attractor(0.0, cfg, n_samples, ladder)
 
 
-def at_dt(cfg, ladder):
+def at_dt(cfg, ladder, n_samples=6):
     """The ladder stepped at cfg.dt, as one fixed-step run."""
-    return at_step(cfg, ladder, cfg.dt)
+    return at_step(cfg, ladder, cfg.dt, n_samples)
 
 
 def assert_rung_gaps_are_two_sided(cfg):
@@ -307,9 +387,15 @@ def test_zero_field_rung_gaps_are_two_sided_semidistances():
     assert_rung_gaps_are_two_sided(small_cfg(p=2.5))
 
 
+# the n_samples whose 5 constant levels give a ladder rungs that drop
+# members: the two positive levels, and the two negative, end in one state
+MERGING = 10
+
+
 def rung_stacks(monkeypatch, cfg, ladder):
-    """Run a ladder; return the taus run and, per rung, how it ran, the
-    stack of the rows it stepped and the indices of those it kept."""
+    """Run a ladder of MERGING samples; return the taus run and, per rung,
+    how it ran, the stack of the rows it stepped and the indices of those
+    it kept."""
     seen = []
 
     def spy_integrate(u, tau, t, cfg, observer=None, carry=None):
@@ -323,11 +409,11 @@ def rung_stacks(monkeypatch, cfg, ladder):
 
     monkeypatch.setattr(attractor, "_integrate", spy_integrate)
     monkeypatch.setattr(attractor, "_dedup", spy_dedup)
-    sample = at_dt(cfg, ladder)
+    sample = at_dt(cfg, ladder, MERGING)
     return sample.taus, seen
 
 
-def assert_rungs_match_restarts(monkeypatch, cfg, ladder, n_samples=6):
+def assert_rungs_match_restarts(monkeypatch, cfg, ladder):
     """The first rung steps all k members; every later rung, continued or
     restarted, steps the members the rung before it kept, and its rows are
     a whole-family restart's endpoints of those members, bit for bit;
@@ -335,10 +421,11 @@ def assert_rungs_match_restarts(monkeypatch, cfg, ladder, n_samples=6):
     rows each stepped."""
     taus, rungs = rung_stacks(monkeypatch, cfg, ladder)
     assert len(rungs) == len(taus)
-    rows = np.arange(n_samples)  # the family indices of the rows the next rung steps
+    k = len(attractor._family(cfg, MERGING))
+    rows = np.arange(k)  # the family indices of the rows the next rung steps
     for tau, (how, stepped, kept) in zip(taus, rungs):
         _, [(ref_how, ref_stepped, ref_kept)] = rung_stacks(monkeypatch, cfg, (tau,))
-        assert ref_how == "restarted" and len(ref_stepped) == n_samples
+        assert ref_how == "restarted" and len(ref_stepped) == k
         assert len(stepped) == len(rows)
         assert np.array_equal(stepped, ref_stepped[rows])
         assert np.array_equal(stepped[kept], ref_stepped[ref_kept])
@@ -354,23 +441,25 @@ def test_zero_field_rungs_match_restarts(beta, p, weight, monkeypatch):
     cfg = small_cfg(beta=beta, p=p, weight=nf.WeightFunction(weight))
     taus, stepped = assert_rungs_match_restarts(monkeypatch, cfg,
                                                 (-4.0, -8.0, -16.0, -24.0))
-    assert len(taus) >= 3 and min(stepped) < 6
+    assert len(taus) >= 3 and stepped[0] == 5 and stepped[-1] < 5
 
 
 def test_pulsed_field_rungs_match_restarts(monkeypatch):
-    # continuing the -4 rung over [-8, -4] would differ by about 0.028
+    # continuing the -4 rung over [-8, -4] would differ by about 0.007; the
+    # -16 rung restarts the 3 rows the -8 rung kept
     cfg = small_cfg(field=nf.ExternalField("pulsed", 0.1, 1.0))
-    taus, stepped = assert_rungs_match_restarts(monkeypatch, cfg, (-4.0, -8.0))
-    assert taus == (-4.0, -8.0) and stepped == [6, 6]
+    ladder = (-4.0, -8.0, -16.0)
+    taus, stepped = assert_rungs_match_restarts(monkeypatch, cfg, ladder)
+    assert taus == ladder and stepped == [5, 5, 3]
 
 
 def test_tail_step_rungs_match_restarts(monkeypatch):
-    # both spans end in a shortened step, so the -8.07 rung's steps are not
-    # the -4.03 rung's followed by the added span's; continuing would differ
-    # by about 5e-9
-    ladder = (-4.03, -8.07)
+    # every span ends in a shortened step, so the -8.07 rung's steps are not
+    # the -4.03 rung's followed by the added span's (continuing would differ
+    # by about 2.5e-10), and the -16.11 rung restarts the 3 rows -8.07 kept
+    ladder = (-4.03, -8.07, -16.11)
     taus, stepped = assert_rungs_match_restarts(monkeypatch, small_cfg(), ladder)
-    assert taus == ladder and stepped == [6, 6]
+    assert taus == ladder and stepped == [5, 5, 3]
 
 
 CONTINUE_TAUS = (-4.0, -4.03, -6.283185307179586, -8.0, -8.07, -12.566370614359172,
@@ -475,19 +564,23 @@ def test_each_restart_takes_a_trapezoid_first_step(field, monkeypatch):
 
 def test_each_rung_logs_its_work(caplog):
     with caplog.at_level(logging.INFO, logger="nlfield.attractor"):
-        cont = at_dt(small_cfg(), (-4.0, -8.0, -16.0))
-        rest = at_dt(small_cfg(field=nf.ExternalField("pulsed", 0.1, 1.0)), (-4.0, -8.0))
+        ladder = (-4.0, -8.0, -16.0)
+        cont = at_dt(small_cfg(), ladder, MERGING)
+        rest = at_dt(small_cfg(field=nf.ExternalField("pulsed", 0.1, 1.0)), ladder, MERGING)
     lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("rung ")]
-    # the -16 rung steps on only the 3 members the -8 rung kept
+    # the -16 rung steps on only the 3 members the -8 rung kept, continued
+    # on the zero field and restarted under the pulse
     assert lines == [
-        "rung tau=-4: 80 steps of 0.05 restarted, 6 members stepped, 6 kept, gap n/a",
-        "rung tau=-8: 80 steps of 0.05 continued, 6 members stepped, 3 kept,"
+        "rung tau=-4: 80 steps of 0.05 restarted, 5 members stepped, 5 kept, gap n/a",
+        "rung tau=-8: 80 steps of 0.05 continued, 5 members stepped, 3 kept,"
         f" gap {cont.rung_gaps[0]:.6g}",
         f"rung tau=-16: 160 steps of 0.05 continued, 3 members stepped, {len(cont)} kept,"
         f" gap {cont.rung_gaps[1]:.6g}",
-        "rung tau=-4: 80 steps of 0.05 restarted, 6 members stepped, 6 kept, gap n/a",
-        f"rung tau=-8: 160 steps of 0.05 restarted, 6 members stepped, {len(rest)} kept,"
+        "rung tau=-4: 80 steps of 0.05 restarted, 5 members stepped, 5 kept, gap n/a",
+        "rung tau=-8: 160 steps of 0.05 restarted, 5 members stepped, 3 kept,"
         f" gap {rest.rung_gaps[0]:.6g}",
+        f"rung tau=-16: 320 steps of 0.05 restarted, 3 members stepped, {len(rest)} kept,"
+        f" gap {rest.rung_gaps[1]:.6g}",
     ]
 
 
@@ -547,19 +640,18 @@ def test_contraction_ladder_rejects_1_6_and_accepts_0_8(contraction_cfg, caplog)
     assert sample.converged and sample.taus == LADDER
 
 
-# name: (field, ladder, n_samples, seed, eps).  Each accepts its first
-# step.  "zero" drops members at its first rung, so its 2h run starts
-# from fewer rows; "pulsed" restarts -16 on the rows -8 kept; in "tail"
-# the 2h run's -6 span ends in a shortened step, so its -12 rung restarts
-# where the h run's continues.  With eps the sweep runs too, and its last
-# ladder is the pulsed leg at eps 0.2, whose -16 rung restarts on the rows
-# -8 kept.
+# name: (field, ladder, eps), each run at n_samples MERGING.  Each accepts
+# its first step.  "zero" drops members at its first rung, so its 2h run
+# starts from fewer rows; "pulsed" restarts -16 on the rows -8 kept; in
+# "tail" the 2h run's -6 span ends in a shortened step, so its -12 rung
+# restarts where the h run's continues, and the h run's -12 rung drops
+# members.  With eps the sweep runs too, and its last ladder is the pulsed
+# leg at eps 0.2, whose -16 rung restarts on the rows -8 kept.
 ONE_RULE_CASES = {
-    "zero": (nf.ExternalField(), (-8.0, -16.0, -32.0), 6, 4, None),
-    "pulsed": (nf.ExternalField("pulsed", 0.1, 1.0), (-4.0, -8.0, -16.0), 6, 4, None),
-    "tail": (nf.ExternalField(), (-6.0, -12.0, -24.0), 6, 4, None),
-    "sweep leg": (nf.ExternalField("pulsed", 0.2, 1.0), (-4.0, -8.0, -16.0), 4, 0,
-                  [0.2, 0.0]),
+    "zero": (nf.ExternalField(), (-8.0, -16.0, -32.0), None),
+    "pulsed": (nf.ExternalField("pulsed", 0.1, 1.0), (-4.0, -8.0, -16.0), None),
+    "tail": (nf.ExternalField(), (-6.0, -12.0, -24.0), None),
+    "sweep leg": (nf.ExternalField("pulsed", 0.2, 1.0), (-4.0, -8.0, -16.0), [0.2, 0.0]),
 }
 ONE_RULE_IDS = list(ONE_RULE_CASES)
 
@@ -574,8 +666,8 @@ class Ladder(NamedTuple):
 
 
 def traced_case(name):
-    """Run a case; return the seeded family and every ladder it ran."""
-    field, ladder, n_samples, seed, eps = ONE_RULE_CASES[name]
+    """Run a case; return the family and every ladder it ran."""
+    field, ladder, eps = ONE_RULE_CASES[name]
     cfg = small_cfg(field=field)
     run_ladder, integrate = attractor._run_ladder, attractor._integrate
     ladders = []
@@ -593,12 +685,12 @@ def traced_case(name):
         mp.setattr(attractor, "_run_ladder", spy_run_ladder)
         mp.setattr(attractor, "_integrate", spy_integrate)
         if eps is None:
-            nf.approximate_pullback_attractor(0.0, cfg, n_samples, ladder, seed=seed)
+            nf.approximate_pullback_attractor(0.0, cfg, MERGING, ladder)
         else:
-            nf.upper_semicontinuity_sweep(0.0, cfg, eps, n_samples, ladder, seed=seed)
+            nf.upper_semicontinuity_sweep(0.0, cfg, eps, MERGING, ladder)
     fine, coarse = ladders[:2]
     assert coarse.step == 2.0 * fine.step and fine.step > cfg.dt
-    return attractor._family(cfg, n_samples, seed), ladders
+    return attractor._family(cfg, MERGING), ladders
 
 
 # the restart line of _run_ladder, and two plants in its place: a restart
@@ -690,22 +782,21 @@ def test_planted_restarts_trip_the_spy_or_the_reference(case, monkeypatch):
         assert_whole_family_rungs(*traced_case(case))
 
 
-def member_steps(records, n_samples=None):
+def member_steps(records, family_rows=None):
     """The member-steps of the rung log lines: steps times members stepped,
-    or, with n_samples, what restarts of the whole family would take."""
+    or, with family_rows, what restarts of the whole family would take."""
     rungs = [r.getMessage().split() for r in records
              if r.getMessage().startswith("rung tau=")]
-    return sum(int(words[2]) * (n_samples if n_samples and words[6] == "restarted,"
+    return sum(int(words[2]) * (family_rows if family_rows and words[6] == "restarted,"
                                 else int(words[7])) for words in rungs)
 
 
 @pytest.mark.parametrize("case", ONE_RULE_IDS)
 def test_one_rule_steps_fewer_members_than_whole_family_restarts(case, caplog):
     # in "tail" every restart finds the whole family kept, so it saves nothing
-    n_samples = ONE_RULE_CASES[case][2]
     with caplog.at_level(logging.INFO, logger="nlfield.attractor"):
-        traced_case(case)
-    steps, whole = member_steps(caplog.records), member_steps(caplog.records, n_samples)
+        family, _ = traced_case(case)
+    steps, whole = member_steps(caplog.records), member_steps(caplog.records, len(family))
     assert steps == whole if case == "tail" else steps < whole
 
 
@@ -771,16 +862,16 @@ def test_sweep_on_an_unscaled_field_runs_only_the_step_search(field, monkeypatch
                          ids=["converged", "every member kept"])
 def test_sweep_legs_match_fixed_step_samples(ladder):
     # each leg is the ladder of its scaled field at the base step, from
-    # the base's seeded family, measured against the base's endpoints; a
-    # converged ladder keeps only the constant members, so the short one
-    # checks the random members too
+    # the base's family, measured against the base's endpoints; a converged
+    # ladder keeps one member per state, so the short one, which keeps
+    # every member, checks the rest too
     cfg = small_cfg(field=nf.ExternalField("pulsed", 0.2, 1.0))
     epsilons = [0.4, 0.2, 0.0]
     curve = nf.upper_semicontinuity_sweep(0.0, cfg, epsilons, 4, ladder, seed=0)
     base = nf.approximate_pullback_attractor(0.0, cfg, 4, ladder, seed=0)
     for eps, dist, converged in zip(epsilons, curve.distances, curve.converged):
         leg = replace(cfg, field=cfg.field.scaled(1.0 - eps))
-        sample = at_step(leg, ladder, base.step, n_samples=4, seed=0)
+        sample = at_step(leg, ladder, base.step, n_samples=4)
         assert dist == nf.hausdorff_semidist(sample, base, cfg.p)
         assert converged == (sample.converged and base.converged)
     assert curve.distances[0] > curve.distances[1] > curve.distances[2] == 0.0

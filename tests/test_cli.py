@@ -398,17 +398,36 @@ def test_seed_override_is_validated_in_place_of_the_file_seed(tmp_path, capsys):
 
 
 def test_seed_override_equal_to_the_file_seed_writes_the_same_bytes(tmp_path):
-    # a shallow bistable ladder, so that the members depend on the seed
+    # a random simulate start, which is drawn from default_rng(seed)
     doc = (SMALL.format(beta=2.0, out=tmp_path / "plain") + "seed: 0\n"
-           + "attractor:\n  t: 0.0\n  n_samples: 4\n  tau_ladder: [-0.5, -1.0]\n")
+           + "simulate:\n  t: 1.0\n  snapshots: 1\n  initial:\n    kind: random\n")
     path = write_config(tmp_path, doc)
-    main(["attractor", "--config", path])
+    assert main(["simulate", "--config", path]) == 0
     for seed in ("0", "1"):
-        main(["attractor", "--config", path, "--seed", seed,
-              "--out", str(tmp_path / seed)])
-    plain = (tmp_path / "plain" / "members.csv").read_bytes()
-    assert (tmp_path / "0" / "members.csv").read_bytes() == plain
-    assert (tmp_path / "1" / "members.csv").read_bytes() != plain
+        assert main(["simulate", "--config", path, "--seed", seed,
+                     "--out", str(tmp_path / seed)]) == 0
+    for name in ("trajectory.csv", "snapshot_000.csv"):
+        plain = (tmp_path / "plain" / name).read_bytes()
+        assert (tmp_path / "0" / name).read_bytes() == plain
+        assert (tmp_path / "1" / name).read_bytes() != plain
+
+
+@pytest.mark.parametrize("command", ["attractor", "sweep"])
+def test_seed_reaches_no_ladder_output_but_the_meta_seed_row(command, tmp_path):
+    # the ladder family is the constant levels, which no seed draws; only
+    # attractor_meta.csv records the seed
+    doc = (SMALL.format(beta=2.0, out=tmp_path / "o")
+           + f"{command}:\n  t: 0.0\n  n_samples: 4\n  tau_ladder: [-0.5, -1.0]\n")
+    path = write_config(tmp_path, doc)
+    trees = []
+    for seed in ("0", "1"):
+        main([command, "--config", path, "--seed", seed, "--out", str(tmp_path / seed)])
+        trees.append({p.name: p.read_text() for p in (tmp_path / seed).iterdir()})
+    a, b = trees
+    assert sorted(a) == sorted(b) and len(a) == (2 if command == "attractor" else 1)
+    for name in a:
+        differ = [(x, y) for x, y in zip(a[name].splitlines(), b[name].splitlines()) if x != y]
+        assert differ == ([("seed,0", "seed,1")] if name == "attractor_meta.csv" else [])
 
 
 @pytest.mark.parametrize("out,reason", [
@@ -1372,7 +1391,7 @@ def four_snapshots(out, log):
 
 
 def vacuous_envelope_warns_once(out, log):
-    # at seed 2 the ladder reaches horizon 32, where the continuity
+    # the ladder -24, -32 reaches horizon 32, where the continuity
     # envelope's rate 29.45 overflows exp: every eps > 0 row reads inf, the
     # eps = 0 row the dedup tolerance, and one warning covers the sweep
     _, rows = read_rows(out / "sweep.csv")
@@ -1383,6 +1402,11 @@ def vacuous_envelope_warns_once(out, log):
 
 
 SHIPPED_CHECKS = {("contraction", "attractor"): ladder_steps_coarser_than_dt}
+
+# configs/sweep.yaml with only its two deepest rungs, so that its ladder
+# stops at horizon 32, not 16
+DEEP_SWEEP = (CONFIGS / "sweep.yaml").read_text(encoding="utf-8").replace(
+    "tau_ladder: [-4.0, -8.0, -16.0, -32.0]", "tau_ladder: [-24.0, -32.0]")
 
 RERUNS = [
     pytest.param(command, path.read_text(encoding="utf-8"), (),
@@ -1395,8 +1419,8 @@ RERUNS = [
     pytest.param("simulate", GAUSSIAN_SIMULATE, (), four_snapshots,
                  id="gaussian-p3-n8192-simulate"),
     pytest.param("verify", GAUSSIAN_VERIFY, (), None, id="gaussian-verify"),
-    pytest.param("sweep", (CONFIGS / "sweep.yaml").read_text(encoding="utf-8"),
-                 ("--seed", "2"), vacuous_envelope_warns_once, id="sweep-sweep-seed2"),
+    pytest.param("sweep", DEEP_SWEEP, (), vacuous_envelope_warns_once,
+                 id="sweep-sweep-horizon32"),
 ]
 
 
@@ -1421,6 +1445,27 @@ def test_reruns_exit_0_and_write_the_same_bytes(command, doc, flags, check,
                              REFERENCE / request.node.callspec.id)
     if check:
         check(tmp_path / "a", logs[0])
+
+
+@pytest.mark.parametrize("level", range(4))
+@pytest.mark.parametrize("config", ["bistable", "contraction", "edge_p3", "sweep"])
+def test_a_family_skipping_a_level_trips_the_attractor_references(config, level, monkeypatch,
+                                                                  tmp_path, caplog):
+    # a plant: the ladder family without one of its 4 constant levels.
+    # Every skip moves a rung's members stepped in log.txt and a rung gap,
+    # and skipping the first level, whose endpoint dedup always keeps,
+    # moves members.csv too
+    family = nlfield.attractor._family
+    monkeypatch.setattr(nlfield.attractor, "_family",
+                        lambda cfg, n: np.delete(family(cfg, n), level, axis=0))
+    out, ref = tmp_path / "out", REFERENCE / f"{config}-attractor"
+    with caplog.at_level(logging.INFO):
+        assert main(["attractor", "--config", str(CONFIGS / f"{config}.yaml"),
+                     "--out", str(out)]) == 0
+    with pytest.raises(AssertionError):
+        assert_matches_reference(out, ladder_log(caplog.records), ref)
+    if level == 0:
+        assert field_summaries(out) != (ref / FIELDS).read_text()
 
 
 def ladder_log(records):
